@@ -46,7 +46,7 @@ SCHEMA = "divkit-certificate/1"
 
 def frame_bivector_str(mv):
     """Print a frame bivector over the e-basis."""
-    return _graded_str(mv, "e", lambda i: str(i + 1))
+    return _graded_str(mv, lambda i: "e%d" % (i + 1))
 
 
 def frame_payload(frame):

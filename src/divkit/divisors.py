@@ -89,13 +89,12 @@ class DivisorClass:
 class DivisorIdeal:
     """Principal ideal with a normalized nonzero generator."""
 
-    __slots__ = ("generator", "atoms")
+    __slots__ = ("generator",)
 
-    def __init__(self, generator, atoms=None):
+    def __init__(self, generator):
         if generator.is_zero():
             raise ZeroGenerator("a zero section has dense zero set, not a divisor")
         self.generator = generator.unit_normalized()
-        self.atoms = atoms
 
     @property
     def chart(self):
@@ -207,7 +206,6 @@ def classify(ideal, candidates=None):
     Unclassified rather than guessing."""
     gen = ideal.generator
     if gen.is_constant():
-        ideal.atoms = []
         return DivisorClass(DivisorClass.TRIVIAL)
     chart = gen.chart
     residual = gen
@@ -249,10 +247,7 @@ def classify(ideal, candidates=None):
             atoms.append((Atom(Atom.ELLIPTIC, p.unit_normalized(), pair), mult))
 
     if not residual.is_constant():
-        ideal.atoms = None
         return DivisorClass(DivisorClass.UNCLASSIFIED)
-
-    ideal.atoms = atoms
     return _tag_from_atoms(atoms)
 
 

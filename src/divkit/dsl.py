@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .rings import Chart, Poly
-from .multivector import DiffForm, Multivector
+from .multivector import DiffForm, Multivector, _Graded
 from .frames import AnchorFrame, CoframeForm, catalog
 from .divisors import DivisorIdeal, make_ideal
 
@@ -107,55 +107,16 @@ def tokenize(source):
     return tokens
 
 
-class CoframeExpr:
+class CoframeExpr(_Graded):
     """Coframe expression over e1..en, not yet bound to a frame."""
 
-    __slots__ = ("chart", "degree", "comps")
-
-    def __init__(self, chart, degree, comps):
-        self.chart = chart
-        self.degree = degree
-        clean = {}
-        for idx, c in comps.items():
-            if not c.is_zero():
-                clean[tuple(idx)] = c
-        self.comps = clean
-
-    def is_zero(self):
-        return not self.comps
-
-    def __add__(self, other):
-        if not isinstance(other, CoframeExpr) or other.chart != self.chart:
-            return NotImplemented
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise ValueError("cannot add coframe degrees %d and %d" % (self.degree, other.degree))
-        res = dict(self.comps)
-        for idx, c in other.comps.items():
-            s = res.get(idx)
-            res[idx] = c if s is None else s + c
-        return CoframeExpr(self.chart, self.degree, res)
-
-    def __neg__(self):
-        return CoframeExpr(self.chart, self.degree, {i: -c for i, c in self.comps.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CoframeExpr):
-            return NotImplemented
-        return self + (-other)
+    __slots__ = ()
+    _basis_name = CoframeForm._basis_name
 
     def bind(self, frame):
         if frame.chart != self.chart:
             raise ValueError("form and frame charts differ")
         return CoframeForm(frame, self.degree, self.comps)
-
-    def __str__(self):
-        from .multivector import _graded_str
-
-        return _graded_str(self, "e", lambda i: str(i + 1))
 
 
 class Job:
@@ -540,40 +501,14 @@ class Parser:
             self.fail("cannot %s these values: %s" % ("add" if op == "+" else "subtract", e))
 
     def combine_mul(self, a, b, tok):
-        if isinstance(a, (Multivector, DiffForm, CoframeExpr)) and isinstance(
-            b, (int, Fraction, Poly)
-        ):
-            a, b = b, a
-        a = self.to_poly(a)
-        if isinstance(b, CoframeExpr):
-            return CoframeExpr(
-                b.chart, b.degree, {i: a * c for i, c in b.comps.items()}
-            )
         try:
-            return a * b
+            return self.to_poly(a) * b
         except Exception as e:
             self.fail("cannot multiply these values: %s" % e, tok)
 
     def combine_wedge(self, a, b, tok):
         if isinstance(a, (int, Fraction, Poly)) or isinstance(b, (int, Fraction, Poly)):
             self.fail("wedge needs two graded factors", tok)
-        if isinstance(a, CoframeExpr) and isinstance(b, CoframeExpr):
-            out = {}
-            from .multivector import merge_indices
-
-            for ia, ca in a.comps.items():
-                for ib, cb in b.comps.items():
-                    m = merge_indices(ia, ib)
-                    if m is None:
-                        continue
-                    sign, idx = m
-                    v = ca * cb
-                    if sign < 0:
-                        v = -v
-                    old = out.get(idx)
-                    v = v if old is None else old + v
-                    out[idx] = v
-            return CoframeExpr(a.chart, a.degree + b.degree, out)
         if type(a) is not type(b):
             self.fail("cannot wedge %s with %s" % (type(a).__name__, type(b).__name__), tok)
         try:
@@ -582,14 +517,10 @@ class Parser:
             self.fail("cannot wedge these values: %s" % e, tok)
 
     def negate(self, v):
-        if isinstance(v, (int, Fraction)):
-            return -v
         return -v
 
     def power(self, v, e, tok):
-        if isinstance(v, (int, Fraction)):
-            return v**e
-        if isinstance(v, Poly):
+        if isinstance(v, (int, Fraction, Poly)):
             return v**e
         self.fail("^ applies to scalars; use ^^ for the wedge", tok)
 
@@ -635,35 +566,6 @@ def value_to_source(v):
     return str(v)
 
 
-def command_to_source(cmd):
-    kind = cmd[0]
-    if kind in ("check_poisson", "divisor", "modular"):
-        return "%s %s" % (kind, cmd[1])
-    if kind == "classify":
-        v = cmd[1]
-        return "classify %s" % (v.generator if isinstance(v, DivisorIdeal) else v)
-    if kind == "lift":
-        return "lift %s to %s" % (cmd[1], frame_to_source(cmd[2]))
-    if kind == "residue":
-        return "residue %s via %s on %s" % (cmd[1], cmd[2], frame_to_source(cmd[3]))
-    if kind == "modify":
-        _, side, fr, idx, ideal = cmd
-        key = "keep" if side == "lower" else "kernel"
-        idxs = ", ".join(str(i + 1) for i in idx)
-        return "modify %s %s %s %s by %s" % (
-            side,
-            frame_to_source(fr),
-            key,
-            idxs,
-            ideal.generator,
-        )
-    if kind == "verify_frame":
-        return "verify_frame %s by %s" % (frame_to_source(cmd[1]), cmd[2].generator)
-    if kind == "spinor":
-        return "spinor %s on %s via %s" % (cmd[1], frame_to_source(cmd[3]), cmd[2])
-    raise ValueError("unknown command %r" % (kind,))
-
-
 def format_job(job):
     """Canonical source text for a parsed job (stable under re-formatting)."""
     lines = ["chart %s;" % ", ".join(job.chart.variables)]
@@ -678,7 +580,8 @@ def format_job(job):
 
 
 def command_to_source_named(job, cmd):
-    """Like command_to_source but substitutes definition names for values."""
+    """Source text of a command, printing definition names for the values
+    that have one."""
     names = {}
     for name in job.order:
         key = id(job.definitions[name])

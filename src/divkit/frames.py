@@ -19,9 +19,10 @@ from .divisors import DivisorClass, classify, make_ideal, preserves
 from .multivector import (
     DiffForm,
     Multivector,
+    _accumulate,
+    _Graded,
     exterior_derivative,
     lie_bracket,
-    merge_indices,
 )
 
 
@@ -170,9 +171,6 @@ class AnchorFrame:
         if self._adj is None:
             self._adj = poly_adjugate(self.matrix())
         return self._adj
-
-    def divisor_generator(self):
-        return self.det.unit_normalized()
 
     def __eq__(self, other):
         return (
@@ -461,32 +459,26 @@ def upper_modify(frame, kernel, ideal):
 # ---------------------------------------------------------------------------
 
 
-class CoframeForm:
+class CoframeForm(_Graded):
     """Differential form over a frame's dual coframe, Poly coefficients."""
 
-    __slots__ = ("frame", "degree", "comps")
+    __slots__ = ("frame",)
+    _invalid = BadParams
 
     def __init__(self, frame, degree, comps=None):
-        n = frame.chart.dimension
-        if degree < 0 or degree > n:
-            raise BadParams("coframe degree %d out of range" % degree)
         self.frame = frame
-        self.degree = degree
-        clean = {}
-        if comps:
-            for idx, c in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(idx) or (idx and idx[-1] >= n):
-                    raise BadParams("bad coframe index tuple %r" % (idx,))
-                if not isinstance(c, Poly):
-                    c = Poly.const(frame.chart, c)
-                if not c.is_zero():
-                    clean[idx] = c
-        self.comps = clean
+        _Graded.__init__(self, frame.chart, degree, comps)
 
-    @classmethod
-    def zero(cls, frame, degree=0):
-        return cls(frame, degree, {})
+    def _space(self):
+        return self.frame
+
+    def _like(self, degree, comps, other=None):
+        out = _Graded._like(self, degree, comps)
+        out.frame = self.frame
+        return out
+
+    def _basis_name(self, i):
+        return "e%d" % (i + 1)
 
     @classmethod
     def function(cls, frame, p):
@@ -495,83 +487,6 @@ class CoframeForm:
     @classmethod
     def basis(cls, frame, i):
         return cls(frame, 1, {(i,): Poly.const(frame.chart, 1)})
-
-    def is_zero(self):
-        return not self.comps
-
-    def __add__(self, other):
-        if self.frame is not other.frame and self.frame != other.frame:
-            raise ChartMismatch("coframe forms over different frames")
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise BadParams("cannot add coframe degrees %d and %d" % (self.degree, other.degree))
-        res = dict(self.comps)
-        for idx, c in other.comps.items():
-            s = res.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                res.pop(idx, None)
-            else:
-                res[idx] = s
-        return CoframeForm(self.frame, self.degree, res)
-
-    def __neg__(self):
-        return CoframeForm(self.frame, self.degree, {i: -c for i, c in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return CoframeForm(self.frame, self.degree, {i: v * c for i, v in self.comps.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def wedge(self, other):
-        if self.frame is not other.frame and self.frame != other.frame:
-            raise ChartMismatch("coframe forms over different frames")
-        deg = self.degree + other.degree
-        n = self.frame.chart.dimension
-        if deg > n:
-            return CoframeForm(self.frame, n, {})
-        res = {}
-        for ia, ca in self.comps.items():
-            for ib, cb in other.comps.items():
-                m = merge_indices(ia, ib)
-                if m is None:
-                    continue
-                sign, idx = m
-                v = ca * cb
-                if sign < 0:
-                    v = -v
-                s = res.get(idx)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    res.pop(idx, None)
-                else:
-                    res[idx] = s
-        return CoframeForm(self.frame, deg, res)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoframeForm):
-            return NotImplemented
-        if self.frame != other.frame:
-            return False
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.comps == other.comps
-
-    __hash__ = None
-
-    def __str__(self):
-        from .multivector import _graded_str
-
-        return _graded_str(self, "e", lambda i: str(i + 1))
-
-    __repr__ = __str__
 
 
 def coframe_to_diff(form):
@@ -605,38 +520,16 @@ def diff_to_coframe(dform, frame):
     chart = frame.chart
     r = frame.matrix()
     n = chart.dimension
+    rows = [CoframeForm(frame, 1, {(i,): r[j][i] for i in range(n)}) for j in range(n)]
     acc = {}
     for idx, c in dform.comps.items():
-        expansion = [((), Poly.const(chart, 1))]
+        expansion = CoframeForm.function(frame, Poly.const(chart, 1))
         for j in idx:
-            new = []
-            for key, coeff in expansion:
-                for i in range(n):
-                    if r[j][i].is_zero():
-                        continue
-                    m = merge_indices(key, (i,))
-                    if m is None:
-                        continue
-                    sign, nk = m
-                    v = coeff * r[j][i]
-                    if sign < 0:
-                        v = -v
-                    new.append((nk, v))
-            merged = {}
-            for nk, v in new:
-                s = merged.get(nk)
-                s = v if s is None else s + v
-                merged[nk] = s
-            expansion = [(k, v) for k, v in merged.items() if not v.is_zero()]
-        for key, coeff in expansion:
-            v = c * coeff
-            s = acc.get(key)
-            s = v if s is None else s + v
-            acc[key] = s
+            expansion = expansion.wedge(rows[j])
+        for key, coeff in expansion.comps.items():
+            _accumulate(acc, key, c * coeff)
     comps = {}
     for key, v in acc.items():
-        if v.is_zero():
-            continue
         if not v.is_poly():
             raise RuntimeError(
                 "conversion to the coframe left a denominator: %s (internal error)" % v

@@ -3,7 +3,9 @@
 `Multivector` holds polyvector fields with Poly components over the basis
 d/dx_{i1} ^ ... ^ d/dx_{ik}; `DiffForm` holds differential forms whose
 components may be `Localized` fractions (denominators a power of one
-declared generator, as produced by coframe inversion).
+declared generator, as produced by coframe inversion).  Both, like the
+coframe forms `frames.CoframeForm` and `dsl.CoframeExpr`, are thin
+subclasses of `_Graded`, which implements the graded algebra once.
 
 The Schouten-Nijenhuis bracket is computed by the decomposable expansion
 
@@ -50,26 +52,87 @@ def sort_indices(idx):
     return merge_indices(idx, ())
 
 
+def _accumulate(res, key, v):
+    """res[key] += v, dropping the entry when the sum is zero."""
+    old = res.get(key)
+    if old is not None:
+        v = old + v
+    if v.is_zero():
+        res.pop(key, None)
+    else:
+        res[key] = v
+
+
 class _Graded:
-    """Shared machinery for Multivector and DiffForm."""
+    """The graded algebra over {increasing index tuple: coefficient}.
+
+    Subclasses supply only what differs between the kinds of element: what
+    the indices refer to (`_space`), how constructor coefficients are coerced
+    (`_coefficient`), the printed basis names (`_basis_name`), and the extra
+    slots a result carries over (`_like`).
+    """
 
     __slots__ = ("chart", "degree", "comps")
+    _invalid = DegreeMismatch
 
-    def _make(self, comps):
-        raise NotImplementedError
+    def __init__(self, chart, degree, comps=None):
+        n = chart.dimension
+        if degree < 0 or degree > n:
+            raise self._invalid("degree %d out of range for %r" % (degree, chart))
+        self.chart = chart
+        self.degree = degree
+        clean = {}
+        if comps:
+            for idx, c in comps.items():
+                idx = tuple(idx)
+                if len(idx) != degree or list(idx) != sorted(idx) or (idx and idx[-1] >= n):
+                    raise self._invalid("bad index tuple %r for degree %d" % (idx, degree))
+                c = self._coefficient(c)
+                if not c.is_zero():
+                    clean[idx] = c
+        self.comps = clean
 
-    def _coerce(self, value):
-        raise NotImplementedError
+    def _coefficient(self, c):
+        return c if isinstance(c, Poly) else Poly.const(self.chart, c)
+
+    def _space(self):
+        """What the indices refer to; the operands of an operation share it."""
+        return self.chart
+
+    def _like(self, degree, comps, other=None):
+        """A result of the same kind over the same space.  `comps` must
+        already be clean (increasing indices, nonzero coefficients); `other`
+        is the second operand of a binary operation, if any."""
+        out = object.__new__(type(self))
+        out.chart = self.chart
+        out.degree = degree
+        out.comps = comps
+        return out
+
+    @classmethod
+    def zero(cls, space, degree=0):
+        return cls(space, degree, {})
 
     def is_zero(self):
         return not self.comps
 
+    def _same_space(self, other):
+        a, b = self._space(), other._space()
+        return a is b or a == b
+
     def _check(self, other):
-        if self.chart != other.chart:
-            raise ChartMismatch("%r vs %r" % (self.chart, other.chart))
+        if not self._same_space(other):
+            raise ChartMismatch("operands over different charts or frames")
+
+    def _check_same_kind(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                "cannot combine %s with %s" % (type(self).__name__, type(other).__name__)
+            )
+        self._check(other)
 
     def __add__(self, other):
-        self._check(other)
+        self._check_same_kind(other)
         if self.degree != other.degree:
             if self.is_zero():
                 return other
@@ -78,24 +141,22 @@ class _Graded:
             raise DegreeMismatch("cannot add degrees %d and %d" % (self.degree, other.degree))
         res = dict(self.comps)
         for idx, c in other.comps.items():
-            s = res.get(idx)
-            s = c if s is None else s + c
-            if _is_zero(s):
-                res.pop(idx, None)
-            else:
-                res[idx] = s
-        return type(self)(self.chart, self.degree, res)
+            _accumulate(res, idx, c)
+        return self._like(self.degree, res, other)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {i: -c for i, c in self.comps.items()})
+        return self._like(self.degree, {i: -c for i, c in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return type(self)(
-            self.chart, self.degree, {i: v * c for i, v in self.comps.items()}
-        )
+        comps = {}
+        for i, v in self.comps.items():
+            v = v * c
+            if not v.is_zero():
+                comps[i] = v
+        return self._like(self.degree, comps)
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction, Poly)):
@@ -107,7 +168,7 @@ class _Graded:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.chart != other.chart:
+        if not self._same_space(other):
             return False
         if self.is_zero() and other.is_zero():
             return True
@@ -115,15 +176,11 @@ class _Graded:
 
     __hash__ = None
 
-    def component(self, idx):
-        return self.comps.get(tuple(idx))
-
     def wedge(self, other):
-        self._check(other)
+        self._check_same_kind(other)
         deg = self.degree + other.degree
-        cls = type(self)
         if deg > self.chart.dimension:
-            return cls(self.chart, min(deg, self.chart.dimension), {})
+            return self._like(self.chart.dimension, {}, other)
         res = {}
         for ia, ca in self.comps.items():
             for ib, cb in other.comps.items():
@@ -132,48 +189,23 @@ class _Graded:
                     continue
                 sign, idx = m
                 v = ca * cb
-                if sign < 0:
-                    v = -v
-                s = res.get(idx)
-                s = v if s is None else s + v
-                if _is_zero(s):
-                    res.pop(idx, None)
-                else:
-                    res[idx] = s
-        return cls(self.chart, deg, res)
+                _accumulate(res, idx, v if sign > 0 else -v)
+        return self._like(deg, res, other)
 
+    def __str__(self):
+        return _graded_str(self, self._basis_name)
 
-def _is_zero(v):
-    if isinstance(v, Poly):
-        return v.is_zero()
-    if isinstance(v, Localized):
-        return v.is_zero()
-    return v == 0
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
 
 
 class Multivector(_Graded):
     """Degree-k polyvector field with Poly components over increasing tuples."""
 
-    def __init__(self, chart, degree, comps=None):
-        if degree < 0 or degree > chart.dimension:
-            raise DegreeMismatch("degree %d out of range for %r" % (degree, chart))
-        self.chart = chart
-        self.degree = degree
-        clean = {}
-        if comps:
-            for idx, c in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(idx):
-                    raise ValueError("bad index tuple %r for degree %d" % (idx, degree))
-                if not isinstance(c, Poly):
-                    c = Poly.const(chart, c)
-                if not c.is_zero():
-                    clean[idx] = c
-        self.comps = clean
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, chart, degree=0):
-        return cls(chart, degree, {})
+    def _basis_name(self, i):
+        return "D" + self.chart.variables[i]
 
     @classmethod
     def function(cls, p):
@@ -193,11 +225,6 @@ class Multivector(_Graded):
             raise DegreeMismatch("not a vector field")
         return [self.comps.get((i,), Poly.zero(self.chart)) for i in range(self.chart.dimension)]
 
-    def as_function(self):
-        if self.degree != 0:
-            raise DegreeMismatch("not a function")
-        return self.comps.get((), Poly.zero(self.chart))
-
     def apply_to(self, f):
         """Derivation action of a vector field on a Poly."""
         if self.degree != 1:
@@ -207,66 +234,40 @@ class Multivector(_Graded):
             out = out + c * f.diff(self.chart.variables[i])
         return out
 
-    def map_coeffs(self, fn):
-        return Multivector(self.chart, self.degree, {i: fn(c) for i, c in self.comps.items()})
-
-    def __str__(self):
-        return _graded_str(self, "D", lambda i: self.chart.variables[i])
-
-    def __repr__(self):
-        return "Multivector(%s)" % self
-
 
 class DiffForm(_Graded):
     """Degree-k differential form; components are Localized fractions."""
 
-    def __init__(self, chart, degree, comps=None, gen=None):
-        if degree < 0 or degree > chart.dimension:
-            raise DegreeMismatch("degree %d out of range for %r" % (degree, chart))
-        self.chart = chart
-        self.degree = degree
-        self.gen = gen
-        clean = {}
-        if comps:
-            for idx, c in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(idx):
-                    raise ValueError("bad index tuple %r for degree %d" % (idx, degree))
-                if isinstance(c, Poly):
-                    c = Localized.from_poly(c, gen)
-                if not c.is_zero():
-                    clean[idx] = c
-                    if gen is None and c.gen is not None:
-                        gen = c.gen
-        self.comps = clean
-        self.gen = gen
-
     __slots__ = ("gen",)
 
-    def _merged_gen(self, other):
+    def __init__(self, chart, degree, comps=None, gen=None):
+        self.gen = gen
+        _Graded.__init__(self, chart, degree, comps)
+
+    def _coefficient(self, c):
+        """Poly coefficients are localized at the form's generator; a form
+        declared without one takes the first one its fractions carry."""
+        if isinstance(c, Poly):
+            return Localized.from_poly(c, self.gen)
         if self.gen is None:
-            return other.gen
-        if other.gen is None or other.gen == self.gen:
-            return self.gen
-        raise ValueError("incompatible localization generators on forms")
+            self.gen = c.gen
+        return c
 
-    def __add__(self, other):
-        out = _Graded.__add__(self, other)
-        out.gen = self._merged_gen(other)
+    def _like(self, degree, comps, other=None):
+        """Results of binary operations keep the operands' common
+        localization generator."""
+        out = _Graded._like(self, degree, comps)
+        gen = self.gen
+        if other is not None and other.gen is not None:
+            if gen is None:
+                gen = other.gen
+            elif other.gen != gen:
+                raise ValueError("incompatible localization generators on forms")
+        out.gen = gen
         return out
 
-    def wedge(self, other):
-        out = _Graded.wedge(self, other)
-        out.gen = self._merged_gen(other)
-        return out
-
-    def __neg__(self):
-        return DiffForm(self.chart, self.degree, {i: -c for i, c in self.comps.items()}, self.gen)
-
-    def scale(self, c):
-        return DiffForm(
-            self.chart, self.degree, {i: v * c for i, v in self.comps.items()}, self.gen
-        )
+    def _basis_name(self, i):
+        return "d" + self.chart.variables[i]
 
     @classmethod
     def zero(cls, chart, degree=0, gen=None):
@@ -284,26 +285,14 @@ class DiffForm(_Graded):
     def basis_form(cls, chart, i, gen=None):
         return cls(chart, 1, {(i,): Poly.const(chart, 1)}, gen)
 
-    def is_polynomial(self):
-        return all(c.is_poly() for c in self.comps.values())
 
-    def map_coeffs(self, fn):
-        return DiffForm(self.chart, self.degree, {i: fn(c) for i, c in self.comps.items()}, self.gen)
-
-    def __str__(self):
-        return _graded_str(self, "d", lambda i: self.chart.variables[i])
-
-    def __repr__(self):
-        return "DiffForm(%s)" % self
-
-
-def _graded_str(obj, prefix, name):
+def _graded_str(obj, basis_name):
     if not obj.comps:
         return "0"
     parts = []
     for idx in sorted(obj.comps):
         c = obj.comps[idx]
-        basis = "^^".join(prefix + name(i) for i in idx)
+        basis = "^^".join(basis_name(i) for i in idx)
         cs = str(c)
         if not basis:
             parts.append(cs)
@@ -335,18 +324,13 @@ def _term_factors(chart, idx, coeff):
     return factors
 
 
-def _accumulate(res, idx, coeff):
+def _accumulate_unsorted(res, idx, coeff):
+    """_accumulate for an index tuple in any order; nothing if one repeats."""
     s = sort_indices(idx)
     if s is None or coeff.is_zero():
         return
     sign, key = s
-    v = coeff if sign > 0 else -coeff
-    old = res.get(key)
-    v = v if old is None else old + v
-    if v.is_zero():
-        res.pop(key, None)
-    else:
-        res[key] = v
+    _accumulate(res, key, coeff if sign > 0 else -coeff)
 
 
 def schouten_bracket(a, b):
@@ -385,7 +369,7 @@ def schouten_bracket(a, b):
                         idx.append(ri)
                     if (p - (pos + 1)) % 2 == 1:
                         coeff = -coeff
-                    _accumulate(res, tuple(idx), coeff)
+                    _accumulate_unsorted(res, tuple(idx), coeff)
                 continue
             if p == 0:
                 # [f, b] = sum_j (-1)^j (Y_j f) Y_1^..skip j..^Y_q
@@ -401,7 +385,7 @@ def schouten_bracket(a, b):
                         idx.append(ri)
                     if (pos + 1) % 2 == 1:
                         coeff = -coeff
-                    _accumulate(res, tuple(idx), coeff)
+                    _accumulate_unsorted(res, tuple(idx), coeff)
                 continue
             fa = _term_factors(chart, ia, ca)
             fb = _term_factors(chart, ib, cb)
@@ -427,8 +411,8 @@ def schouten_bracket(a, b):
                         for rc, ri in rest:
                             coeff = coeff * rc
                             idx.append(ri)
-                        _accumulate(res, tuple(idx), coeff)
-    return Multivector(chart, deg, res)
+                        _accumulate_unsorted(res, tuple(idx), coeff)
+    return a._like(deg, res)
 
 
 def lie_bracket(v, w):
@@ -457,14 +441,8 @@ def interior_product(v, w):
             coeff = c * vc[i]
             if pos % 2 == 1:
                 coeff = -coeff
-            key = idx[:pos] + idx[pos + 1 :]
-            old = res.get(key)
-            coeff = coeff if old is None else old + coeff
-            if coeff.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = coeff
-    return DiffForm(w.chart, w.degree - 1, res, w.gen)
+            _accumulate(res, idx[:pos] + idx[pos + 1 :], coeff)
+    return w._like(w.degree - 1, res)
 
 
 def pairing(form, mv):
@@ -497,14 +475,8 @@ def exterior_derivative(w):
             if m is None:
                 continue
             sign, key = m
-            coeff = dc if sign > 0 else -dc
-            old = res.get(key)
-            coeff = coeff if old is None else old + coeff
-            if coeff.is_zero():
-                res.pop(key, None)
-            else:
-                res[key] = coeff
-    return DiffForm(chart, w.degree + 1, res, w.gen)
+            _accumulate(res, key, dc if sign > 0 else -dc)
+    return w._like(w.degree + 1, res)
 
 
 def lie_derivative(v, t):

@@ -200,7 +200,8 @@ def divisor_type(pi, grid_values=None):
     line = {}
     for idx, c in pf.comps.items():
         q = exact_divide(c, g)
-        assert q is not None
+        if q is None:
+            raise RuntimeError("gcd of the Pfaffian does not divide it (internal error)")
         line[idx] = q
     w = Multivector(chart, 2 * m, line)
     ideal = make_ideal(g)

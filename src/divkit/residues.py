@@ -16,7 +16,7 @@ from math import factorial
 
 from .rings import Poly
 from .frames import BadParams, CoframeForm, algebroid_d, catalog
-from .multivector import DiffForm, exterior_derivative
+from .multivector import DiffForm, _accumulate, exterior_derivative
 
 
 class FlavorMismatch(ValueError):
@@ -203,19 +203,13 @@ def residue(w, spec, force=False):
         rc = _restrict_coeff(c, spec.locus, sub)
         if rc.is_zero():
             continue
-        key = tuple(slot_map[i] for i in rest)
-        v = rc if sign > 0 else -rc
-        old = comps.get(key)
-        v = v if old is None else old + v
-        if v.is_zero():
-            comps.pop(key, None)
-        else:
-            comps[key] = v
+        _accumulate(comps, tuple(slot_map[i] for i in rest), rc if sign > 0 else -rc)
 
     if deg > sub.dimension:
         # only possible for the lower elliptic residues, whose forbidden slot
         # removes one more direction; no component can survive then
-        assert not comps
+        if comps:
+            raise RuntimeError("residue above the locus dimension (internal error)")
         deg = sub.dimension
     if flavor == ELLLOG_Z:
         target = catalog("log", sub, label[2])

@@ -39,10 +39,6 @@ def set_degree_cap(cap):
     _DEGREE_CAP = cap
 
 
-def get_degree_cap():
-    return _DEGREE_CAP
-
-
 class Chart:
     """An ordered list of distinct variable names."""
 
@@ -426,16 +422,6 @@ def _univar_view(f, i):
     return {d: Poly(chart, t) for d, t in out.items() if any(v != 0 for v in t.values())}
 
 
-def _from_univar(view, i, chart):
-    res = {}
-    for d, p in view.items():
-        for e, c in p.terms.items():
-            ne = list(e)
-            ne[i] += d
-            res[tuple(ne)] = c
-    return Poly(chart, res)
-
-
 def _shift_mul(p, i, d):
     res = {}
     for e, c in p.terms.items():
@@ -487,7 +473,8 @@ def poly_gcd(f, g):
                 break
         cont = cont.unit_normalized() if not cont.is_constant() else Poly.const(chart, 1)
         pp = exact_divide(p, cont)
-        assert pp is not None
+        if pp is None:
+            raise RuntimeError("content does not divide %s (internal error)" % p)
         return cont, pp
 
     cf, pf = content_pp(f)
@@ -532,7 +519,8 @@ def squarefree_part(f):
     polys = [p for p in polys if not p.is_zero()]
     g = gcd_content(polys)
     q = exact_divide(f, g)
-    assert q is not None
+    if q is None:
+        raise RuntimeError("gcd with the partials does not divide %s (internal error)" % f)
     return q.unit_normalized()
 
 
@@ -567,7 +555,7 @@ class Localized:
             power = 0
         self.num = num
         self.power = power
-        self.gen = gen if power > 0 else gen  # keep gen for context even at power 0
+        self.gen = gen
 
     @classmethod
     def from_poly(cls, p, gen=None):

@@ -46,6 +46,9 @@ def test_parse_errors():
         parse("chart e1, y; check_poisson De1^^Dy;")  # reserved name
     with pytest.raises(ParseError):
         parse("chart x,y; w = e9; residue w via log on frame log(x);")  # bad index
+    for w in ("e1 + e1^^e2", "Dx + Dx^^Dy", "dx + dx^^dy", "e1^^Dx"):  # mixed degree or kind
+        with pytest.raises(ParseError):
+            parse("chart x,y; w = %s; residue w via log on frame log(x);" % w)
 
 
 def test_frames_and_ideals():

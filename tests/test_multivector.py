@@ -15,6 +15,8 @@ from divkit.multivector import (
     partial_pfaffian,
     schouten_bracket,
 )
+from divkit.frames import CoframeForm, catalog
+from divkit.dsl import CoframeExpr
 
 from conftest import rand_multivector, rand_poly, rand_vector
 
@@ -51,16 +53,25 @@ def test_wedge_examples():
     assert DX.wedge(DX).is_zero()
 
 
-def test_wedge_graded_commutative(rng):
-    c3 = Chart(["x", "y", "z"])
+C3 = Chart(["x", "y", "z"])
+LOG3 = catalog("log", C3, "x")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [Multivector, DiffForm, lambda chart, p, comps: CoframeForm(LOG3, p, comps), CoframeExpr],
+    ids=["Multivector", "DiffForm", "CoframeForm", "CoframeExpr"],
+)
+def test_wedge_graded_commutative(rng, make):
     for p in (1, 2):
         for q in (1, 2):
-            a = rand_multivector(c3, rng, p)
-            b = rand_multivector(c3, rng, q)
+            a = make(C3, p, rand_multivector(C3, rng, p).comps)
+            b = make(C3, q, rand_multivector(C3, rng, q).comps)
             lhs = a.wedge(b)
             rhs = b.wedge(a)
             if (p * q) % 2 == 1:
                 rhs = -rhs
+            assert type(lhs) is type(a) and lhs.degree == min(p + q, 3)
             assert lhs == rhs
 
 
