@@ -133,7 +133,7 @@ class AnchorFrame:
 
     __slots__ = ("chart", "generators", "det", "structure", "label", "_adj")
 
-    def __init__(self, chart, generators, label=None, certify=True):
+    def __init__(self, chart, generators, label=None):
         if len(generators) != chart.dimension:
             raise BadParams(
                 "need %d generators on %r, got %d"
@@ -153,9 +153,7 @@ class AnchorFrame:
             )
         self.label = label
         self._adj = None
-        self.structure = None
-        if certify:
-            self.structure = check_involutive(self)
+        self.structure = check_involutive(self)
 
     def matrix(self):
         """Anchor matrix R with R[j][i] = coefficient of D_j in generator i."""
@@ -541,8 +539,6 @@ def diff_to_coframe(dform, frame):
 def algebroid_d(form):
     """Algebroid differential via anchor conjugation (see module docstring)."""
     frame = form.frame
-    if frame.structure is None:
-        raise BadParams("frame involutivity must be certified before using d_A")
     if form.degree >= frame.chart.dimension:
         return CoframeForm.zero(frame, frame.chart.dimension)
     df = exterior_derivative(coframe_to_diff(form))

@@ -7,13 +7,23 @@ declared generator, as produced by coframe inversion).  Both, like the
 coframe forms `frames.CoframeForm` and `dsl.CoframeExpr`, are thin
 subclasses of `_Graded`, which implements the graded algebra once.
 
-The Schouten-Nijenhuis bracket is computed by the decomposable expansion
+The Schouten-Nijenhuis bracket of a p- and a q-vector is computed by the
+coordinate contraction
+
+    [P, Q] = sum_k dP/dD_k ^ d_k Q - (-1)^((p-1)(q-1)) dQ/dD_k ^ d_k P,
+
+where dP/dD_k strikes D_k = d/dx_k from the right of each basis monomial
+and d_k differentiates the coefficients.  It equals the decomposable
+expansion
 
     [X1^...^Xp, Y1^...^Yq] = sum_{i,j} (-1)^(i+j) [Xi,Yj] ^ X...^Y...
 
-extended bilinearly, with the function-Leibniz rule in degree zero; on
-vector fields it is the ordinary Lie bracket.  The k-th partial Pfaffian is
-pi^k / k!, so printed values match the usual wedge-power literals.
+extended bilinearly, and for a function g
+
+    [X1^...^Xp, g] = sum_i (-1)^(p-i) Xi(g) X1^...^Xi-hat^...^Xp;
+
+on vector fields it is the ordinary Lie bracket.  The k-th partial Pfaffian
+is pi^k / k!, so printed values match the usual wedge-power literals.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ class DegreeMismatch(ValueError):
 
 
 def merge_indices(a, b):
-    """Merge two strictly increasing index tuples; (sign, merged) or None."""
+    """Sort the concatenation a + b of index tuples without repeats;
+    (sign of the permutation, sorted tuple), or None if a and b share one."""
     if set(a) & set(b):
         return None
     merged = a + b
@@ -43,13 +54,6 @@ def merge_indices(a, b):
             sign = -sign
             j -= 1
     return sign, tuple(lst)
-
-
-def sort_indices(idx):
-    """(sign, sorted tuple) for an index tuple without repeats, else None."""
-    if len(set(idx)) != len(idx):
-        return None
-    return merge_indices(idx, ())
 
 
 def _accumulate(res, key, v):
@@ -85,7 +89,8 @@ class _Graded:
         if comps:
             for idx, c in comps.items():
                 idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(idx) or (idx and idx[-1] >= n):
+                increasing = all(i < j for i, j in zip(idx, idx[1:]))
+                if len(idx) != degree or not increasing or (idx and idx[-1] >= n):
                     raise self._invalid("bad index tuple %r for degree %d" % (idx, degree))
                 c = self._coefficient(c)
                 if not c.is_zero():
@@ -315,29 +320,36 @@ def _graded_str(obj, basis_name):
 # ---------------------------------------------------------------------------
 
 
-def _term_factors(chart, idx, coeff):
-    """Split a monomial term coeff * D_{i1}^...^D_{ip} into vector factors,
-    the coefficient riding on the first factor."""
-    factors = []
-    for pos, i in enumerate(idx):
-        factors.append((coeff if pos == 0 else Poly.const(chart, 1), i))
-    return factors
-
-
-def _accumulate_unsorted(res, idx, coeff):
-    """_accumulate for an index tuple in any order; nothing if one repeats."""
-    s = sort_indices(idx)
-    if s is None or coeff.is_zero():
-        return
-    sign, key = s
-    _accumulate(res, key, coeff if sign > 0 else -coeff)
+def _contract(res, a, b, sign):
+    """Accumulate sign * sum_k da/dD_k ^ d_k b into res, where da/dD_k
+    strikes D_k from the right of each index tuple of a."""
+    vars_ = a.chart.variables
+    p = a.degree
+    derivs = {}
+    for ia, ca in a.comps.items():
+        for pos, k in enumerate(ia):
+            db = derivs.get(k)
+            if db is None:
+                db = derivs[k] = [(ib, cb.diff(vars_[k])) for ib, cb in b.comps.items()]
+            t = sign if (p - 1 - pos) % 2 == 0 else -sign
+            rest = ia[:pos] + ia[pos + 1 :]
+            for ib, d in db:
+                if d.is_zero():
+                    continue
+                m = merge_indices(rest, ib)
+                if m is None:
+                    continue
+                s, idx = m
+                v = ca * d
+                _accumulate(res, idx, v if s * t > 0 else -v)
 
 
 def schouten_bracket(a, b):
     """Schouten-Nijenhuis bracket of Multivectors; degree |a|+|b|-1.
 
-    Convention fixed by the decomposable expansion; on vector fields this is
-    the Lie bracket, and [v, f] = v(f) for functions f.
+    [a, b] = sum_k da/dD_k ^ d_k b - (-1)^((p-1)(q-1)) db/dD_k ^ d_k a, which
+    equals the decomposable expansion; on vector fields this is the Lie
+    bracket, and [v, f] = v(f) for functions f.
     """
     a._check(b)
     chart = a.chart
@@ -350,68 +362,8 @@ def schouten_bracket(a, b):
         # indices must repeat, so the bracket vanishes identically
         return Multivector.zero(chart, chart.dimension)
     res = {}
-    vars_ = chart.variables
-    for ia, ca in a.comps.items():
-        for ib, cb in b.comps.items():
-            if p == 0 and q == 0:
-                continue
-            if q == 0:
-                # [a, g] = sum_i (-1)^(p-i) (X_i g) X_1^..skip i..^X_p
-                fac = _term_factors(chart, ia, ca)
-                for pos in range(p):
-                    cf, i = fac[pos]
-                    deriv = cf * cb.diff(vars_[i])
-                    rest = fac[:pos] + fac[pos + 1 :]
-                    coeff = deriv
-                    idx = []
-                    for rc, ri in rest:
-                        coeff = coeff * rc
-                        idx.append(ri)
-                    if (p - (pos + 1)) % 2 == 1:
-                        coeff = -coeff
-                    _accumulate_unsorted(res, tuple(idx), coeff)
-                continue
-            if p == 0:
-                # [f, b] = sum_j (-1)^j (Y_j f) Y_1^..skip j..^Y_q
-                fac = _term_factors(chart, ib, cb)
-                for pos in range(q):
-                    cf, j = fac[pos]
-                    deriv = cf * ca.diff(vars_[j])
-                    rest = fac[:pos] + fac[pos + 1 :]
-                    coeff = deriv
-                    idx = []
-                    for rc, ri in rest:
-                        coeff = coeff * rc
-                        idx.append(ri)
-                    if (pos + 1) % 2 == 1:
-                        coeff = -coeff
-                    _accumulate_unsorted(res, tuple(idx), coeff)
-                continue
-            fa = _term_factors(chart, ia, ca)
-            fb = _term_factors(chart, ib, cb)
-            for pa in range(p):
-                cfa, i = fa[pa]
-                for pb in range(q):
-                    cfb, j = fb[pb]
-                    # [cfa D_i, cfb D_j] = cfa (d_i cfb) D_j - cfb (d_j cfa) D_i
-                    pieces = []
-                    d1 = cfa * cfb.diff(vars_[i])
-                    if not d1.is_zero():
-                        pieces.append((d1, j))
-                    d2 = cfb * cfa.diff(vars_[j])
-                    if not d2.is_zero():
-                        pieces.append((-d2, i))
-                    if not pieces:
-                        continue
-                    rest = fa[:pa] + fa[pa + 1 :] + fb[:pb] + fb[pb + 1 :]
-                    sign = -1 if (pa + pb) % 2 == 1 else 1
-                    for pc, k in pieces:
-                        coeff = pc if sign > 0 else -pc
-                        idx = [k]
-                        for rc, ri in rest:
-                            coeff = coeff * rc
-                            idx.append(ri)
-                        _accumulate_unsorted(res, tuple(idx), coeff)
+    _contract(res, a, b, 1)
+    _contract(res, b, a, 1 if (p - 1) * (q - 1) % 2 else -1)
     return a._like(deg, res)
 
 

@@ -145,16 +145,13 @@ class DivisorTypeReport:
         self.warnings = warnings
 
 
-def sample_grid(chart, values=None, cap=True):
+def sample_grid(chart, values=None):
     """Deterministic rational sample grid: coordinates from `values`.
 
-    With `cap` the enumeration stops after 3^n points (diagonal-shifted so
-    every coordinate still sweeps all values); without it the full product
-    is returned."""
+    The enumeration stops after 3^n points, diagonal-shifted so every
+    coordinate still sweeps all values."""
     values = tuple(values) if values is not None else DEFAULT_GRID_VALUES
     n = chart.dimension
-    if not cap:
-        return [tuple(Fraction(v) for v in t) for t in itertools.product(values, repeat=n)]
     pts = []
     limit = 3**n
     for t, tup in enumerate(itertools.product(values, repeat=n)):
@@ -283,13 +280,10 @@ def lift(pi, frame, grid_values=None):
             cert.nondegenerate = True
             cert.evidence = "constant Pfaffian %s" % pf
         elif not pf.is_zero():
-            # include 0 and take the full product: a Pfaffian zero at any
-            # real point is an exact proof of degeneracy
-            points = sample_grid(
-                chart,
-                grid_values if grid_values is not None else (-2, -1, 0, 1, 2),
-                cap=False,
-            )
+            # include 0 and scan the full product lazily: a Pfaffian zero at
+            # any real point is an exact proof of degeneracy
+            values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
+            points = itertools.product([Fraction(v) for v in values], repeat=n)
             if all(pf.evaluate(p) != 0 for p in points):
                 cert.nondegenerate = True
                 cert.evidence = "Pfaffian nonvanishing on the sample grid"
@@ -309,23 +303,10 @@ def lift(pi, frame, grid_values=None):
 
 
 def hamiltonian_vf(pi, f):
-    """pi^#(df) with pi^#(alpha) = pi(alpha, .)."""
+    """pi^#(df) with pi^#(alpha) = pi(alpha, .); equals -[pi, f]."""
     if isinstance(pi, PoissonStruct):
         pi = pi.pi
-    chart = pi.chart
-    m = bivector_matrix(pi)
-    coeffs = []
-    for j in range(chart.dimension):
-        s = Poly.zero(chart)
-        for i in range(chart.dimension):
-            if m[i][j].is_zero():
-                continue
-            df = f.diff(chart.variables[i])
-            if df.is_zero():
-                continue
-            s = s + m[i][j] * df
-        coeffs.append(s)
-    return Multivector.vector(chart, coeffs)
+    return -schouten_bracket(pi, Multivector.function(f))
 
 
 def poisson_bracket(pi, f, g):

@@ -16,7 +16,7 @@ from math import factorial
 
 from .rings import Poly
 from .frames import BadParams, CoframeForm, algebroid_d, catalog
-from .multivector import DiffForm, _accumulate, exterior_derivative
+from .multivector import DiffForm, _accumulate, exterior_derivative, merge_indices
 
 
 class FlavorMismatch(ValueError):
@@ -203,7 +203,9 @@ def residue(w, spec, force=False):
         rc = _restrict_coeff(c, spec.locus, sub)
         if rc.is_zero():
             continue
-        _accumulate(comps, tuple(slot_map[i] for i in rest), rc if sign > 0 else -rc)
+        # the elllog_z slot map need not preserve order: re-sort with its sign
+        moved, key = merge_indices(tuple(slot_map[i] for i in rest), ())
+        _accumulate(comps, key, rc if sign * moved > 0 else -rc)
 
     if deg > sub.dimension:
         # only possible for the lower elliptic residues, whose forbidden slot

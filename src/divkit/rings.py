@@ -180,6 +180,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
@@ -198,6 +200,8 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):

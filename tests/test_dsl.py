@@ -49,6 +49,10 @@ def test_parse_errors():
     for w in ("e1 + e1^^e2", "Dx + Dx^^Dy", "dx + dx^^dy", "e1^^Dx"):  # mixed degree or kind
         with pytest.raises(ParseError):
             parse("chart x,y; w = %s; residue w via log on frame log(x);" % w)
+    for w in ("x + e1", "x + Dx"):  # a function plus a graded value
+        with pytest.raises(ParseError) as e:
+            parse("chart x,y; w = %s; residue w via log on frame log(x);" % w)
+        assert "cannot add" in str(e.value) and "attribute" not in str(e.value)
 
 
 def test_frames_and_ideals():

@@ -15,7 +15,7 @@ from divkit.multivector import (
     partial_pfaffian,
     schouten_bracket,
 )
-from divkit.frames import CoframeForm, catalog
+from divkit.frames import BadParams, CoframeForm, catalog
 from divkit.dsl import CoframeExpr
 
 from conftest import rand_multivector, rand_poly, rand_vector
@@ -97,6 +97,40 @@ def test_schouten_vector_fields_against_oracle(rng):
 
 def _sign(k):
     return -1 if k % 2 else 1
+
+
+def _wedge_all(chart, fields):
+    out = Multivector.function(Poly.const(chart, 1))
+    for f in fields:
+        out = out.wedge(f)
+    return out
+
+
+def test_schouten_matches_decomposable_expansion(rng):
+    # independent reference: brackets of decomposable multivectors expanded
+    # into Lie brackets (brute_lie_bracket) and derivatives of their factors
+    c5 = Chart(["x", "y", "z", "u", "v"])
+    for p in range(1, 4):
+        xs = [rand_vector(c5, rng, max_degree=1) for _ in range(p)]
+        big_x = _wedge_all(c5, xs)
+        g = rand_poly(c5, rng, max_degree=2, zero_ok=False)
+        # [X1^...^Xp, g] = sum_i (-1)^(p-i) Xi(g) X1^..^Xi-hat^..^Xp, i from 1
+        want = Multivector.zero(c5, p - 1)
+        for i in range(p):
+            rest = _wedge_all(c5, xs[:i] + xs[i + 1 :])
+            want = want + rest.scale(xs[i].apply_to(g) * _sign(p - 1 - i))
+        assert schouten_bracket(big_x, Multivector.function(g)) == want, p
+        for q in range(1, 4):
+            ys = [rand_vector(c5, rng, max_degree=1) for _ in range(q)]
+            want = Multivector.zero(c5, p + q - 1)
+            for i in range(p):
+                for j in range(q):
+                    factors = xs[:i] + xs[i + 1 :] + ys[:j] + ys[j + 1 :]
+                    term = _wedge_all(c5, [brute_lie_bracket(xs[i], ys[j])] + factors)
+                    want = want + term.scale(_sign(i + j))
+            got = schouten_bracket(big_x, _wedge_all(c5, ys))
+            assert got == want, (p, q)
+            assert not got.is_zero(), (p, q)
 
 
 def test_schouten_graded_antisymmetry(rng):
@@ -190,6 +224,16 @@ def test_d_squared_zero_on_localized_forms(rng):
                 comps[idx] = Localized(rand_poly(c3, rng), rng.randint(0, 2), gen)
             w = DiffForm(c3, deg, comps, gen)
             assert exterior_derivative(exterior_derivative(w)).is_zero()
+
+
+def test_constructor_rejects_bad_index_tuples():
+    for idx in ((1, 0), (0, 0), (0, 2)):
+        with pytest.raises(DegreeMismatch, match="bad index tuple"):
+            Multivector(C2, 2, {idx: X})
+        with pytest.raises(DegreeMismatch, match="bad index tuple"):
+            DiffForm(C2, 2, {idx: X})
+    with pytest.raises(BadParams, match="bad index tuple"):
+        CoframeForm(catalog("log", C2, "x"), 2, {(1, 1): X})
 
 
 def test_interior_and_pairing():

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from divkit.rings import Chart, Poly
+from divkit.cli import run_job
+from divkit.dsl import parse
 from divkit.frames import CoframeForm, algebroid_d, catalog
 from divkit.poisson import darboux_catalog, lift
 from divkit.residues import (
@@ -208,3 +210,48 @@ def test_extraction_sign_consistency(rng):
         assert merged is not None
         msign, midx = merged
         assert midx == idx and msign == sign
+
+
+def _reordered(form, frame):
+    """`form` over `frame`: the same catalog frame on a chart whose variables
+    come in another order (each generator follows its variable)."""
+    old = form.frame.chart.variables
+    chart = frame.chart
+    comps = {}
+    for idx, c in form.comps.items():
+        slots = [chart.index(old[i]) for i in idx]
+        inversions = sum(a > b for a, b in itertools.combinations(slots, 2))
+        comps[tuple(sorted(slots))] = c.restrict(chart) * (-1) ** inversions
+    return CoframeForm(frame, form.degree, comps)
+
+
+def test_elllog_z_residue_follows_the_variable_order(rng):
+    # on chart x, z, y the slot of z lies between those of x and y, so the
+    # residue's slot map reverses the order of the remaining slots
+    xyz, xzy = Chart(["x", "y", "z"]), Chart(["x", "z", "y"])
+    f_xyz = catalog("elliptic_log", xyz, "x", "y")
+    f_xzy = catalog("elliptic_log", xzy, "x", "y")
+    for w in [rand_coframe(f_xzy, rng, d) for d in (1, 2, 3)]:
+        got = residue(w, ResidueSpec(f_xzy, ELLLOG_Z))
+        ref = residue(_reordered(w, f_xyz), ResidueSpec(f_xyz, ELLLOG_Z))
+        assert got.kind == ref.kind == "log_coframe" and got.twisted and ref.twisted
+        assert got.chart.variables == ("z", "y") and ref.chart.variables == ("y", "z")
+        assert got.form == _reordered(ref.form, got.form.frame)
+
+    # the job e1^^e2^^e3 on x, z, y against the same job on x, y, z
+    job = "chart %s; w = e1^^e2^^e3; residue w via elllog_z on frame elliptic_log(x, y);"
+    ref_cert, code = run_job(parse(job % "x, y, z"))
+    assert code == 0 and ref_cert["payload"]["result"]["chart"] == ["y", "z"]
+    top = CoframeForm(f_xyz, 3, {(0, 1, 2): Poly.const(xyz, 1)})
+    ref = residue(top, ResidueSpec(f_xyz, ELLLOG_Z))
+    assert ref_cert["payload"]["result"]["form"] == str(ref.form)
+    # e_x^^e_z^^e_y = -e_x^^e_y^^e_z, so the residue is minus the reordered one
+    want = -_reordered(ref.form, catalog("log", Chart(["z", "y"]), "y"))
+    cert, code = run_job(parse(job % "x, z, y"))
+    assert code == 0
+    assert cert["payload"]["result"] == {
+        "kind": "log_coframe",
+        "chart": ["z", "y"],
+        "form": str(want),
+        "twisted": True,
+    }
