@@ -22,12 +22,11 @@ class ZeroGenerator(ValueError):
 
 
 class Atom:
-    """A recognized irreducible factor: linear with nonzero gradient, a
-    positive-definite quadratic in two chart variables, or opaque."""
+    """A recognized irreducible factor: linear with nonzero gradient, or a
+    positive-definite quadratic in two chart variables."""
 
     LOG = "log_linear"
     ELLIPTIC = "elliptic_quadratic"
-    OPAQUE = "opaque"
 
     __slots__ = ("kind", "poly", "pair")
 

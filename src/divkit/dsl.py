@@ -239,11 +239,7 @@ class Parser:
             self.next()
             value = self.frame_spec()
         elif t.text == "ideal":
-            self.next()
-            self.expect("(")
-            gen = self.expr_value(Poly, "a polynomial")
-            self.expect(")")
-            value = make_ideal(gen)
+            value = self.ideal_operand()
         else:
             value = self.expression()
         self.expect(";")
@@ -268,7 +264,7 @@ class Parser:
                     self.fail("custom frame generators must be vector fields", kind_tok)
             try:
                 return AnchorFrame(chart, gens)
-            except Exception as e:
+            except (ValueError, KeyError, TypeError) as e:
                 self.fail("bad custom frame: %s" % e, kind_tok)
         args = []
         if self.peek().text != ")":
@@ -286,7 +282,7 @@ class Parser:
         self.expect(")")
         try:
             return catalog(kind, chart, *args)
-        except Exception as e:
+        except (ValueError, KeyError, TypeError) as e:
             self.fail("bad frame %s(...): %s" % (kind, e), kind_tok)
 
     def need_chart(self, tok):
@@ -388,7 +384,7 @@ class Parser:
             self.expect(")")
             try:
                 return make_ideal(gen)
-            except Exception as e:
+            except (ValueError, KeyError, TypeError) as e:
                 self.fail("bad ideal generator: %s" % e)
         v = self.operand()
         if isinstance(v, DivisorIdeal):
@@ -396,7 +392,7 @@ class Parser:
         if isinstance(v, Poly):
             try:
                 return make_ideal(v)
-            except Exception as e:
+            except (ValueError, KeyError, TypeError) as e:
                 self.fail("bad ideal generator: %s" % e)
         self.fail("expected an ideal or a polynomial")
 
@@ -497,23 +493,23 @@ class Parser:
         a, b = self.to_poly(a), self.to_poly(b)
         try:
             return a + b if op == "+" else a - b
-        except Exception as e:
+        except (ValueError, KeyError, TypeError) as e:
             self.fail("cannot %s these values: %s" % ("add" if op == "+" else "subtract", e))
 
     def combine_mul(self, a, b, tok):
         try:
             return self.to_poly(a) * b
-        except Exception as e:
+        except (ValueError, KeyError, TypeError) as e:
             self.fail("cannot multiply these values: %s" % e, tok)
 
     def combine_wedge(self, a, b, tok):
-        if isinstance(a, (int, Fraction, Poly)) or isinstance(b, (int, Fraction, Poly)):
+        if not (isinstance(a, _Graded) and isinstance(b, _Graded)):
             self.fail("wedge needs two graded factors", tok)
         if type(a) is not type(b):
             self.fail("cannot wedge %s with %s" % (type(a).__name__, type(b).__name__), tok)
         try:
             return a.wedge(b)
-        except Exception as e:
+        except (ValueError, KeyError, TypeError) as e:
             self.fail("cannot wedge these values: %s" % e, tok)
 
     def negate(self, v):

@@ -4,12 +4,15 @@ A frame is a list of n polynomial vector fields (n = chart dimension) whose
 coefficient matrix -- the anchor -- has nonzero determinant, so the frame
 spans TX over the fraction field and the algebroid is almost-injective.
 Involutivity is certified by solving every pairwise Lie bracket back into
-the frame with Cramer's rule and demanding that all denominators cancel.
+the frame with Cramer's rule and demanding that all denominators cancel;
+the determinant and the adjugate come from one memoized table of minors.
 
-The algebroid differential d_A is computed by conjugation through the
-anchor: convert a coframe form to an ordinary differential form with
-denominators a power of det(rho), apply d, convert back, and assert that
-the result is polynomial again (guaranteed by involutivity).
+The algebroid differential d_A is the Chevalley-Eilenberg differential of
+the anchor and the certified structure coefficients c^k_ij:
+
+    d_A f = sum_i rho(e_i)(f) e^i,    d_A e^k = -sum_{i<j} c^k_ij e^i ^ e^j,
+
+extended to coframe forms as a graded derivation.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .multivector import (
     Multivector,
     _accumulate,
     _Graded,
-    exterior_derivative,
     lie_bracket,
+    merge_indices,
 )
 
 
@@ -72,35 +75,54 @@ class BadParams(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def poly_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
+def _minor_table(m, memo):
+    """minor(rows, cols) = det of m on the increasing index tuples rows and
+    cols, expanded along its first row; zero entries and zero sub-minors are
+    skipped and each sub-minor is memoized in `memo`, which the caller owns."""
     chart = m[0][0].chart
-    total = Poly.zero(chart)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    one = Poly.const(chart, 1)
+
+    def minor(rows, cols):
+        if len(rows) < 2:
+            return m[rows[0]][cols[0]] if rows else one
+        total = memo.get((rows, cols))
+        if total is None:
+            total = Poly.zero(chart)
+            row, rest = m[rows[0]], rows[1:]
+            for pos, c in enumerate(cols):
+                if row[c].is_zero():
+                    continue
+                sub = minor(rest, cols[:pos] + cols[pos + 1 :])
+                if sub.is_zero():
+                    continue
+                term = row[c] * sub
+                total = total - term if pos % 2 else total + term
+            memo[rows, cols] = total
+        return total
+
+    return minor
+
+
+def poly_det(m):
+    full = tuple(range(len(m)))
+    return _minor_table(m, {})(full, full)
 
 
 def poly_adjugate(m):
     """adj(m) with m * adj(m) = det(m) * I."""
     n = len(m)
-    chart = m[0][0].chart
-    if n == 1:
-        return [[Poly.const(chart, 1)]]
+    memo = {}
+    minor = _minor_table(m, memo)
+    full = tuple(range(n))
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = poly_det(minor)
+            cof = minor(full[:i] + full[i + 1 :], full[:j] + full[j + 1 :])
             adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+        # minors on rows that skip row i serve no later row; keep the tails
+        tails = {k: v for k, v in memo.items() if k[0][0] + len(k[0]) == n}
+        memo.clear()
+        memo.update(tails)
     return adj
 
 
@@ -131,7 +153,7 @@ def mat_transpose(a):
 class AnchorFrame:
     """A divisor-type Lie algebroid presented by n vector-field generators."""
 
-    __slots__ = ("chart", "generators", "det", "structure", "label", "_adj")
+    __slots__ = ("chart", "generators", "det", "adj", "structure", "label")
 
     def __init__(self, chart, generators, label=None):
         if len(generators) != chart.dimension:
@@ -146,13 +168,14 @@ class AnchorFrame:
                 raise BadParams("frame generators must be vector fields")
         self.chart = chart
         self.generators = list(generators)
-        self.det = poly_det(self.matrix())
+        m = self.matrix()
+        self.det = poly_det(m)
         if self.det.is_zero():
             raise DegenerateFrame(
                 "anchor determinant vanishes identically; not of divisor-type"
             )
+        self.adj = poly_adjugate(m)
         self.label = label
-        self._adj = None
         self.structure = check_involutive(self)
 
     def matrix(self):
@@ -164,11 +187,6 @@ class AnchorFrame:
             for (j,), c in g.comps.items():
                 m[j][i] = c
         return m
-
-    def adjugate(self):
-        if self._adj is None:
-            self._adj = poly_adjugate(self.matrix())
-        return self._adj
 
     def __eq__(self, other):
         return (
@@ -195,7 +213,7 @@ def expand_in_frame(v, frame):
         raise ChartMismatch("vector field on a different chart")
     if v.degree != 1:
         raise BadParams("can only expand vector fields")
-    adj = frame.adjugate()
+    adj = frame.adj
     det = frame.det
     col = v.vector_coeffs()
     out = []
@@ -496,7 +514,7 @@ def coframe_to_diff(form):
     gen = det.unit_normalized()
     unit = det.content() if det.leading()[1] > 0 else -det.content()
     # det = unit * gen with unit rational
-    adj = frame.adjugate()
+    adj = frame.adj
     n = chart.dimension
     # e^i = sum_j adj[i][j]/det dx_j
     rows = [
@@ -512,37 +530,31 @@ def coframe_to_diff(form):
     return out
 
 
-def diff_to_coframe(dform, frame):
-    """Inverse conversion: dx_j = sum_i R[j][i] e^i.  The result must come
-    out polynomial; a leftover denominator is an internal error."""
-    chart = frame.chart
-    r = frame.matrix()
-    n = chart.dimension
-    rows = [CoframeForm(frame, 1, {(i,): r[j][i] for i in range(n)}) for j in range(n)]
-    acc = {}
-    for idx, c in dform.comps.items():
-        expansion = CoframeForm.function(frame, Poly.const(chart, 1))
-        for j in idx:
-            expansion = expansion.wedge(rows[j])
-        for key, coeff in expansion.comps.items():
-            _accumulate(acc, key, c * coeff)
-    comps = {}
-    for key, v in acc.items():
-        if not v.is_poly():
-            raise RuntimeError(
-                "conversion to the coframe left a denominator: %s (internal error)" % v
-            )
-        comps[key] = v.as_poly()
-    return CoframeForm(frame, dform.degree, comps)
-
-
 def algebroid_d(form):
-    """Algebroid differential via anchor conjugation (see module docstring)."""
+    """Chevalley-Eilenberg differential d_A of the frame (see module
+    docstring): d_A(f e^I) = d_A f ^ e^I + f sum_p (-1)^p d_A e^{I_p} ^ e^{I - I_p}."""
     frame = form.frame
-    if form.degree >= frame.chart.dimension:
-        return CoframeForm.zero(frame, frame.chart.dimension)
-    df = exterior_derivative(coframe_to_diff(form))
-    return diff_to_coframe(df, frame)
+    n = frame.chart.dimension
+    if form.degree >= n:
+        return CoframeForm.zero(frame, n)
+    res = {}
+
+    def put(head, rest, v):
+        m = merge_indices(head, rest)
+        if m is not None and not v.is_zero():
+            _accumulate(res, m[1], v if m[0] > 0 else -v)
+
+    for idx, f in form.comps.items():
+        for i, g in enumerate(frame.generators):
+            if i not in idx:
+                put((i,), idx, g.apply_to(f))
+        for pos, k in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1 :]
+            for pair, coeffs in frame.structure.items():
+                if not coeffs[k].is_zero():
+                    v = f * coeffs[k]  # the sign of d_A e^k times (-1)^pos
+                    put(pair, rest, v if pos % 2 else -v)
+    return form._like(form.degree + 1, res)
 
 
 def pushforward(frame, comps, degree):

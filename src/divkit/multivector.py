@@ -89,8 +89,9 @@ class _Graded:
         if comps:
             for idx, c in comps.items():
                 idx = tuple(idx)
-                increasing = all(i < j for i, j in zip(idx, idx[1:]))
-                if len(idx) != degree or not increasing or (idx and idx[-1] >= n):
+                # -1 < idx[0] < idx[1] < ... < idx[-1] < n
+                in_order = all(i < j for i, j in zip((-1,) + idx, idx + (n,)))
+                if len(idx) != degree or not in_order:
                     raise self._invalid("bad index tuple %r for degree %d" % (idx, degree))
                 c = self._coefficient(c)
                 if not c.is_zero():

@@ -25,6 +25,8 @@ from .frames import (
     expand_in_frame,
     mat_mul,
     mat_transpose,
+    poly_adjugate,
+    poly_det,
     pushforward,
 )
 from .multivector import (
@@ -133,14 +135,13 @@ def degeneracy_ideals(pi):
 
 
 class DivisorTypeReport:
-    __slots__ = ("m", "ideal", "line_part", "certificate", "sample_points", "divisor_class", "warnings")
+    __slots__ = ("m", "ideal", "line_part", "certificate", "divisor_class", "warnings")
 
-    def __init__(self, m, ideal, line_part, certificate, sample_points, divisor_class, warnings):
+    def __init__(self, m, ideal, line_part, certificate, divisor_class, warnings):
         self.m = m
         self.ideal = ideal
         self.line_part = line_part
         self.certificate = certificate
-        self.sample_points = sample_points
         self.divisor_class = divisor_class
         self.warnings = warnings
 
@@ -191,7 +192,7 @@ def divisor_type(pi, grid_values=None):
         ideal = make_ideal(Poly.const(chart, 1))
         cls = classify(ideal)
         return DivisorTypeReport(0, ideal, Multivector.function(Poly.const(chart, 1)),
-                                 "constant", [], cls, warnings)
+                                 "constant", cls, warnings)
     comps = [pf.comps[idx] for idx in sorted(pf.comps)]
     g = gcd_content(comps)
     line = {}
@@ -205,17 +206,15 @@ def divisor_type(pi, grid_values=None):
     cls = classify(ideal)
     if all(c.is_constant() for c in w.comps.values()):
         cert = "constant"
-        points = []
     else:
         cert = "sampled"
-        points = sample_grid(chart, grid_values)
-        for p in points:
+        for p in sample_grid(chart, grid_values):
             if all(c.evaluate(p) == 0 for c in w.comps.values()):
                 raise NotDivisorType(
                     "line section vanishes at sample point %s" % (tuple(map(str, p)),)
                 )
         warnings.append("line-subbundle certificate is sampled, not exact")
-    return DivisorTypeReport(m, ideal, w, cert, points, cls, warnings)
+    return DivisorTypeReport(m, ideal, w, cert, cls, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def lift(pi, frame, grid_values=None):
         raise DegreeMismatch("expected a bivector")
     chart = pi.chart
     n = chart.dimension
-    adj = frame.adjugate()
+    adj = frame.adj
     det2 = frame.det * frame.det
     m = mat_mul(mat_mul(adj, bivector_matrix(pi)), mat_transpose(adj))
     comps = {}
@@ -461,8 +460,6 @@ def modular_foliation_report(pi, frame, lift_cert=None, grid_values=None):
 def invert_antisym(chart, m):
     """Exact inverse of an antisymmetric Poly matrix with constant nonzero
     determinant (all the catalog dual forms have one)."""
-    from .frames import poly_adjugate, poly_det
-
     det = poly_det(m)
     if not det.is_constant() or det.is_zero():
         raise BadParams("matrix inversion needs a constant nonzero determinant")

@@ -309,18 +309,6 @@ class Poly:
             res[tuple(e[i] for i in pos)] = c
         return Poly(subchart, res, _clean=True)
 
-    def extend(self, superchart):
-        """Re-express on a larger chart containing all current variables."""
-        pos = [superchart.index(v) for v in self.chart.variables]
-        n = superchart.dimension
-        res = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for i, k in enumerate(e):
-                ne[pos[i]] = k
-            res[tuple(ne)] = c
-        return Poly(superchart, res, _clean=True)
-
     # -- normalization -----------------------------------------------------
 
     def content(self):

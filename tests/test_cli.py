@@ -126,6 +126,18 @@ def test_degree_cap(tmp_path):
     assert run_cli(["run", str(job)]).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "body", ["p = x^3 * x^3; classify p;", "F = frame custom(x^3*Dx; y^3*Dy);"]
+)
+def test_degree_cap_is_not_a_parse_error(tmp_path, body):
+    # the cap trips inside an engine call the parser wraps
+    job = write(tmp_path, "cap.dk", "chart x,y; " + body)
+    r = run_cli(["run", str(job), "--json"], env=dict(os.environ, DK_MAX_DEGREE="4"))
+    assert r.returncode == 2
+    error = json.loads(r.stdout)["error"]
+    assert "DegreeCapExceeded" in error and "ParseError" not in error
+
+
 def test_fmt_roundtrip(tmp_path):
     job = write(
         tmp_path,

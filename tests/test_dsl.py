@@ -53,6 +53,11 @@ def test_parse_errors():
         with pytest.raises(ParseError) as e:
             parse("chart x,y; w = %s; residue w via log on frame log(x);" % w)
         assert "cannot add" in str(e.value) and "attribute" not in str(e.value)
+    for w in ("F ^^ F", "I ^^ I"):  # values without a wedge
+        with pytest.raises(ParseError, match="wedge needs two graded factors"):
+            parse("chart x,y; F = frame log(x); I = ideal(x); w = %s; classify x;" % w)
+    with pytest.raises(ParseError, match="bad ideal generator"):
+        parse("chart x,y; I = ideal(0); classify I;")
 
 
 def test_frames_and_ideals():

@@ -48,6 +48,19 @@ def catalog_frames():
     ]
 
 
+def non_catalog_frames():
+    """The README's custom frame, and a unit-lower-triangular recombination
+    of a catalog frame, whose structure coefficients are not constant."""
+    c3 = Chart(["x", "y", "z"])
+    x, y, z = (Poly.var(c3, v) for v in "xyz")
+    dx, dy, dz = (Multivector.basis_vector(c3, i) for i in range(3))
+    custom = AnchorFrame(c3, [dx + (2 * x) * dz, dy, (z - x * x) * dz])
+    e = catalog("elliptic_log", c3, "x", "y").generators
+    mixed = AnchorFrame(c3, [e[0], y * e[0] + e[1], (x * z) * e[0] + e[1] + e[2]])
+    assert not all(c.is_constant() for cs in mixed.structure.values() for c in cs)
+    return [custom, mixed]
+
+
 def test_catalog_examples():
     log = catalog("log", C2, "x")
     assert [str(g) for g in log.generators] == ["x*Dx", "Dy"]
@@ -210,7 +223,7 @@ def test_algebroid_d_examples():
 
 
 def test_algebroid_d_squared_zero(rng):
-    for frame in catalog_frames():
+    for frame in catalog_frames() + non_catalog_frames():
         n = frame.chart.dimension
         for degree in range(0, n):
             for _ in range(4):
@@ -262,8 +275,8 @@ def test_structure_antisymmetry():
 
 
 def test_algebroid_d_matches_koszul(rng):
-    # the conjugation route must agree with the Koszul formula evaluated on
-    # the certified structure coefficients -- an independent derivation
+    # the graded-derivation extension must agree with the Koszul formula
+    # evaluated on the certified structure coefficients
     def bracket_coeffs(frame, i, j):
         if i == j:
             return [Poly.zero(frame.chart)] * frame.chart.dimension
@@ -271,7 +284,7 @@ def test_algebroid_d_matches_koszul(rng):
             return frame.structure[(i, j)]
         return [-c for c in frame.structure[(j, i)]]
 
-    for frame in catalog_frames():
+    for frame in catalog_frames() + non_catalog_frames():
         n = frame.chart.dimension
         gens = frame.generators
         # degree 0 -> 1: (d_A f)(e_i) = rho(e_i) f

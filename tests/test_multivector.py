@@ -227,7 +227,7 @@ def test_d_squared_zero_on_localized_forms(rng):
 
 
 def test_constructor_rejects_bad_index_tuples():
-    for idx in ((1, 0), (0, 0), (0, 2)):
+    for idx in ((1, 0), (0, 0), (0, 2), (-1, 0)):
         with pytest.raises(DegreeMismatch, match="bad index tuple"):
             Multivector(C2, 2, {idx: X})
         with pytest.raises(DegreeMismatch, match="bad index tuple"):

@@ -1,5 +1,5 @@
-"""Independent-oracle cross-checks: sympy recomputes the differential and
-gcd answers along a completely separate code path."""
+"""Independent-oracle cross-checks: sympy recomputes the differential,
+determinant and gcd answers along a completely separate code path."""
 
 import itertools
 import random
@@ -8,11 +8,20 @@ import pytest
 
 from divkit.rings import Chart, Localized, Poly
 from divkit.multivector import DiffForm, exterior_derivative
-from divkit.frames import CoframeForm, algebroid_d, catalog, coframe_to_diff
+from divkit.frames import (
+    CoframeForm,
+    algebroid_d,
+    catalog,
+    coframe_to_diff,
+    mat_mul,
+    poly_adjugate,
+    poly_det,
+)
 
 from conftest import rand_poly
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 
 def to_sympy(p, syms):
@@ -105,6 +114,53 @@ def test_algebroid_d_against_sympy_pushdown(rng):
                 assert set(ours) == set(expected), (frame.label, deg)
                 for k in ours:
                     assert sympy.simplify(ours[k] - expected[k]) == 0
+
+
+def random_matrix(chart, rng, n, density):
+    """Nonzero diagonal; off the diagonal each entry is nonzero with
+    probability `density`.  Dense entries are linear, sparse ones quadratic."""
+    zero = Poly.zero(chart)
+    deg = 1 if density == 1 else 2
+    return [
+        [
+            rand_poly(chart, rng, max_degree=deg, zero_ok=i != j)
+            if i == j or rng.random() < density
+            else zero
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_det_and_adjugate_against_sympy():
+    chart = Chart(["x", "y"])
+    syms = sympy.symbols("x y")
+    ring = sympy.QQ[syms]
+    zero = Poly.zero(chart)
+
+    def element(p):
+        terms = {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return ring.ring.from_dict(terms)
+
+    def domain_matrix(m):
+        return DomainMatrix([[element(c) for c in row] for row in m], (len(m), len(m)), ring)
+
+    rng2 = random.Random(41)
+    for n in range(1, 7):
+        for density in (0.3, 1):
+            m = random_matrix(chart, rng2, n, density)
+            det, adj = poly_det(m), poly_adjugate(m)
+            assert element(det) == domain_matrix(m).det(), (n, density)
+            scalar = [[det if i == j else zero for j in range(n)] for i in range(n)]
+            assert mat_mul(m, adj) == scalar, (n, density)
+    # singular: the last row is a polynomial combination of the first two,
+    # and m * adj = 0 does not pin adj down, so compare it entrywise
+    m = random_matrix(chart, rng2, 4, 1)
+    m[3] = [Poly.var(chart, "x") * a + b for a, b in zip(m[0], m[1])]
+    assert poly_det(m).is_zero()
+    adj, expected = poly_adjugate(m), domain_matrix(m).adjugate()
+    assert any(not c.is_zero() for row in adj for c in row)
+    assert [[element(c) for c in row] for row in adj] == expected.to_list()
 
 
 def test_lift_against_sympy_matrices(rng):
