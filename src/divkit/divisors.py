@@ -11,8 +11,6 @@ atoms to guide the division.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rings import Poly, exact_divide, squarefree_part
 from .multivector import Multivector
 
@@ -183,11 +181,11 @@ def _is_elliptic_atom(p):
     def coeff(eu, ev):
         e = [0] * p.chart.dimension
         e[iu], e[iv] = eu, ev
-        return p.terms.get(tuple(e), Fraction(0))
+        return p.terms.get(tuple(e), 0)
 
     a, b, c = coeff(2, 0), coeff(1, 1), coeff(0, 2)
-    # matrix [[a, b/2], [b/2, c]] positive definite
-    if a > 0 and a * c - b * b / 4 > 0:
+    # matrix [[a, b/2], [b/2, c]] positive definite: a > 0 and 4 * det > 0
+    if a > 0 and 4 * a * c > b * b:
         return (u, v)
     return None
 

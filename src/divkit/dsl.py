@@ -298,7 +298,12 @@ class Parser:
         if name == "divisor":
             return ("divisor", self.expr_value(Multivector, "a bivector"))
         if name == "classify":
+            tok = self.peek()
             v = self.operand()
+            if isinstance(v, (int, Fraction)):
+                v = Poly.const(self.need_chart(tok), v)
+            if not isinstance(v, (Poly, DivisorIdeal)):
+                self.fail("expected an ideal or a polynomial", tok)
             return ("classify", v)
         if name == "lift":
             pi = self.expr_value(Multivector, "a bivector")

@@ -159,7 +159,7 @@ def sample_grid(chart, values=None):
         if t >= limit:
             break
         shifted = tuple(values[(values.index(v) + t) % len(values)] for v in tup)
-        pts.append(tuple(Fraction(v) for v in shifted))
+        pts.append(shifted)
     return pts
 
 
@@ -282,7 +282,7 @@ def lift(pi, frame, grid_values=None):
             # include 0 and scan the full product lazily: a Pfaffian zero at
             # any real point is an exact proof of degeneracy
             values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
-            points = itertools.product([Fraction(v) for v in values], repeat=n)
+            points = itertools.product(values, repeat=n)
             if all(pf.evaluate(p) != 0 for p in points):
                 cert.nondegenerate = True
                 cert.evidence = "Pfaffian nonvanishing on the sample grid"

@@ -1,17 +1,26 @@
 """Exact multivariate polynomial and localized-fraction arithmetic.
 
-Coefficients are `fractions.Fraction` throughout, so every equality test in
-the engine is a decision, never an approximation.  Polynomials live on a
-fixed `Chart` (an ordered tuple of variable names); terms are stored as a
-map from exponent tuples to nonzero rational coefficients, with graded
-lexicographic order (leftmost variable strongest) fixing the canonical term
-order used for printing and for leading-term extraction.
+Coefficients are exact rationals, so every equality test in the engine is a
+decision, never an approximation.  Polynomials live on a fixed `Chart` (an
+ordered tuple of variable names); terms are stored as a map from exponent
+tuples to nonzero rational coefficients, with graded lexicographic order
+(leftmost variable strongest) fixing the canonical term order used for
+printing and for leading-term extraction.
+
+A stored coefficient is an `int` when it is integral and a
+`fractions.Fraction` (denominator > 1) only when it is not; a `float` never
+enters.  Integer arithmetic is several times faster than `Fraction`
+arithmetic, and Python promotes `int` to `Fraction` exactly where a
+non-integral value arises, so `_norm` only has to demote a `Fraction` whose
+denominator came out 1, and `_quo` divides exactly.  The accessors
+`constant_value`, `content` and `evaluate` return `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add, sub
 
 
 class UnknownVariable(KeyError):
@@ -80,12 +89,34 @@ class Chart:
         return Chart(kept)
 
 
-def _as_fraction(c):
+def _norm(c):
+    """The stored form of an exact rational: an `int` when it is integral,
+    else a `Fraction`; anything else (a float, say) is refused."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError("expected an exact rational, got %r" % (c,))
+
+
+def _quo(a, b):
+    """Exact quotient of two stored coefficients, itself in stored form."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _norm(Fraction(a, b))
+
+
+def _grlex(e):
+    """Sort key of the graded lexicographic term order."""
+    return (sum(e), e)
+
+
+def _normed(terms):
+    """Drop the zero coefficients of an accumulated term dict and demote
+    integral `Fraction`s; `int` coefficients pass untouched."""
+    return {e: c if type(c) is int else _norm(c) for e, c in terms.items() if c}
 
 
 class Poly:
@@ -105,8 +136,8 @@ class Poly:
             for exps, c in terms.items():
                 if len(exps) != n:
                     raise ValueError("exponent tuple %r has wrong length" % (exps,))
-                c = _as_fraction(c)
-                if c != 0:
+                c = _norm(c)
+                if c:
                     clean[tuple(exps)] = c
             self.terms = clean
 
@@ -118,8 +149,8 @@ class Poly:
 
     @classmethod
     def const(cls, chart, c):
-        c = _as_fraction(c)
-        if c == 0:
+        c = _norm(c)
+        if not c:
             return cls.zero(chart)
         return cls(chart, {(0,) * chart.dimension: c}, _clean=True)
 
@@ -128,7 +159,7 @@ class Poly:
         i = chart.index(name)
         e = [0] * chart.dimension
         e[i] = 1
-        return cls(chart, {tuple(e): Fraction(1)}, _clean=True)
+        return cls(chart, {tuple(e): 1}, _clean=True)
 
     # -- basic queries -----------------------------------------------------
 
@@ -143,7 +174,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial: %s" % self)
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self):
         if not self.terms:
@@ -168,7 +199,7 @@ class Poly:
         """(exponent, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda t: (sum(t), t))
+        e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
     # -- arithmetic --------------------------------------------------------
@@ -185,11 +216,11 @@ class Poly:
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) + c
-            if s == 0:
-                res.pop(e, None)
+            s = res.get(e, 0) + c
+            if not s:
+                del res[e]
             else:
-                res[e] = s
+                res[e] = s if type(s) is int else _norm(s)
         return Poly(self.chart, res, _clean=True)
 
     __radd__ = __add__
@@ -209,23 +240,18 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Poly.zero(self.chart)
-            return Poly(self.chart, {e: k * c for e, k in self.terms.items()}, _clean=True)
+            c = _norm(other)
+            return Poly(self.chart, _normed({e: k * c for e, k in self.terms.items()}), _clean=True)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
         res = {}
+        get = res.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
-        p = Poly(self.chart, res, _clean=True)
+                e = tuple(map(add, e1, e2))
+                res[e] = get(e, 0) + c1 * c2
+        p = Poly(self.chart, _normed(res), _clean=True)
         cap = _DEGREE_CAP
         if cap is not None and p.total_degree() > cap:
             raise DegreeCapExceeded(
@@ -271,20 +297,22 @@ class Poly:
             ne = list(e)
             ne[i] -= 1
             res[tuple(ne)] = c * e[i]
-        return Poly(self.chart, res, _clean=True)
+        return Poly(self.chart, _normed(res), _clean=True)
 
     def evaluate(self, point):
-        """Evaluate at a rational point given as a dict or a full tuple."""
+        """Evaluate at a rational point (int or Fraction coordinates) given as
+        a dict or a full tuple; the value is a `Fraction`."""
+        variables = self.chart.variables
         if not isinstance(point, dict):
-            point = dict(zip(self.chart.variables, point))
-        total = Fraction(0)
+            point = dict(zip(variables, point))
+        point = {v: _norm(x) for v, x in point.items()}
+        total = 0
         for e, c in self.terms.items():
-            v = c
             for i, k in enumerate(e):
                 if k:
-                    v *= _as_fraction(point[self.chart.variables[i]]) ** k
-            total += v
-        return total
+                    c *= point[variables[i]] ** k
+            total += c
+        return Fraction(total)
 
     def substitute_zero(self, names):
         """Set the given variables to 0 (result stays on the same chart)."""
@@ -327,16 +355,16 @@ class Poly:
         """Divide by content and flip sign so the leading coefficient is positive."""
         if not self.terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        c = self.content()
+        c = _norm(self.content())
         _, lc = self.leading()
         if lc < 0:
             c = -c
-        return self * (1 / c)
+        return Poly(self.chart, {e: _quo(k, c) for e, k in self.terms.items()}, _clean=True)
 
     # -- printing ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -387,31 +415,35 @@ def exact_divide(f, g):
     if f.is_zero():
         return Poly.zero(chart)
     ge, gc = g.leading()
+    g_terms = list(g.terms.items())
     q = {}
-    r = f
-    while not r.is_zero():
-        re, rc = r.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(k < 0 for k in qe):
+    r = dict(f.terms)  # the remainder, reduced in place
+    while r:
+        re = max(r, key=_grlex)
+        qe = tuple(map(sub, re, ge))
+        if min(qe) < 0:
             return None
-        qc = rc / gc
+        qc = _quo(r[re], gc)
         q[qe] = qc
-        r = r - Poly(chart, {qe: qc}, _clean=True) * g
+        for e, c in g_terms:
+            e = tuple(map(add, qe, e))
+            s = r.get(e, 0) - qc * c
+            if not s:
+                del r[e]
+            else:
+                r[e] = s if type(s) is int else _norm(s)
     return Poly(chart, q, _clean=True)
 
 
 def _univar_view(f, i):
     """View f as univariate in variable i: dict degree -> coefficient Poly
     (the coefficient polys keep the full chart with slot i zeroed)."""
-    chart = f.chart
     out = {}
     for e, c in f.terms.items():
-        d = e[i]
         ne = list(e)
         ne[i] = 0
-        coeff = out.setdefault(d, {})
-        coeff[tuple(ne)] = coeff.get(tuple(ne), Fraction(0)) + c
-    return {d: Poly(chart, t) for d, t in out.items() if any(v != 0 for v in t.values())}
+        out.setdefault(e[i], {})[tuple(ne)] = c  # distinct terms of f stay distinct
+    return {d: Poly(f.chart, t, _clean=True) for d, t in out.items()}
 
 
 def _shift_mul(p, i, d):

@@ -255,3 +255,24 @@ def test_classify_named_ideal_and_elllog_residue():
     res = cert["payload"]["result"]
     assert res["kind"] == "log_coframe" and res["twisted"] is True
     assert res["chart"] == ["y", "u"] and res["form"] == "e1"
+
+
+def test_classify_scalars_like_constant_polynomials():
+    from divkit.dsl import ParseError
+
+    for scalar, poly in (("3", "3 + 0*x"), ("0", "x - x")):
+        got = run_job(parse("chart x, y; classify %s;" % scalar))
+        assert got == run_job(parse("chart x, y; classify %s;" % poly))
+    cert, code = run_job(parse("chart x, y; classify 3;"))
+    assert code == 0 and cert["payload"] == {"ideal": "1", "class": "Trivial"}
+    cert, code = run_job(parse("chart x, y; classify 0;"))
+    assert code == 2 and cert["error"].startswith("ZeroGenerator")
+    with pytest.raises(ParseError, match="expected an ideal or a polynomial"):
+        parse("chart x, y; classify Dx;")
+
+
+def test_classify_elliptic_with_large_integer_coefficients():
+    # det = 1: an inexact (float) definiteness test rounds it to 0
+    job = parse("chart x, y; classify x^2 + 2000000000*x*y + 1000000000000000001*y^2;")
+    cert, code = run_job(job)
+    assert code == 0 and cert["payload"]["class"] == "Elliptic"
