@@ -280,15 +280,22 @@ def lift(pi, frame, grid_values=None):
             cert.evidence = "constant Pfaffian %s" % pf
         elif not pf.is_zero():
             # include 0 and scan the full product lazily: a Pfaffian zero at
-            # any real point is an exact proof of degeneracy
+            # any real point, or two points of opposite sign (intermediate
+            # value theorem on the connected chart), is an exact proof of
+            # degeneracy
             values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
             points = itertools.product(values, repeat=n)
-            if all(pf.evaluate(p) != 0 for p in points):
+            signs = set()
+            for p in points:
+                v = pf.evaluate(p)
+                signs.add(v > 0)
+                if v == 0 or len(signs) > 1:
+                    cert.evidence = "Pfaffian %s vanishes somewhere" % pf
+                    break
+            else:
                 cert.nondegenerate = True
                 cert.evidence = "Pfaffian nonvanishing on the sample grid"
                 cert.warnings.append("nondegeneracy certificate is sampled, not exact")
-            else:
-                cert.evidence = "Pfaffian %s vanishes somewhere" % pf
         # exact multiplicativity check Pf(pi) = det * Pf(pi_A)
         top = partial_pfaffian(pi, n // 2).comps.get(tuple(range(n)), Poly.zero(chart))
         if top != frame.det * pf:  # pragma: no cover

@@ -14,12 +14,22 @@ arithmetic, and Python promotes `int` to `Fraction` exactly where a
 non-integral value arises, so `_norm` only has to demote a `Fraction` whose
 denominator came out 1, and `_quo` divides exactly.  The accessors
 `constant_value`, `content` and `evaluate` return `Fraction`.
+
+`poly_gcd` is the heuristic gcd GCDHEU of Char, Geddes & Gonnet (J.
+Symbolic Comput. 7, 1989) on the primitive integer parts of its inputs: set
+the main variable to a large integer xi, take the gcd of the images
+recursively down to integers, and rebuild a candidate from balanced xi-adic
+digits.  It stays a decision because two conditions hold at every level:
+xi >= 2*min(|f|, |g|) + 2 for the max norms of the primitive inputs, and the
+candidate is accepted only if it divides both of them exactly.  After at most
+`HEU_GCD_MAX` evaluation points per level the heuristic gives up, and the
+primitive remainder sequence `_prs_gcd` decides instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 from operator import add, sub
 
 
@@ -468,11 +478,102 @@ def _pseudo_rem(a, b, i):
     return r
 
 
+# At most this many evaluation points per recursion level (as sympy's
+# HEU_GCD_MAX); the heuristic then gives up and the PRS decides.
+HEU_GCD_MAX = 6
+
+
 def poly_gcd(f, g):
     """GCD over Q[x1..xn], content-1 with positive leading coefficient.
 
+    Computed by the heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symbolic
+    Comput. 7, 1989; see `_heu_gcd`) on the primitive integer parts of f and
+    g.  A candidate is accepted only when it divides both inputs exactly, so
+    the result is a decision, not a guess; when the heuristic gives up, the
+    primitive remainder sequence `_prs_gcd` computes the gcd instead.
+    """
+    f._check(g)
+    if f.is_zero() and g.is_zero():
+        raise ZeroPolynomial("gcd(0, 0) is undefined")
+    if f.is_zero():
+        return g.unit_normalized()
+    if g.is_zero():
+        return f.unit_normalized()
+    h = _heu_gcd(f.unit_normalized(), g.unit_normalized())
+    if h is None:
+        h = _prs_gcd(f, g)
+    return h.unit_normalized()
+
+
+def _heu_gcd(f, g):
+    """gcd over Z of two nonzero integer polynomials, content included (up to
+    sign), or None when the heuristic gives up.
+
+    The main variable x is set to an integer xi, the gcd of the images is
+    computed recursively (down to `math.gcd` on integers) and a candidate is
+    rebuilt from the balanced xi-adic digits of its coefficients.  The answer
+    is exact because, at every level, (1) xi >= 2*min(|f|, |g|) + 2 for the
+    max norms of the primitive parts (CGG Theorem 1), and (2) the primitive
+    candidate is accepted only if it divides both primitive parts exactly.
+    """
+    cf, cg = int_gcd(*f.terms.values()), int_gcd(*g.terms.values())
+    c = int_gcd(cf, cg)
+    chart = f.chart
+    if f.is_constant() or g.is_constant():
+        return Poly.const(chart, c)
+    f = Poly(chart, {e: k // cf for e, k in f.terms.items()}, _clean=True)
+    g = Poly(chart, {e: k // cg for e, k in g.terms.items()}, _clean=True)
+    i = max(chart.index(v) for v in f.variables_used() | g.variables_used())
+    norm = min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values())))
+    xi = 2 * norm + 29  # also >= 3, so the balanced digits terminate
+    for _ in range(HEU_GCD_MAX):
+        ff, gg = _eval_at(f, i, xi), _eval_at(g, i, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            h = _interpolate(h, i, xi).unit_normalized()
+            if exact_divide(f, h) is not None and exact_divide(g, h) is not None:
+                return h * c
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _eval_at(p, i, xi):
+    """p with variable i set to the integer xi (slot i of every exponent 0)."""
+    res = {}
+    for e, c in p.terms.items():
+        k = e[i]
+        if k:
+            e = e[:i] + (0,) + e[i + 1:]
+            c *= xi**k
+        res[e] = res.get(e, 0) + c
+    return Poly(p.chart, {e: c for e, c in res.items() if c}, _clean=True)
+
+
+def _interpolate(h, i, xi):
+    """The polynomial in variable i whose coefficients are the balanced
+    xi-adic digits, in (-xi/2, xi/2], of the coefficients of h."""
+    half = xi // 2
+    res = {}
+    for e, c in h.terms.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                res[e[:i] + (k,) + e[i + 1:]] = d
+            c = (c - d) // xi
+            k += 1
+    return Poly(h.chart, res, _clean=True)
+
+
+def _prs_gcd(f, g):
+    """GCD over Q[x1..xn], content-1 with positive leading coefficient.
+
     Primitive Euclidean remainder sequence, recursing through the variables;
-    no factorization is ever needed.
+    no factorization is ever needed.  The fallback of `poly_gcd`.
     """
     chart = f.chart
     f._check(g)

@@ -276,3 +276,13 @@ def test_classify_elliptic_with_large_integer_coefficients():
     job = parse("chart x, y; classify x^2 + 2000000000*x*y + 1000000000000000001*y^2;")
     cert, code = run_job(job)
     assert code == 0 and cert["payload"]["class"] == "Elliptic"
+
+
+def test_lift_sign_change_proves_degeneracy():
+    # Pf = 2x - 1 has no zero on the integer grid, but it is negative at
+    # x = -2 and positive at x = 1, so it vanishes between them
+    cert, code = run_job(parse("chart x, y; pi = (2*x - 1)*Dx^^Dy; lift pi to frame tx();"))
+    assert code == 0 and cert["verdict"] == "ok"
+    assert cert["payload"]["nondegenerate"] is False
+    assert cert["payload"]["evidence"] == "Pfaffian 2*x - 1 vanishes somewhere"
+    assert cert["warnings"] == []

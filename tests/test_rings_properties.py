@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from divkit.rings import (  # noqa: E402
     Chart,
     Poly,
+    _prs_gcd,
     exact_divide,
     poly_gcd,
     squarefree_part,
 )
 
 CHART = Chart(["x", "y"])
-GENS = sympy.symbols("x y")
+CHART3 = Chart(["x", "y", "z"])
 
 coefficients = st.one_of(
     st.integers(-6, 6),
@@ -29,15 +30,15 @@ coefficients = st.one_of(
 )
 
 
-def polys(max_degree=2, max_terms=4):
-    exponents = st.tuples(*(st.integers(0, max_degree) for _ in CHART.variables))
+def polys(max_degree=2, max_terms=4, chart=CHART):
+    exponents = st.tuples(*(st.integers(0, max_degree) for _ in chart.variables))
     return st.dictionaries(exponents, coefficients, max_size=max_terms).map(
-        lambda terms: Poly(CHART, terms)
+        lambda terms: Poly(chart, terms)
     )
 
 
-def nonzero_polys(max_degree=2, max_terms=4):
-    return polys(max_degree, max_terms).filter(lambda p: not p.is_zero())
+def nonzero_polys(max_degree=2, max_terms=4, chart=CHART):
+    return polys(max_degree, max_terms, chart).filter(lambda p: not p.is_zero())
 
 
 kernel_settings = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -52,7 +53,8 @@ def canonical(p):
 
 def to_sympy(p):
     terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
-    return sympy.Poly.from_dict(terms or {(0, 0): 0}, *GENS, domain="QQ")
+    gens = sympy.symbols(p.chart.variables)
+    return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, *gens, domain="QQ")
 
 
 def assert_same(ours, theirs):
@@ -101,18 +103,57 @@ def test_exact_divide_against_sympy(f, g, r):
         assert ours is None
 
 
-@kernel_settings
-@given(nonzero_polys(), nonzero_polys(), nonzero_polys())
-def test_poly_gcd_against_sympy(a, b, c):
-    f, g = a * c, b * c
-    ours = poly_gcd(f, g)
+def assert_gcd(gcd, f, g):
+    ours = gcd(f, g)
     assert ours.content() == 1 and ours.leading()[1] > 0
     assert_associate(ours, sympy.gcd(to_sympy(f), to_sympy(g)))
 
 
-# the primitive remainder sequence grows quickly with degree: keep f small
 @kernel_settings
-@given(nonzero_polys(1, 3), nonzero_polys(1, 3))
+@given(nonzero_polys(), nonzero_polys(), nonzero_polys())
+def test_poly_gcd_against_sympy(a, b, c):
+    assert_gcd(poly_gcd, a * c, b * c)
+
+
+# the primitive remainder sequence is kept as the fallback of the heuristic
+# gcd, which none of the benchmark's jobs reaches: check it on its own
+@kernel_settings
+@given(nonzero_polys(), nonzero_polys(), nonzero_polys())
+def test_prs_gcd_against_sympy(a, b, c):
+    assert_gcd(_prs_gcd, a * c, b * c)
+
+
+def nonconstant_polys3():
+    return nonzero_polys(2, 4, CHART3).filter(lambda p: not p.is_constant())
+
+
+@kernel_settings
+@given(nonzero_polys(2, 4, CHART3), nonzero_polys(2, 4, CHART3), nonconstant_polys3())
+def test_poly_gcd_three_variables_against_sympy(a, b, c):
+    assert_gcd(poly_gcd, a * c, b * c)
+
+
+@kernel_settings
+@given(nonzero_polys(), nonzero_polys())
 def test_squarefree_part_against_sympy(a, b):
     f = a * a * b
     assert_associate(squarefree_part(f), sympy.sqf_part(to_sympy(f)))
+
+
+@kernel_settings
+@given(nonconstant_polys3(), nonzero_polys(2, 3, CHART3))
+def test_squarefree_part_three_variables_against_sympy(a, b):
+    f = a * a * b
+    assert_associate(squarefree_part(f), sympy.sqf_part(to_sympy(f)))
+
+
+def test_poly_gcd_of_degree_five_divisor_factors():
+    # gcd(a*c, b*c) == c for c a product of coordinates and a, b linear in x
+    # with unit coefficient plus degree-5 parts in y, z (constant terms 1, 2),
+    # the shape of the degree sweep's divisor jobs at degree 5
+    x, y, z = (Poly.var(CHART3, v) for v in CHART3.variables)
+    c = x * y * z
+    a = x + y**5 - 2 * y**2 * z**3 + y * z + 2 * z**4 - z + 1
+    b = x + 2 * y**3 * z**2 - y**4 * z + z**5 - 2 * y * z + y**2 + 2
+    assert poly_gcd(a * c, b * c) == c
+    assert poly_gcd(a * a * c, a * b * c) == a * c
