@@ -12,6 +12,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from divkit import rings  # noqa: E402
 from divkit.rings import (  # noqa: E402
     Chart,
     Poly,
@@ -121,6 +122,53 @@ def test_poly_gcd_against_sympy(a, b, c):
 @given(nonzero_polys(), nonzero_polys(), nonzero_polys())
 def test_prs_gcd_against_sympy(a, b, c):
     assert_gcd(_prs_gcd, a * c, b * c)
+
+
+def fallback_cases():
+    x, y, z = (Poly.var(CHART3, v) for v in CHART3.variables)
+    c = x * z - Fraction(1, 3) * y + 2
+    yield (x * y - 2) * c, (x + y**2) * c
+    yield (y**2 * z - x) * c * c, (x * z + 1) * (y - 3) * c
+    yield (x - 2) * (y * z + 1), (x - 2) * (y - z) ** 2
+
+
+def test_poly_gcd_falls_back_when_heuristic_gives_up(monkeypatch):
+    # no workload input makes the heuristic give up, so force it: with no
+    # evaluation point allowed, every gcd goes through the PRS
+    monkeypatch.setattr(rings, "HEU_GCD_MAX", 0)
+    for f, g in fallback_cases():
+        assert_gcd(poly_gcd, f, g)
+
+
+def test_poly_gcd_falls_back_when_inner_level_gives_up(monkeypatch):
+    # the top level evaluates, but every recursive call gives up: the None
+    # must end the heuristic at once and the PRS must decide
+    heu, prs = rings._heu_gcd, rings._prs_gcd
+    inner = []  # recursive calls made by each top-level call
+    fallbacks = [0]
+
+    def heu_inner_gives_up(f, g):
+        if inner and inner[-1] is not None:
+            inner[-1] += 1
+            return None
+        inner.append(0)
+        h = heu(f, g)
+        inner.append(None)  # closes the top-level call
+        return h
+
+    def counted_prs(f, g):
+        fallbacks[0] += 1
+        return prs(f, g)
+
+    monkeypatch.setattr(rings, "_heu_gcd", heu_inner_gives_up)
+    monkeypatch.setattr(rings, "_prs_gcd", counted_prs)
+    for f, g in fallback_cases():
+        inner.clear()
+        assert_gcd(poly_gcd, f, g)
+        assert inner[0] == 1  # the first top-level call recursed once
+    # (the PRS calls poly_gcd on coefficients, so more top-level calls follow)
+    assert all(n is None or n <= 1 for n in inner)  # a give-up is never retried
+    assert fallbacks[0] >= 3
 
 
 def nonconstant_polys3():
