@@ -1,7 +1,16 @@
 """divkit: exact symbolic calculus for Poisson bivectors of divisor-type,
 divisor ideals, and Lie algebroid anchor frames on polynomial charts."""
 
-from .rings import Chart, Localized, Poly, exact_divide, gcd_content, poly_gcd, squarefree_part
+from .rings import (
+    Chart,
+    InternalError,
+    Localized,
+    Poly,
+    exact_divide,
+    gcd_content,
+    poly_gcd,
+    squarefree_part,
+)
 from .multivector import (
     DiffForm,
     Multivector,

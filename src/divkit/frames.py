@@ -17,7 +17,7 @@ extended to coframe forms as a graded derivation.
 
 from __future__ import annotations
 
-from .rings import ChartMismatch, Localized, Poly, exact_divide
+from .rings import ChartMismatch, InternalError, Localized, Poly, exact_divide
 from .divisors import DivisorClass, classify, make_ideal, preserves
 from .multivector import (
     DiffForm,
@@ -440,7 +440,7 @@ def lower_modify(frame, keep, ideal):
     try:
         return AnchorFrame(frame.chart, gens, label=None)
     except NotInvolutive as e:  # pragma: no cover - theory says impossible
-        raise RuntimeError("involutivity lost after lower modification: %s" % e)
+        raise InternalError("involutivity lost after lower modification: %s" % e)
 
 
 def upper_modify(frame, kernel, ideal):
@@ -467,7 +467,7 @@ def upper_modify(frame, kernel, ideal):
     try:
         return AnchorFrame(frame.chart, gens, label=None)
     except NotInvolutive as e:
-        raise RuntimeError("involutivity lost after upper modification: %s" % e)
+        raise InternalError("involutivity lost after upper modification: %s" % e)
 
 
 # ---------------------------------------------------------------------------

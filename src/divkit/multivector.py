@@ -23,13 +23,16 @@ extended bilinearly, and for a function g
     [X1^...^Xp, g] = sum_i (-1)^(p-i) Xi(g) X1^...^Xi-hat^...^Xp;
 
 on vector fields it is the ordinary Lie bracket.  The k-th partial Pfaffian
-is pi^k / k!, so printed values match the usual wedge-power literals.
+is pi^k / k!, so printed values match the usual wedge-power literals; it is
+computed without wedge powers, as the Pfaffians of pi on all 2k-subsets of
+the coordinates, by one memoized first-row expansion (the shape of
+`frames._minor_table`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
 
 from .rings import ChartMismatch, Localized, Poly
 
@@ -447,15 +450,50 @@ def lie_derivative(v, t):
 
 
 def partial_pfaffian(pi, k):
-    """k-th partial Pfaffian pi^k / k! of a bivector."""
+    """k-th partial Pfaffian pi^k / k! of a bivector.
+
+    Its component on each increasing 2k-tuple S is the Pfaffian Pf(pi|S),
+    expanded along S's first row,
+
+        Pf(S) = sum_j (-1)^(j-1) pi[s0, sj] Pf(S - {s0, sj});
+
+    zero entries and zero sub-Pfaffians are skipped, and each sub-Pfaffian
+    is memoized by its index tuple, once per call."""
     if pi.degree != 2:
         raise DegreeMismatch("partial Pfaffian needs a bivector")
-    if k < 0 or 2 * k > pi.chart.dimension:
+    chart = pi.chart
+    if k < 0 or 2 * k > chart.dimension:
         raise ValueError("partial Pfaffian order %d out of range" % k)
-    out = Multivector.function(Poly.const(pi.chart, 1))
-    for _ in range(k):
-        out = out.wedge(pi)
-    return out.scale(Fraction(1, factorial(k)))
+    entries = pi.comps
+    zero = Poly.zero(chart)
+    one = Poly.const(chart, 1)
+    memo = {}
+
+    def pf(idx):
+        if len(idx) < 3:
+            return entries.get(idx, zero) if idx else one
+        total = memo.get(idx)
+        if total is None:
+            total = zero
+            first, rest = idx[0], idx[1:]
+            for pos, j in enumerate(rest):
+                a = entries.get((first, j))
+                if a is None:
+                    continue
+                sub = pf(rest[:pos] + rest[pos + 1 :])
+                if sub.is_zero():
+                    continue
+                term = a * sub
+                total = total - term if pos % 2 else total + term
+            memo[idx] = total
+        return total
+
+    comps = {}
+    for idx in combinations(range(chart.dimension), 2 * k):
+        c = pf(idx)
+        if not c.is_zero():
+            comps[idx] = c
+    return pi._like(2 * k, comps)
 
 
 def bivector_matrix(pi):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .rings import Chart, ChartMismatch, Localized, Poly, exact_divide, gcd_content
+from .rings import Chart, ChartMismatch, InternalError, Localized, Poly, exact_divide, gcd_content
 from .divisors import DivisorClass, classify, make_ideal, preserves
 from .frames import (
     BadParams,
@@ -199,7 +199,7 @@ def divisor_type(pi, grid_values=None):
     for idx, c in pf.comps.items():
         q = exact_divide(c, g)
         if q is None:
-            raise RuntimeError("gcd of the Pfaffian does not divide it (internal error)")
+            raise InternalError("gcd of the Pfaffian does not divide it (internal error)")
         line[idx] = q
     w = Multivector(chart, 2 * m, line)
     ideal = make_ideal(g)
@@ -270,7 +270,7 @@ def lift(pi, frame, grid_values=None):
     cert = LiftCertificate(frame, lifted, None, False, "degenerate", [])
     back = cert.pushforward()
     if back != pi:  # pragma: no cover - solving is exact
-        raise RuntimeError("lift pushforward does not reproduce the bivector")
+        raise InternalError("lift pushforward does not reproduce the bivector")
     pf = cert.lifted_pfaffian()
     if pf is not None:
         if not pf.is_zero():
@@ -299,7 +299,7 @@ def lift(pi, frame, grid_values=None):
         # exact multiplicativity check Pf(pi) = det * Pf(pi_A)
         top = partial_pfaffian(pi, n // 2).comps.get(tuple(range(n)), Poly.zero(chart))
         if top != frame.det * pf:  # pragma: no cover
-            raise RuntimeError("Pfaffian multiplicativity violated (internal error)")
+            raise InternalError("Pfaffian multiplicativity violated (internal error)")
     return cert
 
 
@@ -552,7 +552,7 @@ def darboux_catalog(kind, dim, k=None, lam=None):
         raise BadParams("unknown Darboux model %r" % (kind,))
     ps = PoissonStruct(pi, label=(kind, dim, k, str(lam) if lam is not None else None))
     if not ps.is_poisson:  # pragma: no cover - models are Poisson by construction
-        raise RuntimeError("catalog model failed the Poisson check")
+        raise InternalError("catalog model failed the Poisson check")
     ps.advertised_frame = frame
     ps.advertised_class = cls
     return ps

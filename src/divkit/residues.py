@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .rings import Poly
+from .rings import InternalError, Poly
 from .frames import BadParams, CoframeForm, algebroid_d, catalog
 from .multivector import DiffForm, _accumulate, exterior_derivative, merge_indices
 
@@ -211,7 +211,7 @@ def residue(w, spec, force=False):
         # only possible for the lower elliptic residues, whose forbidden slot
         # removes one more direction; no component can survive then
         if comps:
-            raise RuntimeError("residue above the locus dimension (internal error)")
+            raise InternalError("residue above the locus dimension (internal error)")
         deg = sub.dimension
     if flavor == ELLLOG_Z:
         target = catalog("log", sub, label[2])

@@ -49,6 +49,10 @@ class DegreeCapExceeded(RuntimeError):
     pass
 
 
+class InternalError(RuntimeError):
+    """An invariant of divkit itself failed: a bug, not a bad input."""
+
+
 # Optional global degree cap (set from the DK_MAX_DEGREE env var by the CLI).
 _DEGREE_CAP = None
 
@@ -599,7 +603,7 @@ def _prs_gcd(f, g):
         cont = cont.unit_normalized() if not cont.is_constant() else Poly.const(chart, 1)
         pp = exact_divide(p, cont)
         if pp is None:
-            raise RuntimeError("content does not divide %s (internal error)" % p)
+            raise InternalError("content does not divide %s (internal error)" % p)
         return cont, pp
 
     cf, pf = content_pp(f)
@@ -645,7 +649,7 @@ def squarefree_part(f):
     g = gcd_content(polys)
     q = exact_divide(f, g)
     if q is None:
-        raise RuntimeError("gcd with the partials does not divide %s (internal error)" % f)
+        raise InternalError("gcd with the partials does not divide %s (internal error)" % f)
     return q.unit_normalized()
 
 

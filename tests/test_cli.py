@@ -286,3 +286,22 @@ def test_lift_sign_change_proves_degeneracy():
     assert cert["payload"]["nondegenerate"] is False
     assert cert["payload"]["evidence"] == "Pfaffian 2*x - 1 vanishes somewhere"
     assert cert["warnings"] == []
+
+
+def test_internal_error_is_reported_as_such(tmp_path, monkeypatch, capsys):
+    # break the lift's exact multiplicativity self-check Pf(pi) = det * Pf(pi_A)
+    import divkit
+    from divkit import cli, poisson
+
+    true_pfaffian = poisson.LiftCertificate.lifted_pfaffian
+    monkeypatch.setattr(
+        poisson.LiftCertificate, "lifted_pfaffian", lambda self: true_pfaffian(self) + 1
+    )
+    monkeypatch.delenv("DK_MAX_DEGREE", raising=False)
+    job = write(tmp_path, "j.dk", "chart x, y; pi = x*Dx^^Dy; lift pi to frame log(x);")
+    assert cli.main(["run", str(job), "--json"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "error"
+    assert cert["error"] == "InternalError: Pfaffian multiplicativity violated (internal error)"
+    assert issubclass(divkit.InternalError, RuntimeError)
+    assert not issubclass(divkit.rings.DegreeCapExceeded, divkit.InternalError)

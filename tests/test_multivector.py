@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from divkit.multivector import (
     DegreeMismatch,
     DiffForm,
     Multivector,
+    bivector_matrix,
     exterior_derivative,
     interior_product,
     lie_derivative,
@@ -15,7 +17,7 @@ from divkit.multivector import (
     partial_pfaffian,
     schouten_bracket,
 )
-from divkit.frames import BadParams, CoframeForm, catalog
+from divkit.frames import BadParams, CoframeForm, catalog, poly_det
 from divkit.dsl import CoframeExpr
 
 from conftest import rand_multivector, rand_poly, rand_vector
@@ -193,13 +195,43 @@ def test_partial_pfaffian_examples():
     assert partial_pfaffian(pie, 2) == expected
 
 
+def wedge_power_pfaffian(pi, k):
+    """Reference pi^k / k! by k wedge products with pi."""
+    out = Multivector.function(Poly.const(pi.chart, 1))
+    for _ in range(k):
+        out = out.wedge(pi)
+    return out.scale(Fraction(1, math.factorial(k)))
+
+
 def test_partial_pfaffian_recursion(rng):
-    for _ in range(10):
-        pi = rand_multivector(C4, rng, 2, max_degree=1)
-        for k in (0, 1):
-            lhs = partial_pfaffian(pi, k).wedge(pi)
-            rhs = partial_pfaffian(pi, k + 1).scale(k + 1)
-            assert lhs == rhs
+    for n, trials in ((4, 10), (5, 4), (6, 3), (7, 2)):
+        chart = Chart(["x%d" % i for i in range(n)])
+        for _ in range(trials):
+            pi = rand_multivector(chart, rng, 2, max_degree=1)
+            for k in range(n // 2 + 1):
+                pf = partial_pfaffian(pi, k)
+                assert pf == wedge_power_pfaffian(pi, k)
+                # pi^k/k! ^ pi = (k + 1) pi^(k+1)/(k+1)!, and 0 past the top
+                if 2 * k + 2 <= n:
+                    assert pf.wedge(pi) == partial_pfaffian(pi, k + 1).scale(k + 1)
+                else:
+                    assert pf.wedge(pi).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("density", [0.5, 1.0])
+def test_top_pfaffian_squared_is_determinant(n, density):
+    # Pf(pi)^2 = det of the antisymmetric coefficient matrix, against the
+    # memoized minor table rather than the wedge product
+    rng = random.Random(1000 * n + int(10 * density))
+    chart = Chart(["x%d" % i for i in range(n)])
+    nonzero = 0
+    for _ in range(3):
+        pi = rand_multivector(chart, rng, 2, max_degree=1, density=density)
+        top = partial_pfaffian(pi, n // 2).comps.get(tuple(range(n)), Poly.zero(chart))
+        assert top * top == poly_det(bivector_matrix(pi))
+        nonzero += not top.is_zero()
+    assert nonzero
 
 
 def test_exterior_derivative_examples():
