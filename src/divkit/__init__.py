@@ -4,7 +4,6 @@ divisor ideals, and Lie algebroid anchor frames on polynomial charts."""
 from .rings import (
     Chart,
     InternalError,
-    Localized,
     Poly,
     exact_divide,
     gcd_content,

@@ -4,8 +4,9 @@ Exit codes: 0 for a positive verdict, 1 for a negative one (a failed check,
 a non-liftable bivector, a corpus mismatch), 2 for errors (parse errors,
 bad arguments, degree-cap overruns).  Certificates are canonical JSON:
 fixed key order, canonical term order in every printed value, so runs are
-byte-stable.  `--strict` turns any certificate carrying heuristic warnings
-(sampled line or nondegeneracy evidence) into an error.
+byte-stable.  `--strict` turns any certificate carrying a heuristic warning
+(sampled line or nondegeneracy evidence) into an error; other warnings, such
+as a divisor job's non-Poisson input, leave an exact certificate alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from .frames import (
     verify_ideal_algebroid,
 )
 from .multivector import _graded_str
-from .poisson import NotDivisorType, NotLiftable, check_poisson, divisor_type, lift, modular_vf
+from .poisson import (
+    SAMPLED,
+    NotDivisorType,
+    NotLiftable,
+    check_poisson,
+    divisor_type,
+    lift,
+    modular_vf,
+)
 from .residues import (
     DegenerateSpinor,
     NonzeroEllipticResidue,
@@ -129,7 +138,8 @@ def run_job(job, options=None):
         cert["verdict"] = "error"
         cert["error"] = "%s: %s" % (type(e).__name__, e)
     code = {"ok": 0, "fail": 1, "error": 2}[cert["verdict"]]
-    if options.strict and cert["warnings"] and cert["verdict"] != "error":
+    sampled = options.strict and any(w.endswith(SAMPLED) for w in cert["warnings"])
+    if sampled and cert["verdict"] != "error":
         cert["verdict"] = "error"
         cert["error"] = "strict mode: heuristic certificate rejected"
         code = 2

@@ -17,10 +17,9 @@ extended to coframe forms as a graded derivation.
 
 from __future__ import annotations
 
-from .rings import ChartMismatch, InternalError, Localized, Poly, exact_divide
+from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_str
 from .divisors import DivisorClass, classify, make_ideal, preserves
 from .multivector import (
-    DiffForm,
     Multivector,
     _accumulate,
     _Graded,
@@ -46,7 +45,7 @@ class NotInvolutive(ValueError):
 class NotInModule(ValueError):
     def __init__(self, witness):
         self.witness = witness
-        super().__init__("vector field is not in the frame module: coefficient %s" % (witness,))
+        super().__init__("vector field is not in the frame module: coefficient %s" % witness)
 
 
 class NotASubalgebroid(ValueError):
@@ -225,7 +224,7 @@ def expand_in_frame(v, frame):
             num = num + adj[i][j] * col[j]
         q = exact_divide(num, det)
         if q is None:
-            raise NotInModule(Localized(num, 1, det.unit_normalized()))
+            raise NotInModule(fraction_str(num, det))
         out.append(q)
     return out
 
@@ -461,7 +460,7 @@ def upper_modify(frame, kernel, ideal):
         for idx, c in g.comps.items():
             q = exact_divide(c, gen)
             if q is None:
-                raise NotDivisibleGenerator(i, Localized(c, 1, gen))
+                raise NotDivisibleGenerator(i, fraction_str(c, gen))
             comps[idx] = q
         gens.append(Multivector(frame.chart, 1, comps))
     try:
@@ -488,7 +487,7 @@ class CoframeForm(_Graded):
     def _space(self):
         return self.frame
 
-    def _like(self, degree, comps, other=None):
+    def _like(self, degree, comps):
         out = _Graded._like(self, degree, comps)
         out.frame = self.frame
         return out
@@ -503,31 +502,6 @@ class CoframeForm(_Graded):
     @classmethod
     def basis(cls, frame, i):
         return cls(frame, 1, {(i,): Poly.const(frame.chart, 1)})
-
-
-def coframe_to_diff(form):
-    """Express a coframe form as an ordinary DiffForm; coefficients become
-    Localized fractions with denominator a power of the anchor determinant."""
-    frame = form.frame
-    chart = frame.chart
-    det = frame.det
-    gen = det.unit_normalized()
-    unit = det.content() if det.leading()[1] > 0 else -det.content()
-    # det = unit * gen with unit rational
-    adj = frame.adj
-    n = chart.dimension
-    # e^i = sum_j adj[i][j]/det dx_j
-    rows = [
-        [Localized(adj[i][j] * (1 / unit), 1, gen) for j in range(n)] for i in range(n)
-    ]
-    out = DiffForm.zero(chart, form.degree, gen)
-    for idx, c in form.comps.items():
-        term = DiffForm.function(Poly.const(chart, 1), gen)
-        for i in idx:
-            one_form = DiffForm(chart, 1, {(j,): rows[i][j] for j in range(n)}, gen)
-            term = term.wedge(one_form)
-        out = out + term.scale(c)
-    return out
 
 
 def algebroid_d(form):

@@ -1,11 +1,10 @@
 """Graded exterior calculus on a polynomial chart.
 
 `Multivector` holds polyvector fields with Poly components over the basis
-d/dx_{i1} ^ ... ^ d/dx_{ik}; `DiffForm` holds differential forms whose
-components may be `Localized` fractions (denominators a power of one
-declared generator, as produced by coframe inversion).  Both, like the
-coframe forms `frames.CoframeForm` and `dsl.CoframeExpr`, are thin
-subclasses of `_Graded`, which implements the graded algebra once.
+d/dx_{i1} ^ ... ^ d/dx_{ik}; `DiffForm` holds differential forms with Poly
+components over dx_{i1} ^ ... ^ dx_{ik}.  Both, like the coframe forms
+`frames.CoframeForm` and `dsl.CoframeExpr`, are thin subclasses of
+`_Graded`, which implements the graded algebra once.
 
 The Schouten-Nijenhuis bracket of a p- and a q-vector is computed by the
 coordinate contraction
@@ -34,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import ChartMismatch, Localized, Poly
+from .rings import ChartMismatch, Poly
 
 
 class DegreeMismatch(ValueError):
@@ -74,9 +73,9 @@ class _Graded:
     """The graded algebra over {increasing index tuple: coefficient}.
 
     Subclasses supply only what differs between the kinds of element: what
-    the indices refer to (`_space`), how constructor coefficients are coerced
-    (`_coefficient`), the printed basis names (`_basis_name`), and the extra
-    slots a result carries over (`_like`).
+    the indices refer to (`_space`), the printed basis names (`_basis_name`),
+    and the extra slots a result carries over (`_like`).  Scalar
+    coefficients become constant polynomials.
     """
 
     __slots__ = ("chart", "degree", "comps")
@@ -96,22 +95,19 @@ class _Graded:
                 in_order = all(i < j for i, j in zip((-1,) + idx, idx + (n,)))
                 if len(idx) != degree or not in_order:
                     raise self._invalid("bad index tuple %r for degree %d" % (idx, degree))
-                c = self._coefficient(c)
+                if not isinstance(c, Poly):
+                    c = Poly.const(chart, c)
                 if not c.is_zero():
                     clean[idx] = c
         self.comps = clean
-
-    def _coefficient(self, c):
-        return c if isinstance(c, Poly) else Poly.const(self.chart, c)
 
     def _space(self):
         """What the indices refer to; the operands of an operation share it."""
         return self.chart
 
-    def _like(self, degree, comps, other=None):
+    def _like(self, degree, comps):
         """A result of the same kind over the same space.  `comps` must
-        already be clean (increasing indices, nonzero coefficients); `other`
-        is the second operand of a binary operation, if any."""
+        already be clean (increasing indices, nonzero coefficients)."""
         out = object.__new__(type(self))
         out.chart = self.chart
         out.degree = degree
@@ -151,7 +147,7 @@ class _Graded:
         res = dict(self.comps)
         for idx, c in other.comps.items():
             _accumulate(res, idx, c)
-        return self._like(self.degree, res, other)
+        return self._like(self.degree, res)
 
     def __neg__(self):
         return self._like(self.degree, {i: -c for i, c in self.comps.items()})
@@ -189,7 +185,7 @@ class _Graded:
         self._check_same_kind(other)
         deg = self.degree + other.degree
         if deg > self.chart.dimension:
-            return self._like(self.chart.dimension, {}, other)
+            return self._like(self.chart.dimension, {})
         res = {}
         for ia, ca in self.comps.items():
             for ib, cb in other.comps.items():
@@ -199,7 +195,7 @@ class _Graded:
                 sign, idx = m
                 v = ca * cb
                 _accumulate(res, idx, v if sign > 0 else -v)
-        return self._like(deg, res, other)
+        return self._like(deg, res)
 
     def __str__(self):
         return _graded_str(self, self._basis_name)
@@ -245,54 +241,20 @@ class Multivector(_Graded):
 
 
 class DiffForm(_Graded):
-    """Degree-k differential form; components are Localized fractions."""
+    """Degree-k differential form with Poly components over increasing tuples."""
 
-    __slots__ = ("gen",)
-
-    def __init__(self, chart, degree, comps=None, gen=None):
-        self.gen = gen
-        _Graded.__init__(self, chart, degree, comps)
-
-    def _coefficient(self, c):
-        """Poly coefficients are localized at the form's generator; a form
-        declared without one takes the first one its fractions carry."""
-        if isinstance(c, Poly):
-            return Localized.from_poly(c, self.gen)
-        if self.gen is None:
-            self.gen = c.gen
-        return c
-
-    def _like(self, degree, comps, other=None):
-        """Results of binary operations keep the operands' common
-        localization generator."""
-        out = _Graded._like(self, degree, comps)
-        gen = self.gen
-        if other is not None and other.gen is not None:
-            if gen is None:
-                gen = other.gen
-            elif other.gen != gen:
-                raise ValueError("incompatible localization generators on forms")
-        out.gen = gen
-        return out
+    __slots__ = ()
 
     def _basis_name(self, i):
         return "d" + self.chart.variables[i]
 
     @classmethod
-    def zero(cls, chart, degree=0, gen=None):
-        return cls(chart, degree, {}, gen)
+    def function(cls, p):
+        return cls(p.chart, 0, {(): p})
 
     @classmethod
-    def function(cls, p, gen=None):
-        if isinstance(p, Poly):
-            chart = p.chart
-        else:
-            chart = p.num.chart
-        return cls(chart, 0, {(): p}, gen)
-
-    @classmethod
-    def basis_form(cls, chart, i, gen=None):
-        return cls(chart, 1, {(i,): Poly.const(chart, 1)}, gen)
+    def basis_form(cls, chart, i):
+        return cls(chart, 1, {(i,): Poly.const(chart, 1)})
 
 
 def _graded_str(obj, basis_name):
@@ -387,7 +349,7 @@ def interior_product(v, w):
         raise DegreeMismatch("interior product needs a vector field")
     v._check(w)
     if w.degree == 0:
-        return DiffForm.zero(w.chart, 0, w.gen)
+        return DiffForm.zero(w.chart, 0)
     res = {}
     vc = {i: c for (i,), c in v.comps.items()}
     for idx, c in w.comps.items():
@@ -402,25 +364,23 @@ def interior_product(v, w):
 
 
 def pairing(form, mv):
-    """Full pairing of a k-form with a k-multivector; Poly or Localized."""
+    """Full pairing of a k-form with a k-multivector, a Poly."""
     form._check(mv)
     if form.degree != mv.degree:
         raise DegreeMismatch("pairing needs equal degrees")
-    total = Localized.from_poly(Poly.zero(form.chart), form.gen)
+    total = Poly.zero(form.chart)
     for idx, c in form.comps.items():
         m = mv.comps.get(idx)
         if m is not None:
             total = total + c * m
-    if total.is_poly():
-        return total.as_poly()
     return total
 
 
 def exterior_derivative(w):
-    """Exact d with the quotient rule on Localized coefficients; d o d = 0."""
+    """Exact exterior derivative of a DiffForm; d o d = 0."""
     chart = w.chart
     if w.degree >= chart.dimension:
-        return DiffForm.zero(chart, min(w.degree + 1, chart.dimension), w.gen)
+        return DiffForm.zero(chart, min(w.degree + 1, chart.dimension))
     res = {}
     for idx, c in w.comps.items():
         for i, var in enumerate(chart.variables):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .rings import Chart, ChartMismatch, InternalError, Localized, Poly, exact_divide, gcd_content
+from .rings import Chart, ChartMismatch, InternalError, Poly, exact_divide, fraction_str, gcd_content
 from .divisors import DivisorClass, classify, make_ideal, preserves
 from .frames import (
     BadParams,
@@ -40,6 +40,10 @@ from .multivector import (
 )
 
 DEFAULT_GRID_VALUES = (-2, -1, 1, 2, 3)
+
+# Every warning of a sampled (heuristic) certificate ends with this marker;
+# `--strict` rejects exactly those.
+SAMPLED = "is sampled, not exact"
 
 
 class NotDivisorType(ValueError):
@@ -213,7 +217,7 @@ def divisor_type(pi, grid_values=None):
                 raise NotDivisorType(
                     "line section vanishes at sample point %s" % (tuple(map(str, p)),)
                 )
-        warnings.append("line-subbundle certificate is sampled, not exact")
+        warnings.append("line-subbundle certificate " + SAMPLED)
     return DivisorTypeReport(m, ideal, w, cert, cls, warnings)
 
 
@@ -263,7 +267,7 @@ def lift(pi, frame, grid_values=None):
         for j in range(i + 1, n):
             q = exact_divide(m[i][j], det2)
             if q is None:
-                raise NotLiftable((i, j), Localized(m[i][j], 2, frame.det.unit_normalized()))
+                raise NotLiftable((i, j), fraction_str(m[i][j], frame.det, 2))
             if not q.is_zero():
                 comps[(i, j)] = q
     lifted = Multivector(chart, 2, comps)
@@ -295,7 +299,7 @@ def lift(pi, frame, grid_values=None):
             else:
                 cert.nondegenerate = True
                 cert.evidence = "Pfaffian nonvanishing on the sample grid"
-                cert.warnings.append("nondegeneracy certificate is sampled, not exact")
+                cert.warnings.append("nondegeneracy certificate " + SAMPLED)
         # exact multiplicativity check Pf(pi) = det * Pf(pi_A)
         top = partial_pfaffian(pi, n // 2).comps.get(tuple(range(n)), Poly.zero(chart))
         if top != frame.det * pf:  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial and localized-fraction arithmetic.
+"""Exact multivariate polynomial arithmetic.
 
 Coefficients are exact rationals, so every equality test in the engine is a
 decision, never an approximation.  Polynomials live on a fixed `Chart` (an
@@ -24,6 +24,10 @@ xi >= 2*min(|f|, |g|) + 2 for the max norms of the primitive inputs, and the
 candidate is accepted only if it divides both of them exactly.  After at most
 `HEU_GCD_MAX` evaluation points per level the heuristic gives up, and the
 primitive remainder sequence `_prs_gcd` decides instead.
+
+There is no rational-function type: a fraction arises only as the witness of
+a failed exact division (a lift, a frame expansion, an upper modification),
+and `fraction_str` prints it.
 """
 
 from __future__ import annotations
@@ -654,113 +658,23 @@ def squarefree_part(f):
 
 
 # ---------------------------------------------------------------------------
-# Localized fractions  num / gen^power
+# Printing failure witnesses
 # ---------------------------------------------------------------------------
 
 
-class Localized:
-    """A fraction num/gen^power whose denominator is a power of one declared
-    localization generator (in practice an anchor determinant).
+def fraction_str(num, den, power=1):
+    """Print the fraction num/den^power as `(num)/(g)` or `(num)/(g)^k`.
 
-    `gen is None` encodes the trivial localization: the value is plain
-    polynomial and the power must stay 0.
-    """
-
-    __slots__ = ("num", "power", "gen")
-
-    def __init__(self, num, power=0, gen=None):
-        if power < 0:
-            raise ValueError("negative localization power")
-        if gen is None and power != 0:
-            raise ValueError("nontrivial power requires a localization generator")
-        # reduce: cancel as many generator factors as possible
-        while power > 0 and not num.is_zero():
-            q = exact_divide(num, gen)
-            if q is None:
-                break
-            num = q
-            power -= 1
-        if num.is_zero():
-            power = 0
-        self.num = num
-        self.power = power
-        self.gen = gen
-
-    @classmethod
-    def from_poly(cls, p, gen=None):
-        return cls(p, 0, gen)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_poly(self):
-        return self.power == 0
-
-    def as_poly(self):
-        if self.power != 0:
-            raise ValueError("not a polynomial: %s" % self)
-        return self.num
-
-    def _merge_gen(self, other):
-        if self.gen is None:
-            return other.gen
-        if other.gen is None:
-            return self.gen
-        if self.gen != other.gen:
-            raise ValueError("incompatible localization generators")
-        return self.gen
-
-    def __add__(self, other):
-        if isinstance(other, Poly):
-            other = Localized.from_poly(other, self.gen)
-        gen = self._merge_gen(other)
-        k = max(self.power, other.power)
-        a = self.num * (gen ** (k - self.power) if k > self.power else 1)
-        b = other.num * (gen ** (k - other.power) if k > other.power else 1)
-        return Localized(a + b, k, gen)
-
-    def __neg__(self):
-        return Localized(-self.num, self.power, self.gen)
-
-    def __sub__(self, other):
-        if isinstance(other, Poly):
-            other = Localized.from_poly(other, self.gen)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Localized(self.num * other, self.power, self.gen)
-        if isinstance(other, Poly):
-            other = Localized.from_poly(other, self.gen)
-        gen = self._merge_gen(other)
-        return Localized(self.num * other.num, self.power + other.power, gen)
-
-    __rmul__ = __mul__
-
-    def diff(self, var):
-        if self.power == 0:
-            return Localized(self.num.diff(var), 0, self.gen)
-        # d(n/g^k) = (n' g - k n g') / g^(k+1)
-        g = self.gen
-        n = self.num
-        return Localized(n.diff(var) * g - self.power * n * g.diff(var), self.power + 1, g)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.power == 0 and self.num == other
-        if not isinstance(other, Localized):
-            return NotImplemented
-        if self.gen is not None and other.gen is not None and self.gen != other.gen:
-            return False
-        return self.power == other.power and self.num == other.num
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.power == 0:
-            return str(self.num)
-        den = "(%s)" % self.gen if self.power == 1 else "(%s)^%d" % (self.gen, self.power)
-        return "(%s)/%s" % (self.num, den)
-
-    def __repr__(self):
-        return "Localized(%s)" % self
+    g is den normalized (`unit_normalized`); the rational unit den/g goes
+    into the numerator, and every whole factor g of the numerator cancels,
+    so a fraction that is a polynomial prints as one."""
+    g = den.unit_normalized()
+    num = num * _quo(1, _quo(den.leading()[1], g.leading()[1]) ** power)
+    while power:
+        q = exact_divide(num, g)
+        if q is None:
+            break
+        num, power = q, power - 1
+    if not power:
+        return str(num)
+    return "(%s)/(%s)" % (num, g) + ("^%d" % power if power > 1 else "")

@@ -102,6 +102,19 @@ def test_strict_rejects_heuristic(tmp_path):
     r = run_cli(["--strict", "run", str(job), "--json"])
     assert r.returncode == 2
     assert "heuristic" in json.loads(r.stdout)["error"]
+    # so is a lift whose nondegeneracy is sampled (Pf = x^2 + 1)
+    lifted = write(tmp_path, "l.dk", "chart x,y; pi = (x^2 + 1)*Dx^^Dy; lift pi to frame tx();")
+    assert run_cli(["run", str(lifted)]).returncode == 0
+    assert run_cli(["--strict", "run", str(lifted)]).returncode == 2
+    # an exact certificate whose only warning is a non-Poisson input passes
+    exact = write(
+        tmp_path,
+        "np.dk",
+        "chart x,y,z,w; pi = x*Dx^^Dy + Dz^^Dw + Dx^^Dw; divisor pi;",
+    )
+    r = run_cli(["--strict", "run", str(exact), "--json"])
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["warnings"] == ["bivector is not Poisson: divisor data only"]
 
 
 def test_seed_grid_override(tmp_path):

@@ -114,6 +114,11 @@ def test_expand_in_frame():
     with pytest.raises(NotInModule) as e:
         expand_in_frame(DX, log)
     assert str(e.value.witness) == "(1)/(x)"
+    # the witness keeps the determinant's unit: det = -x, coefficient -1/x
+    with pytest.raises(NotInModule) as e:
+        expand_in_frame(DX, AnchorFrame(C2, [-X * DX, DY]))
+    assert e.value.witness == "(-1)/(x)"
+    assert str(e.value).endswith("coefficient (-1)/(x)")
     ell = catalog("elliptic", C2, "x", "y")
     assert [str(c) for c in expand_in_frame(X * DX + Y * DY, ell)] == ["1", "0"]
     # unit vectors of the frame expand as unit coefficient vectors

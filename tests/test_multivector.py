@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from divkit.rings import Chart, Localized, Poly
+from divkit.rings import Chart, Poly
 from divkit.multivector import (
     DegreeMismatch,
     DiffForm,
@@ -237,24 +237,30 @@ def test_top_pfaffian_squared_is_determinant(n, density):
 def test_exterior_derivative_examples():
     dxf, dyf = DiffForm.basis_form(C2, 0), DiffForm.basis_form(C2, 1)
     assert exterior_derivative(X * dyf) == dxf.wedge(dyf)
+    # scalar coefficients are constant polynomials, as for Multivector
+    assert DiffForm(C2, 1, {(0,): 3}) == 3 * dxf
+    half = Fraction(1, 2)
+    assert DiffForm(C2, 0, {(): half}) == DiffForm.function(Poly.const(C2, half))
+    assert exterior_derivative(DiffForm(C2, 1, {(1,): -2})).is_zero()
+    # dlog r = a/q and dtheta = b/q with q = x^2 + y^2 are closed: by the
+    # quotient rule d(a/q) = (q da - dq ^ a)/q^2, so q da = dq ^ a
     q = X * X + Y * Y
-    dlogr = DiffForm(C2, 1, {(0,): Localized(X, 1, q), (1,): Localized(Y, 1, q)}, gen=q)
-    assert exterior_derivative(dlogr).is_zero()
-    dtheta = DiffForm(C2, 1, {(0,): Localized(-Y, 1, q), (1,): Localized(X, 1, q)}, gen=q)
-    assert exterior_derivative(dtheta).is_zero()
+    dq = exterior_derivative(DiffForm.function(q))
+    for a in (X * dxf + Y * dyf, (-Y) * dxf + X * dyf):
+        assert exterior_derivative(a).scale(q) == dq.wedge(a)
+    assert not exterior_derivative((-Y) * dxf + X * dyf).is_zero()
 
 
-def test_d_squared_zero_on_localized_forms(rng):
+def test_d_squared_zero(rng):
     c3 = Chart(["x", "y", "z"])
-    gen = Poly.var(c3, "x") ** 2 + Poly.var(c3, "y") ** 2
     import itertools
 
     for deg in (0, 1):
         for _ in range(10):
             comps = {}
             for idx in itertools.combinations(range(3), deg):
-                comps[idx] = Localized(rand_poly(c3, rng), rng.randint(0, 2), gen)
-            w = DiffForm(c3, deg, comps, gen)
+                comps[idx] = rand_poly(c3, rng, max_degree=3)
+            w = DiffForm(c3, deg, comps)
             assert exterior_derivative(exterior_derivative(w)).is_zero()
 
 

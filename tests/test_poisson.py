@@ -117,6 +117,10 @@ def test_lift_table():
     with pytest.raises(NotLiftable) as e:
         lift(PI_LOG4, catalog("log", C4, "x"))
     assert str(e.value.witness) == "(1)/(x)"
+    # the witness keeps the determinant's unit: det = 2x, entry 1/(2x)
+    with pytest.raises(NotLiftable) as e:
+        lift(DX.wedge(DY), AnchorFrame(C2, [2 * X * DX, DY]))
+    assert e.value.witness == "(1/2)/(x)" and e.value.entry == (0, 1)
     # (c) elliptic Darboux lifts nondegenerately with constant Pfaffian
     ce = Chart(["x", "y", "u", "v"])
     xe, ye = Poly.var(ce, "x"), Poly.var(ce, "y")
@@ -257,8 +261,7 @@ def test_modular_volume_rescale(rng):
             f = Poly.var(C2, var)
             xf = hamiltonian_vf(pi, f)
             lhs = lie_derivative(xf, g * mu)
-            lhs_coeff = lhs.comps.get((0, 1))
-            lhs_poly = lhs_coeff.as_poly() if lhs_coeff is not None else Poly.zero(C2)
+            lhs_poly = lhs.comps.get((0, 1), Poly.zero(C2))
             # g * L_{X_f}(g mu) = -(g v(f) + w(f)) g mu
             assert g * lhs_poly == -(g * v.apply_to(f) + w.apply_to(f)) * g
 

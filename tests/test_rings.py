@@ -5,11 +5,11 @@ import pytest
 
 from divkit.rings import (
     Chart,
-    Localized,
     Poly,
     UnknownVariable,
     ZeroPolynomial,
     exact_divide,
+    fraction_str,
     gcd_content,
     poly_gcd,
     squarefree_part,
@@ -136,26 +136,16 @@ def test_poly_str_canonical():
     assert str(Poly.const(C2, Fraction(-3, 2))) == "-3/2"
 
 
-def test_localized_agrees_with_poly(rng):
-    gen = X
-    for _ in range(20):
-        a = rand_poly(C2, rng)
-        b = rand_poly(C2, rng)
-        la = Localized.from_poly(a, gen)
-        lb = Localized.from_poly(b, gen)
-        assert (la + lb).as_poly() == a + b
-        assert (la * lb).as_poly() == a * b
-        assert (la - lb).as_poly() == a - b
-        assert la.diff("y").as_poly() == a.diff("y")
-
-
-def test_localized_reduction_and_equality():
-    gen = X
-    l1 = Localized(X * X * Y, 1, gen)
-    assert l1.power == 0 and l1.num == X * Y
-    l2 = Localized(Y, 1, gen)
-    assert l2.power == 1
-    assert l2 == Localized(X * Y, 2, gen)
-    # quotient rule: d/dx (y/x) = -y/x^2
-    d = l2.diff("x")
-    assert d == Localized(-Y, 2, gen)
+def test_fraction_str_cancels_and_normalizes():
+    # whole factors of the normalized denominator cancel
+    assert fraction_str(X * X * Y, X) == "x*y"
+    assert fraction_str(Y, X) == "(y)/(x)"
+    assert fraction_str(X * Y, X, 2) == "(y)/(x)"
+    assert fraction_str(Y, X, 2) == "(y)/(x)^2"
+    assert fraction_str(Poly.zero(C2), X, 2) == "0"
+    # the denominator's unit moves into the numerator: 1/(2x), -1/x, y/(4x^2)
+    assert fraction_str(Poly.const(C2, 1), 2 * X) == "(1/2)/(x)"
+    assert fraction_str(Poly.const(C2, 1), -X) == "(-1)/(x)"
+    assert fraction_str(Y, -2 * X, 2) == "(1/4*y)/(x)^2"
+    # only whole factors g cancel, not a common factor of g and the numerator
+    assert fraction_str(X + Y, -3 * (X + Y) * Y) == "(-1/3*x - 1/3*y)/(x*y + y^2)"
