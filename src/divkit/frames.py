@@ -320,22 +320,15 @@ def catalog(kind, chart, *params):
 
 
 def _modified_slots(frame):
-    """Variable slots whose column differs from the coordinate frame."""
-    if frame.label is None:
+    """Variable slots whose generator differs from the coordinate field, or
+    None for frames outside the catalog (unlabeled or products)."""
+    if frame.label is None or frame.label[0] == "product":
         return None
-    kind = frame.label[0]
-    n = frame.chart.dimension
-    if kind == "tx":
-        return set()
-    if kind in ("log", "bk"):
-        return {frame.chart.index(frame.label[1])}
-    if kind in ("zero", "scattering"):
-        return set(range(n))
-    if kind in ("elliptic", "elliptic_log"):
-        return {frame.chart.index(frame.label[1]), frame.chart.index(frame.label[2])}
-    if kind == "nc_log":
-        return {frame.chart.index(z) for z in frame.label[1:]}
-    return None
+    return {
+        i
+        for i, g in enumerate(frame.generators)
+        if g != Multivector.basis_vector(frame.chart, i)
+    }
 
 
 def fiber_product(fa, fb):
@@ -359,8 +352,6 @@ def fiber_product(fa, fb):
             "supports overlap in variables %s"
             % sorted(fa.chart.variables[i] for i in sa & sb)
         )
-    if fa.label[0] in ("zero", "scattering") or fb.label[0] in ("zero", "scattering"):
-        raise UnsupportedOverlap("zero/scattering frames rescale every direction")
     log_kinds = ("log", "nc_log")
     if fa.label[0] in log_kinds and fb.label[0] in log_kinds:
         zs = fa.label[1:] + fb.label[1:]

@@ -22,10 +22,10 @@ extended bilinearly, and for a function g
     [X1^...^Xp, g] = sum_i (-1)^(p-i) Xi(g) X1^...^Xi-hat^...^Xp;
 
 on vector fields it is the ordinary Lie bracket.  The k-th partial Pfaffian
-is pi^k / k!, so printed values match the usual wedge-power literals; it is
-computed without wedge powers, as the Pfaffians of pi on all 2k-subsets of
-the coordinates, by one memoized first-row expansion (the shape of
-`frames._minor_table`).
+of a bivector or 2-form pi is pi^k / k!, so printed values match the usual
+wedge-power literals; it is computed without wedge powers, as the Pfaffians
+of pi on all 2k-subsets of the indices, by one memoized first-row expansion
+(the shape of `frames._minor_table`).
 """
 
 from __future__ import annotations
@@ -117,6 +117,13 @@ class _Graded:
     @classmethod
     def zero(cls, space, degree=0):
         return cls(space, degree, {})
+
+    @classmethod
+    def function(cls, p):
+        """The degree-0 element p; a scalar carries no chart, so p must be a Poly."""
+        if not isinstance(p, Poly):
+            raise TypeError("function needs a Poly, not %s" % type(p).__name__)
+        return cls(p.chart, 0, {(): p})
 
     def is_zero(self):
         return not self.comps
@@ -213,10 +220,6 @@ class Multivector(_Graded):
         return "D" + self.chart.variables[i]
 
     @classmethod
-    def function(cls, p):
-        return cls(p.chart, 0, {(): p})
-
-    @classmethod
     def basis_vector(cls, chart, i):
         return cls(chart, 1, {(i,): Poly.const(chart, 1)})
 
@@ -247,10 +250,6 @@ class DiffForm(_Graded):
 
     def _basis_name(self, i):
         return "d" + self.chart.variables[i]
-
-    @classmethod
-    def function(cls, p):
-        return cls(p.chart, 0, {(): p})
 
     @classmethod
     def basis_form(cls, chart, i):
@@ -410,7 +409,7 @@ def lie_derivative(v, t):
 
 
 def partial_pfaffian(pi, k):
-    """k-th partial Pfaffian pi^k / k! of a bivector.
+    """k-th partial Pfaffian pi^k / k! of a 2-form or bivector.
 
     Its component on each increasing 2k-tuple S is the Pfaffian Pf(pi|S),
     expanded along S's first row,
@@ -420,7 +419,7 @@ def partial_pfaffian(pi, k):
     zero entries and zero sub-Pfaffians are skipped, and each sub-Pfaffian
     is memoized by its index tuple, once per call."""
     if pi.degree != 2:
-        raise DegreeMismatch("partial Pfaffian needs a bivector")
+        raise DegreeMismatch("partial Pfaffian needs a 2-form or bivector")
     chart = pi.chart
     if k < 0 or 2 * k > chart.dimension:
         raise ValueError("partial Pfaffian order %d out of range" % k)

@@ -11,12 +11,15 @@ Res_D = Res_{Z,D} o Res_Z holds with no correction factors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-
-from .rings import InternalError, Poly
+from .rings import InternalError
 from .frames import BadParams, CoframeForm, algebroid_d, catalog
-from .multivector import DiffForm, _accumulate, exterior_derivative, merge_indices
+from .multivector import (
+    DiffForm,
+    _accumulate,
+    exterior_derivative,
+    merge_indices,
+    partial_pfaffian,
+)
 
 
 class FlavorMismatch(ValueError):
@@ -44,6 +47,17 @@ ELLLOG_D = "elllog_d"
 
 FLAVORS = (LOG, ELLIPTIC_Q, ELLIPTIC_R, ELLIPTIC_THETA, ELLLOG_Z, ELLLOG_D)
 
+# flavor -> (frame kinds, locus, extracted co-generators, forbidden
+# co-generators); the last three are positions in the frame label
+_TABLE = {
+    LOG: (("log", "bk"), (1,), (1,), ()),
+    ELLIPTIC_Q: (("elliptic",), (1, 2), (1, 2), ()),
+    ELLIPTIC_R: (("elliptic",), (1, 2), (1,), (2,)),
+    ELLIPTIC_THETA: (("elliptic",), (1, 2), (2,), (1,)),
+    ELLLOG_Z: (("elliptic_log",), (1,), (2,), ()),
+    ELLLOG_D: (("elliptic_log",), (1, 2), (1, 2), ()),
+}
+
 
 class ResidueSpec:
     """Frame + flavor; the locus variables are derived from the catalog label."""
@@ -53,24 +67,16 @@ class ResidueSpec:
     def __init__(self, frame, flavor):
         if frame.label is None:
             raise FlavorMismatch("residues are defined for catalog-labeled frames")
-        kind = frame.label[0]
-        if flavor == LOG:
-            if kind not in ("log", "bk"):
-                raise FlavorMismatch("log residue needs a log or b^k frame, not %r" % kind)
-            self.locus = (frame.label[1],)
-        elif flavor in (ELLIPTIC_Q, ELLIPTIC_R, ELLIPTIC_THETA):
-            if kind != "elliptic":
-                raise FlavorMismatch("%s residue needs an elliptic frame" % flavor)
-            self.locus = (frame.label[1], frame.label[2])
-        elif flavor in (ELLLOG_Z, ELLLOG_D):
-            if kind != "elliptic_log":
-                raise FlavorMismatch("%s residue needs an elliptic-log frame" % flavor)
-            if flavor == ELLLOG_Z:
-                self.locus = (frame.label[1],)
-            else:
-                self.locus = (frame.label[1], frame.label[2])
-        else:
+        if flavor not in FLAVORS:
             raise FlavorMismatch("unknown residue flavor %r" % (flavor,))
+        kinds, locus = _TABLE[flavor][:2]
+        kind = frame.label[0]
+        if kind not in kinds:
+            raise FlavorMismatch(
+                "%s residue needs a frame of kind %s, not %r"
+                % (flavor, " or ".join(kinds), kind)
+            )
+        self.locus = tuple(frame.label[i] for i in locus)
         for v in self.locus:
             if v not in frame.chart:
                 raise FlavorMismatch("locus variable %r not on the chart" % (v,))
@@ -78,18 +84,26 @@ class ResidueSpec:
         self.flavor = flavor
 
 
+def _slots(frame, positions):
+    """Chart slots of the variables at these positions of the frame label."""
+    return {frame.chart.index(frame.label[i]) for i in positions}
+
+
 class RestrictedForm:
     """Residue output: a plain form on the locus sub-chart, or (for the
     elliptic-log residue onto Z) a coframe form over the induced log frame,
     whose natural differential carries the isotropy twist."""
 
-    __slots__ = ("kind", "chart", "form", "twisted")
+    __slots__ = ("kind", "chart", "form")
 
-    def __init__(self, kind, chart, form, twisted=False):
+    def __init__(self, kind, chart, form):
         self.kind = kind  # "plain" | "log_coframe"
         self.chart = chart
         self.form = form
-        self.twisted = twisted
+
+    @property
+    def twisted(self):
+        return self.kind == "log_coframe"
 
     def is_zero(self):
         return self.form.is_zero()
@@ -105,28 +119,6 @@ class RestrictedForm:
         return str(self.form)
 
     __repr__ = __str__
-
-
-def _extraction_sign(idx, s):
-    """Sign with e^idx = sign * e^(idx minus s) ^ e^(s sorted)."""
-    rest = [i for i in idx if i not in s]
-    target = rest + sorted(s)
-    # parity of the permutation taking sorted(idx) (= idx) to target
-    perm = [idx.index(t) for t in target]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign, tuple(rest)
 
 
 def _sub_chart_data(frame, locus):
@@ -151,72 +143,48 @@ def residue(w, spec, force=False):
         raise FlavorMismatch("form is not expressed over the spec's frame")
     chart = frame.chart
     label = frame.label
-    flavor = spec.flavor
+    _, _, extracted, forbidden = _TABLE[spec.flavor]
+    s = _slots(frame, extracted)
+    forbidden = _slots(frame, forbidden)
     sub, slot_map = _sub_chart_data(frame, spec.locus)
-
-    if flavor == LOG:
-        s = {chart.index(label[1])}
-        forbidden = set()
-    elif flavor == ELLIPTIC_Q or flavor == ELLLOG_D:
-        s = {chart.index(label[1]), chart.index(label[2])}
-        forbidden = set()
-    elif flavor == ELLIPTIC_R:
-        s = {chart.index(label[1])}
-        forbidden = {chart.index(label[2])}
-    elif flavor == ELLIPTIC_THETA:
-        s = {chart.index(label[2])}
-        forbidden = {chart.index(label[1])}
-    elif flavor == ELLLOG_Z:
+    kind, form_type, space = "plain", DiffForm, sub
+    if spec.flavor == ELLLOG_Z:
         # the swirl generator is the germinal isotropy along Z = {x = 0};
         # the Euler dual restricts to the log co-generator of y on Z
-        s = {chart.index(label[2])}
-        forbidden = set()
-        slot_map = dict(slot_map)
-        slot_map[chart.index(label[1])] = sub.index(label[2])
-        slot_map.pop(chart.index(label[2]), None)
-    else:  # pragma: no cover
-        raise FlavorMismatch(flavor)
+        slot_map[chart.index(label[1])] = slot_map.pop(chart.index(label[2]))
+        kind, form_type, space = "log_coframe", CoframeForm, catalog("log", sub, label[2])
 
-    if flavor in (ELLIPTIC_R, ELLIPTIC_THETA) and not force:
+    if forbidden and not force:
         q = residue(w, ResidueSpec(frame, ELLIPTIC_Q))
         if not q.is_zero():
             raise NonzeroHigherResidue(
                 "the %s residue is defined on forms with vanishing elliptic residue"
-                % flavor
+                % spec.flavor
             )
-
-    deg = w.degree - len(s)
-    if deg < 0:
-        if flavor == ELLLOG_Z:
-            target = catalog("log", sub, label[2])
-            return RestrictedForm("log_coframe", sub, CoframeForm.zero(target, 0), twisted=True)
-        return RestrictedForm("plain", sub, DiffForm.zero(sub, 0))
 
     comps = {}
     for idx, c in w.comps.items():
         iset = set(idx)
-        if not s <= iset:
+        if not s <= iset or forbidden & iset:
             continue
-        if forbidden & iset:
-            continue
-        sign, rest = _extraction_sign(idx, s)
         rc = _restrict_coeff(c, spec.locus, sub)
         if rc.is_zero():
             continue
-        # the elllog_z slot map need not preserve order: re-sort with its sign
+        # e^idx = sign * e^rest ^ e^s; the elllog_z slot map need not
+        # preserve order, so re-sort with its sign too
+        rest = tuple(i for i in idx if i not in s)
+        sign = merge_indices(rest, tuple(sorted(s)))[0]
         moved, key = merge_indices(tuple(slot_map[i] for i in rest), ())
         _accumulate(comps, key, rc if sign * moved > 0 else -rc)
 
+    deg = max(w.degree - len(s), 0)
     if deg > sub.dimension:
         # only possible for the lower elliptic residues, whose forbidden slot
         # removes one more direction; no component can survive then
         if comps:
             raise InternalError("residue above the locus dimension (internal error)")
         deg = sub.dimension
-    if flavor == ELLLOG_Z:
-        target = catalog("log", sub, label[2])
-        return RestrictedForm("log_coframe", sub, CoframeForm(target, deg, comps), twisted=True)
-    return RestrictedForm("plain", sub, DiffForm(sub, deg, comps))
+    return RestrictedForm(kind, sub, form_type(space, deg, comps))
 
 
 def restricted_d(res):
@@ -226,12 +194,8 @@ def restricted_d(res):
     if res.kind == "plain":
         return RestrictedForm("plain", res.chart, exterior_derivative(res.form))
     target = res.form.frame
-    out = algebroid_d(res.form)
-    if res.twisted:
-        zslot = target.chart.index(target.label[1])
-        f1 = CoframeForm.basis(target, zslot)
-        out = out - f1.wedge(res.form)
-    return RestrictedForm("log_coframe", res.chart, out, twisted=res.twisted)
+    f1 = CoframeForm.basis(target, target.chart.index(target.label[1]))
+    return RestrictedForm("log_coframe", res.chart, algebroid_d(res.form) - f1.wedge(res.form))
 
 
 def cochain_check(w, spec, force=False):
@@ -311,16 +275,10 @@ class SpinorReport:
 
 
 def _plain_part(w, spec):
-    """Components of a coframe 2-form free of all singular slots, pulled
-    back to the locus sub-chart."""
-    frame = spec.frame
-    chart = frame.chart
-    label = frame.label
-    if spec.flavor == LOG:
-        sing = {chart.index(label[1])}
-    else:
-        sing = {chart.index(label[1]), chart.index(label[2])}
-    sub, slot_map = _sub_chart_data(frame, spec.locus)
+    """Components of a coframe 2-form free of the flavor's extracted slots,
+    pulled back to the locus sub-chart."""
+    sing = _slots(spec.frame, _TABLE[spec.flavor][2])
+    sub, slot_map = _sub_chart_data(spec.frame, spec.locus)
     comps = {}
     for idx, c in w.comps.items():
         if set(idx) & sing:
@@ -354,30 +312,12 @@ def cosymplectic_spinor(omega, spec):
     rep = SpinorReport()
     rep.flavor = spec.flavor
 
-    powers = {}
-    wk = CoframeForm.function(frame, Poly.const(frame.chart, 1))
-    for k in range(1, n + 1):
-        wk = wk.wedge(omega)
-        powers[k] = wk.scale(Fraction(1, factorial(k)))
-
+    # the flavor fixes the leading singular form and the first nonzero rho
     if spec.flavor == LOG:
         rep.alpha = residue(omega, spec)
-        rep.beta = _plain_part(omega, spec)
-        rep.chart = rep.alpha.chart
-        rep.rho = [residue(powers[k], spec) for k in range(1, n + 1)]
-        rep.rho_top = rep.rho[-1]
-        if rep.rho_top.is_zero():
-            raise DegenerateSpinor("top residue of e^omega vanishes; omega was degenerate")
-        rep.closed = all(restricted_d(r).is_zero() for r in rep.rho)
-        top_expected = rep.alpha.form.wedge(_power(rep.beta, n - 1)).scale(
-            Fraction(1, factorial(n - 1))
-        )
-        rep.identities.append(
-            ("Res(omega^n/n!) = Res(omega)^beta^(n-1)/(n-1)!", rep.rho_top.form == top_expected)
-        )
-        return rep
-
-    if spec.flavor == ELLIPTIC_Q:
+        lead, first = rep.alpha.form, 1
+        top_name = "Res(omega^n/n!) = Res(omega)^beta^(n-1)/(n-1)!"
+    elif spec.flavor == ELLIPTIC_Q:
         q = residue(omega, spec)
         if not q.is_zero():
             raise NonzeroEllipticResidue(
@@ -385,37 +325,24 @@ def cosymplectic_spinor(omega, spec):
             )
         rep.alpha = residue(omega, ResidueSpec(frame, ELLIPTIC_R))
         rep.alpha2 = residue(omega, ResidueSpec(frame, ELLIPTIC_THETA))
-        rep.beta = _plain_part(omega, spec)
-        rep.chart = rep.alpha.chart
-        rep.rho = [residue(powers[k], spec) for k in range(2, n + 1)]
-        rep.rho_top = rep.rho[-1]
-        if rep.rho_top.is_zero():
-            raise DegenerateSpinor("top residue of e^omega vanishes; omega was degenerate")
-        rep.closed = (
-            all(restricted_d(r).is_zero() for r in rep.rho)
-            and restricted_d(rep.alpha).is_zero()
-            and restricted_d(rep.alpha2).is_zero()
-        )
-        pair = rep.alpha.form.wedge(rep.alpha2.form)
+        lead, first = -rep.alpha.form.wedge(rep.alpha2.form), 2
+        top_name = "Res_q(omega^n/n!) = -Res_r^Res_theta^beta^(n-2)/(n-2)!"
+    else:
+        raise FlavorMismatch("spinor extraction is defined for log and elliptic flavors")
+
+    rep.beta = _plain_part(omega, spec)
+    rep.chart = rep.alpha.chart
+    rep.rho = [residue(partial_pfaffian(omega, k), spec) for k in range(first, n + 1)]
+    rep.rho_top = rep.rho[-1]
+    if rep.rho_top.is_zero():
+        raise DegenerateSpinor("top residue of e^omega vanishes; omega was degenerate")
+    rep.closed = all(
+        restricted_d(r).is_zero() for r in rep.rho + [rep.alpha, rep.alpha2] if r is not None
+    )
+    if rep.alpha2 is not None:
         rep.identities.append(
-            ("Res_q(omega^2/2!) = -Res_r(omega)^Res_theta(omega)", rep.rho[0].form == -pair)
+            ("Res_q(omega^2/2!) = -Res_r(omega)^Res_theta(omega)", rep.rho[0].form == lead)
         )
-        top_expected = (-pair.wedge(_power(rep.beta, n - 2))).scale(
-            Fraction(1, factorial(n - 2))
-        )
-        rep.identities.append(
-            (
-                "Res_q(omega^n/n!) = -Res_r^Res_theta^beta^(n-2)/(n-2)!",
-                rep.rho_top.form == top_expected,
-            )
-        )
-        return rep
-
-    raise FlavorMismatch("spinor extraction is defined for log and elliptic flavors")
-
-
-def _power(form, k):
-    out = DiffForm.function(Poly.const(form.chart, 1))
-    for _ in range(k):
-        out = out.wedge(form)
-    return out
+    top_expected = lead.wedge(partial_pfaffian(rep.beta, n - first))
+    rep.identities.append((top_name, rep.rho_top.form == top_expected))
+    return rep

@@ -213,6 +213,34 @@ def test_fiber_products():
         fiber_product(fx, catalog("elliptic", c3, "x", "y"))
 
 
+def test_modified_slots_follow_the_generators():
+    from divkit.frames import _modified_slots
+
+    c3 = Chart(["x", "y", "u"])
+    cases = [
+        (("tx",), set()),
+        (("log", "x"), {0}),
+        (("bk", "y", 2), {1}),
+        (("zero", "x"), {0, 1, 2}),
+        (("scattering", "u"), {0, 1, 2}),
+        (("elliptic", "x", "y"), {0, 1}),
+        (("elliptic_log", "y", "u"), {1, 2}),
+        (("nc_log", "x", "u"), {0, 2}),
+    ]
+    for (kind, *params), slots in cases:
+        assert _modified_slots(catalog(kind, c3, *params)) == slots, kind
+    # products and unlabeled frames stay outside the catalog
+    fp = fiber_product(catalog("log", c3, "x"), catalog("elliptic", c3, "y", "u"))
+    assert _modified_slots(fp) is None
+    assert _modified_slots(AnchorFrame(c3, fp.generators)) is None
+    with pytest.raises(UnsupportedOverlap):
+        fiber_product(fp, catalog("tx", c3))
+    # a zero or scattering frame modifies every slot, so it overlaps any other
+    for kind in ("zero", "scattering"):
+        with pytest.raises(UnsupportedOverlap, match="supports overlap"):
+            fiber_product(catalog(kind, c3, "x"), catalog("log", c3, "y"))
+
+
 def test_algebroid_d_examples():
     log = catalog("log", C2, "x")
     assert algebroid_d(CoframeForm.basis(log, 0)).is_zero()

@@ -218,6 +218,23 @@ def test_partial_pfaffian_recursion(rng):
                     assert pf.wedge(pi).is_zero()
 
 
+def test_partial_pfaffian_of_forms(rng):
+    # the same expansion gives omega^k/k! for 2-forms and coframe 2-forms
+    c5 = Chart(["x", "y", "u", "v", "w"])
+    frame = catalog("elliptic", c5, "x", "y")
+    for _ in range(3):
+        comps = rand_multivector(c5, rng, 2, max_degree=1).comps
+        for w in (DiffForm(c5, 2, comps), CoframeForm(frame, 2, comps)):
+            power = w
+            for k in (1, 2):
+                pf = partial_pfaffian(w, k)
+                assert type(pf) is type(w)
+                assert pf == power.scale(Fraction(1, math.factorial(k)))
+                power = power.wedge(w)
+    with pytest.raises(DegreeMismatch, match="2-form or bivector"):
+        partial_pfaffian(DiffForm.basis_form(C2, 0), 1)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 @pytest.mark.parametrize("density", [0.5, 1.0])
 def test_top_pfaffian_squared_is_determinant(n, density):
@@ -232,6 +249,13 @@ def test_top_pfaffian_squared_is_determinant(n, density):
         assert top * top == poly_det(bivector_matrix(pi))
         nonzero += not top.is_zero()
     assert nonzero
+
+
+def test_function_needs_a_poly():
+    # function() takes its chart from the Poly; a scalar carries none
+    for cls in (Multivector, DiffForm):
+        with pytest.raises(TypeError, match="needs a Poly"):
+            cls.function(3)
 
 
 def test_exterior_derivative_examples():

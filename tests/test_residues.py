@@ -194,24 +194,6 @@ def test_spinor_requires_closed_form():
             cosymplectic_spinor(bad, ResidueSpec(logf, LOG))
 
 
-def test_extraction_sign_consistency(rng):
-    # e^I = sign * e^(I-S) ^ e^S, checked against the wedge-merge machinery
-    from divkit.residues import _extraction_sign
-    from divkit.multivector import merge_indices
-
-    for _ in range(200):
-        n = rng.randint(2, 6)
-        size = rng.randint(1, n)
-        idx = tuple(sorted(rng.sample(range(n), size)))
-        k = rng.randint(1, size)
-        s = set(rng.sample(idx, k))
-        sign, rest = _extraction_sign(idx, s)
-        merged = merge_indices(rest, tuple(sorted(s)))
-        assert merged is not None
-        msign, midx = merged
-        assert midx == idx and msign == sign
-
-
 def _reordered(form, frame):
     """`form` over `frame`: the same catalog frame on a chart whose variables
     come in another order (each generator follows its variable)."""
