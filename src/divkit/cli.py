@@ -135,11 +135,13 @@ def run_job(job, options=None):
 
 
 def _dispatch(cmd, cert, options):
-    kind = cmd[0]
+    """Run a command tuple, (name, operands...) in the order of the
+    command's syntax in `dsl.COMMANDS`."""
+    kind, *args = cmd
     payload = cert["payload"]
 
     if kind == "check_poisson":
-        ok, jac = check_poisson(cmd[1])
+        ok, jac = check_poisson(*args)
         payload["poisson"] = ok
         if not ok:
             payload["jacobiator"] = str(jac)
@@ -148,7 +150,7 @@ def _dispatch(cmd, cert, options):
 
     if kind == "divisor":
         try:
-            rep = divisor_type(cmd[1], grid_values=options.grid_values)
+            rep = divisor_type(*args, grid_values=options.grid_values)
         except NotDivisorType as e:
             payload["reason"] = str(e)
             cert["verdict"] = "fail"
@@ -162,14 +164,14 @@ def _dispatch(cmd, cert, options):
         return
 
     if kind == "classify":
-        v = cmd[1]
+        (v,) = args
         ideal = v if isinstance(v, DivisorIdeal) else make_ideal(v)
         payload["ideal"] = str(ideal.generator)
         payload["class"] = str(classify(ideal))
         return
 
     if kind == "lift":
-        pi, frame = cmd[1], cmd[2]
+        pi, frame = args
         payload["frame"] = frame_payload(frame)
         try:
             c = lift(pi, frame, grid_values=options.grid_values)
@@ -188,12 +190,11 @@ def _dispatch(cmd, cert, options):
         return
 
     if kind == "modular":
-        v = modular_vf(cmd[1])
-        payload["field"] = str(v)
+        payload["field"] = str(modular_vf(*args))
         return
 
     if kind == "residue":
-        w, flavor, frame = cmd[1], cmd[2], cmd[3]
+        w, flavor, frame = args
         spec = ResidueSpec(frame, flavor)
         try:
             res = residue(w.bind(frame), spec)
@@ -206,7 +207,7 @@ def _dispatch(cmd, cert, options):
         return
 
     if kind == "modify":
-        _, side, frame, idx, ideal = cmd
+        side, frame, idx, ideal = args
         payload["input"] = frame_payload(frame)
         payload["ideal"] = str(ideal.generator)
         try:
@@ -223,7 +224,7 @@ def _dispatch(cmd, cert, options):
         return
 
     if kind == "verify_frame":
-        frame, ideal = cmd[1], cmd[2]
+        frame, ideal = args
         rep = verify_ideal_algebroid(frame, ideal)
         payload["frame"] = frame_payload(frame)
         payload["ideal"] = str(ideal.generator)
@@ -238,7 +239,7 @@ def _dispatch(cmd, cert, options):
         return
 
     if kind == "spinor":
-        w, flavor, frame = cmd[1], cmd[2], cmd[3]
+        w, frame, flavor = args
         if flavor not in ("log", "elliptic"):
             raise FlavorMismatch("spinor flavor must be 'log' or 'elliptic'")
         spec = ResidueSpec(frame, "log" if flavor == "log" else "elliptic_q")
@@ -294,19 +295,23 @@ def _error_cert(message, source_name):
     }
 
 
+def _parse(source):
+    """(job, None), or (None, error text) when the source does not parse or
+    parsing overruns the degree cap."""
+    try:
+        return parse(source), None
+    except (ParseError, DegreeCapExceeded) as e:
+        return None, "%s: %s" % (type(e).__name__, e)
+
+
 def run_file(path, options, as_json):
     try:
         source = Path(path).read_text()
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    try:
-        job = parse(source)
-    except (ParseError, DegreeCapExceeded) as e:
-        cert = _error_cert("%s: %s" % (type(e).__name__, e), str(path))
-        print(certificate_json(cert) if as_json else _human(cert), end="" if as_json else "\n")
-        return 2
-    cert, code = run_job(job, options)
+    job, error = _parse(source)
+    cert, code = (_error_cert(error, str(path)), 2) if error else run_job(job, options)
     print(certificate_json(cert) if as_json else _human(cert), end="" if as_json else "\n")
     return code
 
@@ -324,14 +329,10 @@ def run_corpus(directory, options, write_expected=False):
     failures = 0
     for jobfile in jobs:
         expected_file = jobfile.with_suffix(".expected.json")
-        try:
-            job = parse(jobfile.read_text())
-            cert, _ = run_job(job, options)
-            got = certificate_json(cert)
-        except (ParseError, DegreeCapExceeded) as e:
-            got = certificate_json(
-                _error_cert("%s: %s" % (type(e).__name__, e), jobfile.name)
-            )
+        job, error = _parse(jobfile.read_text())
+        got = certificate_json(
+            _error_cert(error, jobfile.name) if error else run_job(job, options)[0]
+        )
         if write_expected:
             expected_file.write_text(got)
             print("%-40s written" % jobfile.name)
@@ -369,10 +370,11 @@ def _diff_lines(expected, got, limit=12):
 
 def fmt_file(path):
     try:
-        source = Path(path).read_text()
-        job = parse(source)
-    except (OSError, ParseError) as e:
-        print("error: %s" % e, file=sys.stderr)
+        job, error = _parse(Path(path).read_text())
+    except OSError as e:
+        error = str(e)
+    if error:
+        print("error: %s" % error, file=sys.stderr)
         return 2
     sys.stdout.write(dsl.format_job(job))
     return 0

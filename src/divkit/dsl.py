@@ -10,6 +10,10 @@ dx, dy, ... for plain forms, e1, e2, ... for coframe generators (bound to a
 frame by the command that uses them).  Operators: + - * ^ (scalar power)
 and ^^ (wedge).  Rational literals are written 3/2.  Errors carry line and
 column.
+
+Each command's syntax is one `COMMANDS` entry, which both the parser and
+the printer walk; a new command is that entry plus one branch in
+`cli._dispatch`, which receives the operands in the entry's order.
 """
 
 from __future__ import annotations
@@ -30,32 +34,28 @@ class ParseError(ValueError):
         super().__init__("%d:%d: %s" % (line, col, message))
 
 
-COMMANDS = (
-    "check_poisson",
-    "divisor",
-    "classify",
-    "lift",
-    "modular",
-    "residue",
-    "modify",
-    "verify_frame",
-    "spinor",
-)
+# Each command's syntax after its name: `{kind}` is an operand read by
+# `Parser._read_operand` and printed by `value_to_source`, any other word a
+# keyword.  The command tuple is (name, operands...) in template order.
+COMMANDS = {
+    "check_poisson": "{bivector}",
+    "divisor": "{bivector}",
+    "classify": "{poly_or_ideal}",
+    "lift": "{bivector} to {frame}",
+    "modular": "{bivector}",
+    "residue": "{coform} via {flavor} on {frame}",
+    "modify": "{side} {frame} {subset} by {ideal}",
+    "verify_frame": "{frame} by {ideal}",
+    "spinor": "{coform} on {frame} via {spinor_flavor}",
+}
 
-KEYWORDS = COMMANDS + (
-    "chart",
-    "frame",
-    "ideal",
-    "custom",
-    "to",
-    "via",
-    "on",
-    "by",
-    "keep",
-    "kernel",
-    "lower",
-    "upper",
-    "output",
+# a modification's side, and the keyword before its generator subset
+_SUBSET_KEYWORD = {"lower": "keep", "upper": "kernel"}
+
+KEYWORDS = frozenset(
+    [*COMMANDS, "chart", "output", "frame", "custom", "ideal"]
+    + [w for syntax in COMMANDS.values() for w in syntax.split() if w[0] != "{"]
+    + [w for pair in _SUBSET_KEYWORD.items() for w in pair]
 )
 
 _TOKEN_RE = re.compile(
@@ -120,12 +120,11 @@ class CoframeExpr(_Graded):
 
 
 class Job:
-    __slots__ = ("chart", "definitions", "order", "command", "output")
+    __slots__ = ("chart", "definitions", "command", "output")
 
     def __init__(self):
         self.chart = None
-        self.definitions = {}
-        self.order = []
+        self.definitions = {}  # in definition order
         self.command = None
         self.output = None
 
@@ -246,7 +245,6 @@ class Parser:
         if name in self.job.definitions:
             self.fail("%r is already defined" % name, name_tok)
         self.job.definitions[name] = value
-        self.job.order.append(name)
 
     def frame_spec(self):
         kind_tok = self.expect_ident("a frame kind")
@@ -291,60 +289,42 @@ class Parser:
         return self.job.chart
 
     def command(self):
-        t = self.next()
-        name = t.text
-        if name == "check_poisson":
-            return ("check_poisson", self.expr_value(Multivector, "a bivector"))
-        if name == "divisor":
-            return ("divisor", self.expr_value(Multivector, "a bivector"))
-        if name == "classify":
-            tok = self.peek()
-            v = self.operand()
-            if isinstance(v, (int, Fraction)):
-                v = Poly.const(self.need_chart(tok), v)
-            if not isinstance(v, (Poly, DivisorIdeal)):
-                self.fail("expected an ideal or a polynomial", tok)
-            return ("classify", v)
-        if name == "lift":
-            pi = self.expr_value(Multivector, "a bivector")
-            self.expect("to")
-            fr = self.frame_operand()
-            return ("lift", pi, fr)
-        if name == "modular":
-            return ("modular", self.expr_value(Multivector, "a bivector"))
-        if name == "residue":
-            w = self.expr_value(CoframeExpr, "a coframe form")
-            self.expect("via")
-            flavor = self.expect_ident("a residue flavor").text
-            self.expect("on")
-            fr = self.frame_operand()
-            return ("residue", w, flavor, fr)
-        if name == "modify":
-            side_tok = self.next()
-            if side_tok.text not in ("lower", "upper"):
-                self.fail("expected 'lower' or 'upper'", side_tok)
-            fr = self.frame_operand()
-            key = self.next()
-            want = "keep" if side_tok.text == "lower" else "kernel"
-            if key.text != want:
-                self.fail("expected %r" % want, key)
-            idx = self.index_list()
-            self.expect("by")
-            ideal = self.ideal_operand()
-            return ("modify", side_tok.text, fr, idx, ideal)
-        if name == "verify_frame":
-            fr = self.frame_operand()
-            self.expect("by")
-            ideal = self.ideal_operand()
-            return ("verify_frame", fr, ideal)
-        if name == "spinor":
-            w = self.expr_value(CoframeExpr, "a coframe form")
-            self.expect("on")
-            fr = self.frame_operand()
-            self.expect("via")
-            flavor = self.expect_ident("'log' or 'elliptic'").text
-            return ("spinor", w, flavor, fr)
-        self.fail("unknown command %r" % name, t)
+        name = self.next().text
+        args = []
+        for word in COMMANDS[name].split():
+            if word[0] == "{":
+                args.append(self._read_operand(word[1:-1], args))
+            else:
+                self.expect(word)
+        return (name, *args)
+
+    def _read_operand(self, kind, args):
+        """One operand of the given kind; `args` holds those read before it."""
+        if kind == "bivector":
+            return self.expr_value(Multivector, "a bivector")
+        if kind == "coform":
+            return self.expr_value(CoframeExpr, "a coframe form")
+        if kind == "frame":
+            return self.frame_operand()
+        if kind == "ideal":
+            return self.ideal_operand()
+        if kind == "flavor":
+            return self.expect_ident("a residue flavor").text
+        if kind == "spinor_flavor":
+            return self.expect_ident("'log' or 'elliptic'").text
+        if kind == "side":
+            t = self.next()
+            if t.text not in _SUBSET_KEYWORD:
+                self.fail("expected 'lower' or 'upper'", t)
+            return t.text
+        if kind == "subset":
+            want = _SUBSET_KEYWORD[args[0]]
+            t = self.next()
+            if t.text != want:
+                self.fail("expected %r" % want, t)
+            return self.index_list()
+        # poly_or_ideal: a polynomial, or a named ideal
+        return self.expr_value((Poly, DivisorIdeal), "an ideal or a polynomial")
 
     def index_list(self):
         idx = []
@@ -385,26 +365,23 @@ class Parser:
         if self.peek().text == "ideal":
             self.next()
             self.expect("(")
-            gen = self.expr_value(Poly, "a polynomial")
+            v = self.expr_value(Poly, "a polynomial")
             self.expect(")")
-            try:
-                return make_ideal(gen)
-            except (ValueError, KeyError, TypeError) as e:
-                self.fail("bad ideal generator: %s" % e)
-        v = self.operand()
-        if isinstance(v, DivisorIdeal):
-            return v
-        if isinstance(v, Poly):
-            try:
-                return make_ideal(v)
-            except (ValueError, KeyError, TypeError) as e:
-                self.fail("bad ideal generator: %s" % e)
-        self.fail("expected an ideal or a polynomial")
+        else:
+            v = self.operand()
+            if isinstance(v, DivisorIdeal):
+                return v
+            if not isinstance(v, Poly):
+                self.fail("expected an ideal or a polynomial")
+        try:
+            return make_ideal(v)
+        except (ValueError, KeyError, TypeError) as e:
+            self.fail("bad ideal generator: %s" % e)
 
     def expr_value(self, cls, what):
         tok = self.peek()
         v = self.operand()
-        if cls is Poly and isinstance(v, (int, Fraction)):
+        if isinstance(v, (int, Fraction)) and issubclass(Poly, cls):
             v = Poly.const(self.need_chart(tok), v)
         if not isinstance(v, cls):
             self.fail("expected %s" % what, tok)
@@ -550,18 +527,20 @@ def parse_expression(source, chart, definitions=None):
 # ---------------------------------------------------------------------------
 
 
-def frame_to_source(frame):
-    if frame.label is not None and frame.label[0] != "product":
-        kind = frame.label[0]
-        args = ", ".join(str(a) for a in frame.label[1:])
-        return "frame %s(%s)" % (kind, args)
-    gens = "; ".join(str(g) for g in frame.generators)
-    return "frame custom(%s)" % gens
-
-
-def value_to_source(v):
+def value_to_source(v, names=None):
+    """Source text of a value.  In a command, `names` maps the id of each
+    defined value to its name: such a value prints as the name, and an
+    inline ideal as its generator, which `{ideal}` reads back.  A
+    definition (`names` None) spells an ideal `ideal(g)`."""
+    if names is not None:
+        if id(v) in names:
+            return names[id(v)]
+        if isinstance(v, DivisorIdeal):
+            return str(v.generator)
     if isinstance(v, AnchorFrame):
-        return frame_to_source(v)
+        if v.label is not None and v.label[0] != "product":
+            return "frame %s(%s)" % (v.label[0], ", ".join(str(a) for a in v.label[1:]))
+        return "frame custom(%s)" % "; ".join(str(g) for g in v.generators)
     if isinstance(v, DivisorIdeal):
         return "ideal(%s)" % v.generator
     return str(v)
@@ -570,47 +549,25 @@ def value_to_source(v):
 def format_job(job):
     """Canonical source text for a parsed job (stable under re-formatting)."""
     lines = ["chart %s;" % ", ".join(job.chart.variables)]
-    for name in job.order:
-        lines.append("%s = %s;" % (name, value_to_source(job.definitions[name])))
+    for name, v in job.definitions.items():
+        lines.append("%s = %s;" % (name, value_to_source(v)))
     if job.output:
         lines.append('output "%s";' % job.output)
-    cmd = job.command
-    # commands referencing defined names print the names back when possible
-    lines.append(command_to_source_named(job, cmd) + ";")
+    lines.append(command_to_source_named(job, job.command) + ";")
     return "\n".join(lines) + "\n"
 
 
 def command_to_source_named(job, cmd):
-    """Source text of a command, printing definition names for the values
-    that have one."""
-    names = {}
-    for name in job.order:
-        key = id(job.definitions[name])
-        names[key] = name
-
-    def ref(v):
-        return names.get(id(v)) or (
-            frame_to_source(v)
-            if isinstance(v, AnchorFrame)
-            else v.generator if isinstance(v, DivisorIdeal) else str(v)
-        )
-
-    kind = cmd[0]
-    if kind in ("check_poisson", "divisor", "modular"):
-        return "%s %s" % (kind, ref(cmd[1]))
-    if kind == "classify":
-        return "classify %s" % ref(cmd[1])
-    if kind == "lift":
-        return "lift %s to %s" % (ref(cmd[1]), ref(cmd[2]))
-    if kind == "residue":
-        return "residue %s via %s on %s" % (ref(cmd[1]), cmd[2], ref(cmd[3]))
-    if kind == "modify":
-        _, side, fr, idx, ideal = cmd
-        key = "keep" if side == "lower" else "kernel"
-        idxs = ", ".join(str(i + 1) for i in idx)
-        return "modify %s %s %s %s by %s" % (side, ref(fr), key, idxs, ref(ideal))
-    if kind == "verify_frame":
-        return "verify_frame %s by %s" % (ref(cmd[1]), ref(cmd[2]))
-    if kind == "spinor":
-        return "spinor %s on %s via %s" % (ref(cmd[1]), ref(cmd[3]), cmd[2])
-    raise ValueError("unknown command %r" % (kind,))
+    """Source text of a command, its syntax template filled with the
+    operands; a defined value prints as its name."""
+    names = {id(v): name for name, v in job.definitions.items()}
+    operands = iter(cmd[1:])
+    words = [cmd[0]]
+    for word in COMMANDS[cmd[0]].split():
+        if word == "{subset}":
+            idx = ", ".join(str(i + 1) for i in next(operands))
+            word = "%s %s" % (_SUBSET_KEYWORD[cmd[1]], idx)
+        elif word[0] == "{":
+            word = value_to_source(next(operands), names)
+        words.append(word)
+    return " ".join(words)

@@ -39,7 +39,8 @@ from .multivector import (
     schouten_bracket,
 )
 
-DEFAULT_GRID_VALUES = (-2, -1, 1, 2, 3)
+# 0 first: the first point sampled is the origin
+DEFAULT_GRID_VALUES = (0, -2, -1, 1, 2, 3)
 
 # Every warning of a sampled (heuristic) certificate ends with this marker;
 # `--strict` rejects exactly those.

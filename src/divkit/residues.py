@@ -276,9 +276,12 @@ class SpinorReport:
 
 def _plain_part(w, spec):
     """Components of a coframe 2-form free of the flavor's extracted slots,
-    pulled back to the locus sub-chart."""
+    pulled back to the locus sub-chart; 0 when the locus is too small to
+    carry a form of that degree."""
     sing = _slots(spec.frame, _TABLE[spec.flavor][2])
     sub, slot_map = _sub_chart_data(spec.frame, spec.locus)
+    if w.degree > sub.dimension:
+        return DiffForm.zero(sub)
     comps = {}
     for idx, c in w.comps.items():
         if set(idx) & sing:
@@ -343,6 +346,7 @@ def cosymplectic_spinor(omega, spec):
         rep.identities.append(
             ("Res_q(omega^2/2!) = -Res_r(omega)^Res_theta(omega)", rep.rho[0].form == lead)
         )
-    top_expected = lead.wedge(partial_pfaffian(rep.beta, n - first))
+    # beta^0/0! = 1, whatever beta is
+    top_expected = lead.wedge(partial_pfaffian(rep.beta, n - first)) if n > first else lead
     rep.identities.append((top_name, rep.rho_top.form == top_expected))
     return rep

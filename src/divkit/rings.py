@@ -663,11 +663,14 @@ def squarefree_part(f):
 
 
 def fraction_str(num, den, power=1):
-    """Print the fraction num/den^power as `(num)/(g)` or `(num)/(g)^k`.
+    """Print the fraction num/den^power in lowest terms, as `(num)/(g)`,
+    `(num)/(g)^k` or `(num)/(h)`.
 
     g is den normalized (`unit_normalized`); the rational unit den/g goes
     into the numerator, and every whole factor g of the numerator cancels,
-    so a fraction that is a polynomial prints as one."""
+    so a fraction that is a polynomial prints as one.  A factor the rest of
+    the numerator still shares with g^k is divided out of both by their
+    `poly_gcd`, leaving the normalized denominator h."""
     g = den.unit_normalized()
     num = num * _quo(1, _quo(den.leading()[1], g.leading()[1]) ** power)
     while power:
@@ -677,4 +680,8 @@ def fraction_str(num, den, power=1):
         num, power = q, power - 1
     if not power:
         return str(num)
+    gk = g**power
+    common = poly_gcd(num, gk)
+    if not common.is_constant():
+        return "(%s)/(%s)" % (exact_divide(num, common), exact_divide(gk, common))
     return "(%s)/(%s)" % (num, g) + ("^%d" % power if power > 1 else "")

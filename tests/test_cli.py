@@ -118,14 +118,21 @@ def test_strict_rejects_heuristic(tmp_path):
 
 
 def test_seed_grid_override(tmp_path):
-    # with a grid containing the origin the vanishing line section is caught
+    # the default grid starts at the origin, where this line section vanishes
     job = write(
         tmp_path,
         "g.dk",
         "chart x,y,z; pi = x*Dx^^Dy + z*Dz^^Dy; divisor pi;",
     )
+    assert run_cli(["run", str(job)]).returncode == 1
+    # this one vanishes only where x = z = 7, off the default grid
+    job = write(
+        tmp_path,
+        "g7.dk",
+        "chart x,y,z; pi = (x - 7)*Dx^^Dy + (z - 7)*Dz^^Dy; divisor pi;",
+    )
     assert run_cli(["run", str(job)]).returncode == 0
-    r = run_cli(["--seed-grid", "0,1,2", "run", str(job), "--json"])
+    r = run_cli(["--seed-grid", "7", "run", str(job), "--json"])
     assert r.returncode == 1
     assert "vanishes at sample point" in json.loads(r.stdout)["payload"]["reason"]
 
@@ -137,6 +144,10 @@ def test_degree_cap(tmp_path):
     assert r.returncode == 2
     assert "DegreeCapExceeded" in json.loads(r.stdout)["error"]
     assert run_cli(["run", str(job)]).returncode == 0
+    # dk fmt reports the overrun as dk run does, with no traceback
+    r = run_cli(["fmt", str(job)], env=env)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: DegreeCapExceeded") and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize(
@@ -163,6 +174,36 @@ def test_fmt_roundtrip(tmp_path):
     # idempotent
     again = write(tmp_path, "f2.dk", r.stdout)
     assert run_cli(["fmt", str(again)]).stdout == r.stdout
+    # command forms the corpus lacks: the printed command, which is also the
+    # certificate's `command`, then the same text again after a reparse
+    from divkit.dsl import format_job
+
+    cases = [
+        ("chart x, y; F = frame log(x); lift x^2 * Dx^^Dy to F;", "lift x^2*Dx^^Dy to F"),
+        ("chart x, y; verify_frame frame log(x) by ideal(x);", "verify_frame frame log(x) by x"),
+        (
+            "chart x, y, u; w = e1^^e2; F = frame elliptic_log(x, y);"
+            " residue w via elllog_z on F;",
+            "residue w via elllog_z on F",
+        ),
+        (
+            "chart x, y, u, v; F = frame elliptic(x, y);"
+            " spinor e1^^e3 + e2^^e4 on F via elliptic;",
+            "spinor e1^^e3 + e2^^e4 on F via elliptic",
+        ),
+        (
+            "chart x, y; F = frame tx(); I = ideal(x); modify lower F keep  by I;",
+            "modify lower F keep  by I",
+        ),
+        ("chart x, y; modify upper frame tx() kernel 1, 2 by y;", "modify upper frame tx() kernel 1, 2 by y"),
+        ("chart x, y; classify 3;", "classify 3"),
+    ]
+    for source, command in cases:
+        job = parse(source)
+        text = format_job(job)
+        assert text.endswith("\n%s;\n" % command), text
+        assert run_job(job)[0]["command"] == command
+        assert format_job(parse(text)) == text
 
 
 def test_run_job_api_residue_and_spinor():

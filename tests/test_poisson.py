@@ -97,7 +97,7 @@ def test_divisor_type_sampled_line():
 
 
 def test_divisor_type_rejects_vanishing_line():
-    from divkit.poisson import NotDivisorType
+    from divkit.poisson import NotDivisorType, sample_grid
 
     c3 = Chart(["x", "y", "z"])
     x, z = Poly.var(c3, "x"), Poly.var(c3, "z")
@@ -105,6 +105,13 @@ def test_divisor_type_rejects_vanishing_line():
     pi = (x * d[0] + z * d[2]).wedge(d[1])  # line section vanishes at x=z=0
     with pytest.raises(NotDivisorType):
         divisor_type(pi, grid_values=(0, 1, 2))
+    # the default grid's first point is the origin; it keeps 3^n points
+    y = Poly.var(c3, "y")
+    pi = d[0].wedge(y * d[1] + z * d[2])  # Poisson; vanishes on the x-axis
+    with pytest.raises(NotDivisorType, match=r"\('0', '0', '0'\)"):
+        divisor_type(pi)
+    grid = sample_grid(c3)
+    assert grid[0] == (0, 0, 0) and len(grid) == 27
 
 
 def test_lift_table():

@@ -159,6 +159,18 @@ def test_log_spinor():
     assert str(rep.beta) == "dx2^^dx3"
 
 
+def test_log_spinor_in_dimension_two():
+    # n = 1: beta is 0 on the 1-variable locus and beta^0/0! = 1, so the
+    # spinor is rho = [Res omega] and its top identity reads Res = Res
+    c2 = Chart(["x", "y"])
+    logf = catalog("log", c2, "x")
+    om = CoframeForm(logf, 2, {(0, 1): 1})
+    rep = cosymplectic_spinor(om, ResidueSpec(logf, LOG))
+    assert str(rep.beta) == "0" and str(rep.alpha) == "-dy"
+    assert [str(r) for r in rep.rho] == ["-dy"]
+    assert rep.closed and all(flag for _, flag in rep.identities)
+
+
 def test_elliptic_zero_spinor():
     ps = darboux_catalog("elliptic_zero", 6)
     cert = lift(ps, ps.advertised_frame)

@@ -147,5 +147,8 @@ def test_fraction_str_cancels_and_normalizes():
     assert fraction_str(Poly.const(C2, 1), 2 * X) == "(1/2)/(x)"
     assert fraction_str(Poly.const(C2, 1), -X) == "(-1)/(x)"
     assert fraction_str(Y, -2 * X, 2) == "(1/4*y)/(x)^2"
-    # only whole factors g cancel, not a common factor of g and the numerator
-    assert fraction_str(X + Y, -3 * (X + Y) * Y) == "(-1/3*x - 1/3*y)/(x*y + y^2)"
+    # a factor the numerator shares with g (or g^k) cancels too: lowest terms
+    assert fraction_str(X + Y, -3 * (X + Y) * Y) == "(-1/3)/(y)"
+    assert fraction_str(X, X * Y) == "(1)/(y)"
+    assert fraction_str(X * (X + 1), X * Y * (X + 1), 2) == "(1)/(x^2*y^2 + x*y^2)"
+    assert fraction_str(X * X, X * Y, 2) == "(1)/(y^2)"
