@@ -173,7 +173,7 @@ def _is_elliptic_atom(p):
     used = sorted(p.variables_used(), key=p.chart.index)
     if len(used) != 2 or p.total_degree() != 2:
         return None
-    if any(sum(e) != 2 for e in p.terms):
+    if not p.is_homogeneous():
         return None
     u, v = used
     iu, iv = p.chart.index(u), p.chart.index(v)
@@ -181,7 +181,7 @@ def _is_elliptic_atom(p):
     def coeff(eu, ev):
         e = [0] * p.chart.dimension
         e[iu], e[iv] = eu, ev
-        return p.terms.get(tuple(e), 0)
+        return p.coeff(e)
 
     a, b, c = coeff(2, 0), coeff(1, 1), coeff(0, 2)
     # matrix [[a, b/2], [b/2, c]] positive definite: a > 0 and 4 * det > 0

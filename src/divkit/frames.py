@@ -155,6 +155,8 @@ class AnchorFrame:
     __slots__ = ("chart", "generators", "det", "adj", "structure", "label")
 
     def __init__(self, chart, generators, label=None):
+        if not chart.dimension:
+            raise BadParams("a frame needs a chart of dimension at least 1")
         if len(generators) != chart.dimension:
             raise BadParams(
                 "need %d generators on %r, got %d"

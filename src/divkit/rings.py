@@ -2,10 +2,36 @@
 
 Coefficients are exact rationals, so every equality test in the engine is a
 decision, never an approximation.  Polynomials live on a fixed `Chart` (an
-ordered tuple of variable names); terms are stored as a map from exponent
-tuples to nonzero rational coefficients, with graded lexicographic order
-(leftmost variable strongest) fixing the canonical term order used for
-printing and for leading-term extraction.
+ordered tuple of variable names, empty for a point, where every polynomial
+is a constant); terms are stored as a map from packed monomials to nonzero
+rational coefficients.
+
+A monomial is packed into one Python `int` (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", 2007):
+the exponent of variable i sits in a `FIELD_BITS`-bit field, variable 0 most
+significant, and the total degree sits in one more field above them all.
+The top bit of every field is a guard bit that a stored monomial keeps
+clear, so an exponent, and the total degree, is at most `MAX_DEGREE` =
+2**31 - 1.  With this layout
+
+- integer order is graded lexicographic order (total degree first, then
+  the leftmost variable strongest), the canonical order used for printing
+  and for leading-term extraction, so `max` and `sorted` on the ints decide
+  it;
+- the monomial of a product is the sum of the two ints;
+- m is divisible by g exactly when `((m | guard) - g) & guard == guard`
+  (no field borrows from the one above, and a field keeps its guard bit
+  exactly when its exponent in m is at least that in g).
+
+Every product and power checks its total degree before it multiplies and
+raises `DegreeCapExceeded` above `MAX_DEGREE` (or above the cap
+`set_degree_cap` sets), so a carry between fields never happens.  `Poly.terms`
+is a read-only view of the terms keyed by exponent tuples, for callers that
+want them; no module outside this one reads the packed form.
+
+`exact_divide` reduces the remainder from its leading term down, popping
+the next term from a max-heap of the remainder's monomials (a stale entry,
+whose term has cancelled, is skipped), so no step rescans the remainder.
 
 A stored coefficient is an `int` when it is integral and a
 `fractions.Fraction` (denominator > 1) only when it is not; a `float` never
@@ -33,8 +59,9 @@ and `fraction_str` prints it.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt
-from operator import add, sub
+from types import MappingProxyType
 
 
 class UnknownVariable(KeyError):
@@ -66,19 +93,40 @@ def set_degree_cap(cap):
     _DEGREE_CAP = cap
 
 
-class Chart:
-    """An ordered list of distinct variable names."""
+FIELD_BITS = 32
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the guard bit stays clear
+_FIELD = (1 << FIELD_BITS) - 1
 
-    __slots__ = ("variables", "_index")
+
+def _check_degree(d):
+    """Refuse a total degree no packed monomial holds, or above the cap."""
+    if d > MAX_DEGREE:
+        raise DegreeCapExceeded("degree %d exceeds the limit %d of a monomial" % (d, MAX_DEGREE))
+    cap = _DEGREE_CAP
+    if cap is not None and d > cap:
+        raise DegreeCapExceeded("intermediate degree %d exceeds DK_MAX_DEGREE=%d" % (d, cap))
+
+
+class Chart:
+    """An ordered list of distinct variable names, with the bit layout of the
+    packed monomials over them: `_shifts[i]` is the low bit of variable i's
+    field, `_units[i]` the packed monomial of variable i itself (exponent 1
+    and total degree 1), `_degree_shift` the low bit of the degree field and
+    `_guard` the mask of the guard bits."""
+
+    __slots__ = ("variables", "_index", "_shifts", "_units", "_degree_shift", "_guard")
 
     def __init__(self, variables):
         variables = tuple(variables)
-        if not variables:
-            raise ValueError("chart needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError("chart variables must be distinct: %r" % (variables,))
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
+        n = len(variables)
+        self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._degree_shift = FIELD_BITS * n
+        self._units = tuple((1 << s) | (1 << self._degree_shift) for s in self._shifts)
+        self._guard = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts + (self._degree_shift,))
 
     @property
     def dimension(self):
@@ -94,7 +142,7 @@ class Chart:
         return var in self._index
 
     def __eq__(self, other):
-        return isinstance(other, Chart) and self.variables == other.variables
+        return self is other or isinstance(other, Chart) and self.variables == other.variables
 
     def __hash__(self):
         return hash(self.variables)
@@ -105,6 +153,24 @@ class Chart:
     def subchart(self, removed):
         kept = [v for v in self.variables if v not in removed]
         return Chart(kept)
+
+    def _pack(self, exps):
+        """The packed monomial of an exponent tuple."""
+        exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise ValueError("exponent tuple %r has wrong length" % (exps,))
+        if any(k < 0 for k in exps):
+            raise ValueError("exponent tuple %r has a negative entry" % (exps,))
+        m = sum(exps)
+        if m > MAX_DEGREE:  # the fixed limit only: DK_MAX_DEGREE caps products
+            _check_degree(m)
+        for k in exps:
+            m = (m << FIELD_BITS) | k
+        return m
+
+    def _unpack(self, m):
+        """The exponent tuple of a packed monomial."""
+        return tuple((m >> s) & _FIELD for s in self._shifts)
 
 
 def _norm(c):
@@ -126,99 +192,101 @@ def _quo(a, b):
     return _norm(Fraction(a, b))
 
 
-def _grlex(e):
-    """Sort key of the graded lexicographic term order."""
-    return (sum(e), e)
-
-
 def _normed(terms):
     """Drop the zero coefficients of an accumulated term dict and demote
     integral `Fraction`s; `int` coefficients pass untouched."""
-    return {e: c if type(c) is int else _norm(c) for e, c in terms.items() if c}
+    return {m: c if type(c) is int else _norm(c) for m, c in terms.items() if c}
 
 
 class Poly:
     """Exact multivariate polynomial over a chart."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_terms")
 
-    def __init__(self, chart, terms=None, _clean=False):
+    def __init__(self, chart, terms=None):
+        """`terms` maps exponent tuples to exact rationals."""
         self.chart = chart
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            clean = {}
-            n = chart.dimension
-            for exps, c in terms.items():
-                if len(exps) != n:
-                    raise ValueError("exponent tuple %r has wrong length" % (exps,))
-                c = _norm(c)
-                if c:
-                    clean[tuple(exps)] = c
-            self.terms = clean
+        self._terms = {}
+        for exps, c in (terms or {}).items():
+            c = _norm(c)
+            if c:
+                self._terms[chart._pack(exps)] = c
+
+    @classmethod
+    def _make(cls, chart, terms):
+        """A Poly over a packed term dict whose coefficients are stored
+        forms, none of them zero."""
+        p = object.__new__(cls)
+        p.chart = chart
+        p._terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, chart):
-        return cls(chart, {}, _clean=True)
+        return cls._make(chart, {})
 
     @classmethod
     def const(cls, chart, c):
         c = _norm(c)
-        if not c:
-            return cls.zero(chart)
-        return cls(chart, {(0,) * chart.dimension: c}, _clean=True)
+        return cls._make(chart, {0: c} if c else {})
 
     @classmethod
     def var(cls, chart, name):
-        i = chart.index(name)
-        e = [0] * chart.dimension
-        e[i] = 1
-        return cls(chart, {tuple(e): 1}, _clean=True)
+        return cls._make(chart, {chart._units[chart.index(name)]: 1})
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only map from exponent tuples to coefficients."""
+        exps = map(self.chart._unpack, self._terms)
+        return MappingProxyType(dict(zip(exps, self._terms.values())))
+
+    def coeff(self, exps):
+        """The coefficient of the monomial with the given exponent tuple."""
+        return self._terms.get(self.chart._pack(exps), 0)
+
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self._terms)  # the constant monomial packs to 0
+
+    def is_homogeneous(self):
+        shift = self.chart._degree_shift
+        return len({m >> shift for m in self._terms}) <= 1
 
     def constant_value(self):
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial: %s" % self)
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self._terms.get(0, 0))
 
     def total_degree(self):
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> self.chart._degree_shift
 
     def degree_in(self, var):
-        i = self.chart.index(var)
-        if not self.terms:
+        s = self.chart._shifts[self.chart.index(var)]
+        if not self._terms:
             return -1
-        return max(e[i] for e in self.terms)
+        return max((m >> s) & _FIELD for m in self._terms)
 
     def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.chart.variables[i])
-        return used
+        seen = 0
+        for m in self._terms:
+            seen |= m
+        chart = self.chart
+        return {v for v, s in zip(chart.variables, chart._shifts) if (seen >> s) & _FIELD}
 
     def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        """(exponent tuple, coefficient) of the graded-lex leading term."""
+        if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        m = max(self._terms)
+        return self.chart._unpack(m), self._terms[m]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -226,30 +294,37 @@ class Poly:
         if self.chart != other.chart:
             raise ChartMismatch("%r vs %r" % (self.chart, other.chart))
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a Poly on this chart, or None when it is neither a Poly
+        nor an exact rational."""
+        if isinstance(other, Poly):
+            self._check(other)
+            return other
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
-        elif not isinstance(other, Poly):
+            return Poly.const(self.chart, other)
+        return None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, 0) + c
+        res = dict(self._terms)
+        for m, c in other._terms.items():
+            s = res.get(m, 0) + c
             if not s:
-                del res[e]
+                del res[m]
             else:
-                res[e] = s if type(s) is int else _norm(s)
-        return Poly(self.chart, res, _clean=True)
+                res[m] = s if type(s) is int else _norm(s)
+        return Poly._make(self.chart, res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return Poly._make(self.chart, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
-        elif not isinstance(other, Poly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -257,31 +332,32 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _norm(other)
-            return Poly(self.chart, _normed({e: k * c for e, k in self.terms.items()}), _clean=True)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _norm(other)
+            return Poly._make(self.chart, _normed({m: k * c for m, k in self._terms.items()}))
         self._check(other)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return Poly.zero(self.chart)
+        shift = self.chart._degree_shift
+        _check_degree((max(a) >> shift) + (max(b) >> shift))
         res = {}
         get = res.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                res[e] = get(e, 0) + c1 * c2
-        p = Poly(self.chart, _normed(res), _clean=True)
-        cap = _DEGREE_CAP
-        if cap is not None and p.total_degree() > cap:
-            raise DegreeCapExceeded(
-                "intermediate degree %d exceeds DK_MAX_DEGREE=%d" % (p.total_degree(), cap)
-            )
-        return p
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+        return Poly._make(self.chart, _normed(res))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be non-negative integers")
+        if k and self._terms:
+            _check_degree(self.total_degree() * k)
         out = Poly.const(self.chart, 1)
         base = self
         while k:
@@ -292,109 +368,110 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.chart, other)
+        return self.chart == other.chart and self._terms == other._terms
 
     __hash__ = None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var):
         """Exact formal partial derivative with respect to a chart variable."""
         i = self.chart.index(var)
+        s, unit = self.chart._shifts[i], self.chart._units[i]
         res = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            res[tuple(ne)] = c * e[i]
-        return Poly(self.chart, _normed(res), _clean=True)
+        for m, c in self._terms.items():
+            k = (m >> s) & _FIELD
+            if k:
+                res[m - unit] = c * k
+        return Poly._make(self.chart, _normed(res))
 
     def evaluate(self, point):
         """Evaluate at a rational point (int or Fraction coordinates) given as
         a dict or a full tuple; the value is a `Fraction`."""
-        variables = self.chart.variables
+        chart = self.chart
         if not isinstance(point, dict):
-            point = dict(zip(variables, point))
+            point = dict(zip(chart.variables, point))
         point = {v: _norm(x) for v, x in point.items()}
+        seen = 0
+        for m in self._terms:
+            seen |= m
+        used = [
+            (s, point[v]) for v, s in zip(chart.variables, chart._shifts) if (seen >> s) & _FIELD
+        ]
         total = 0
-        for e, c in self.terms.items():
-            for i, k in enumerate(e):
+        for m, c in self._terms.items():
+            for s, x in used:
+                k = (m >> s) & _FIELD
                 if k:
-                    c *= point[variables[i]] ** k
+                    c *= x**k
             total += c
         return Fraction(total)
 
     def substitute_zero(self, names):
         """Set the given variables to 0 (result stays on the same chart)."""
-        idx = [self.chart.index(v) for v in names]
-        res = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in idx):
-                continue
-            res[e] = c
-        return Poly(self.chart, res, _clean=True)
+        chart = self.chart
+        mask = 0
+        for v in names:
+            mask |= _FIELD << chart._shifts[chart.index(v)]
+        return Poly._make(chart, {m: c for m, c in self._terms.items() if not m & mask})
 
     def restrict(self, subchart):
         """Move to a subchart; variables not in it must not occur."""
-        pos = []
-        for v in subchart.variables:
-            pos.append(self.chart.index(v))
-        keep = set(pos)
+        pos = [self.chart.index(v) for v in subchart.variables]
+        if not self.variables_used() <= set(subchart.variables):
+            raise ValueError("polynomial %s uses variables outside %r" % (self, subchart))
+        unpack, pack = self.chart._unpack, subchart._pack
         res = {}
-        for e, c in self.terms.items():
-            if any(k and i not in keep for i, k in enumerate(e)):
-                raise ValueError("polynomial %s uses variables outside %r" % (self, subchart))
-            res[tuple(e[i] for i in pos)] = c
-        return Poly(subchart, res, _clean=True)
+        for m, c in self._terms.items():
+            e = unpack(m)
+            res[pack(e[i] for i in pos)] = c
+        return Poly._make(subchart, res)
 
     # -- normalization -----------------------------------------------------
 
     def content(self):
         """Positive rational c with self/c integral, primitive; sign from the
         leading coefficient is NOT included (see `unit_normalized`)."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         num = 0
         den = 1
-        for c in self.terms.values():
+        for c in self._terms.values():
             num = int_gcd(num, abs(c.numerator))
             den = den * c.denominator // int_gcd(den, c.denominator)
         return Fraction(num, den)
 
     def unit_normalized(self):
         """Divide by content and flip sign so the leading coefficient is positive."""
-        if not self.terms:
+        if not self._terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         c = _norm(self.content())
-        _, lc = self.leading()
-        if lc < 0:
+        if self._terms[max(self._terms)] < 0:
             c = -c
-        return Poly(self.chart, {e: _quo(k, c) for e, k in self.terms.items()}, _clean=True)
+        return Poly._make(self.chart, {m: _quo(k, c) for m, k in self._terms.items()})
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
-
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
+        named = list(zip(self.chart.variables, self.chart._shifts))
         parts = []
-        for e, c in self.sorted_terms():
+        for m, c in sorted(self._terms.items(), reverse=True):
             factors = []
-            for i, k in enumerate(e):
+            for v, s in named:
+                k = (m >> s) & _FIELD
                 if k == 1:
-                    factors.append(self.chart.variables[i])
+                    factors.append(v)
                 elif k > 1:
-                    factors.append("%s^%d" % (self.chart.variables[i], k))
+                    factors.append("%s^%d" % (v, k))
             mag = abs(c)
             if not factors:
                 body = str(mag)
@@ -424,7 +501,10 @@ def exact_divide(f, g):
 
     A single polynomial is a Groebner basis of the ideal it generates, so
     leading-term reduction decides membership: the first irreducible leading
-    term certifies non-divisibility.
+    term certifies non-divisibility.  The remainder's terms are reduced in
+    decreasing order, each popped from a max-heap of negated packed
+    monomials; a monomial enters the heap when it enters the remainder, and
+    a popped monomial whose term has since cancelled is skipped.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -432,45 +512,53 @@ def exact_divide(f, g):
     chart = f.chart
     if f.is_zero():
         return Poly.zero(chart)
-    ge, gc = g.leading()
-    g_terms = list(g.terms.items())
+    guard = chart._guard
+    gm = max(g._terms)
+    gc = g._terms[gm]
+    g_tail = [(m, c) for m, c in g._terms.items() if m != gm]
     q = {}
-    r = dict(f.terms)  # the remainder, reduced in place
-    while r:
-        re = max(r, key=_grlex)
-        qe = tuple(map(sub, re, ge))
-        if min(qe) < 0:
-            return None
-        qc = _quo(r[re], gc)
-        q[qe] = qc
-        for e, c in g_terms:
-            e = tuple(map(add, qe, e))
-            s = r.get(e, 0) - qc * c
-            if not s:
-                del r[e]
+    r = dict(f._terms)  # the remainder, reduced in place
+    heap = [-m for m in r]
+    heapify(heap)
+    while heap:
+        rm = -heappop(heap)
+        rc = r.pop(rm, 0)
+        if not rc:
+            continue  # cancelled after it was pushed
+        if ((rm | guard) - gm) & guard != guard:
+            return None  # some exponent of rm is below that of g's leading term
+        qm = rm - gm
+        qc = _quo(rc, gc)
+        q[qm] = qc
+        for m, c in g_tail:
+            m += qm
+            s = r.get(m)
+            if s is None:
+                s = -qc * c
+                heappush(heap, -m)
             else:
-                r[e] = s if type(s) is int else _norm(s)
-    return Poly(chart, q, _clean=True)
+                s -= qc * c
+                if not s:
+                    del r[m]
+                    continue
+            r[m] = s if type(s) is int else _norm(s)
+    return Poly._make(chart, q)
 
 
 def _univar_view(f, i):
     """View f as univariate in variable i: dict degree -> coefficient Poly
     (the coefficient polys keep the full chart with slot i zeroed)."""
+    s, unit = f.chart._shifts[i], f.chart._units[i]
     out = {}
-    for e, c in f.terms.items():
-        ne = list(e)
-        ne[i] = 0
-        out.setdefault(e[i], {})[tuple(ne)] = c  # distinct terms of f stay distinct
-    return {d: Poly(f.chart, t, _clean=True) for d, t in out.items()}
+    for m, c in f._terms.items():
+        k = (m >> s) & _FIELD
+        out.setdefault(k, {})[m - k * unit] = c  # distinct terms of f stay distinct
+    return {d: Poly._make(f.chart, t) for d, t in out.items()}
 
 
 def _shift_mul(p, i, d):
-    res = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[i] += d
-        res[tuple(ne)] = c
-    return Poly(p.chart, res, _clean=True)
+    step = d * p.chart._units[i]
+    return Poly._make(p.chart, {m + step: c for m, c in p._terms.items()})
 
 
 def _pseudo_rem(a, b, i):
@@ -524,15 +612,15 @@ def _heu_gcd(f, g):
     max norms of the primitive parts (CGG Theorem 1), and (2) the primitive
     candidate is accepted only if it divides both primitive parts exactly.
     """
-    cf, cg = int_gcd(*f.terms.values()), int_gcd(*g.terms.values())
+    cf, cg = int_gcd(*f._terms.values()), int_gcd(*g._terms.values())
     c = int_gcd(cf, cg)
     chart = f.chart
     if f.is_constant() or g.is_constant():
         return Poly.const(chart, c)
-    f = Poly(chart, {e: k // cf for e, k in f.terms.items()}, _clean=True)
-    g = Poly(chart, {e: k // cg for e, k in g.terms.items()}, _clean=True)
+    f = Poly._make(chart, {m: k // cf for m, k in f._terms.items()})
+    g = Poly._make(chart, {m: k // cg for m, k in g._terms.items()})
     i = max(chart.index(v) for v in f.variables_used() | g.variables_used())
-    norm = min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values())))
+    norm = min(max(map(abs, f._terms.values())), max(map(abs, g._terms.values())))
     xi = 2 * norm + 29  # also >= 3, so the balanced digits terminate
     for _ in range(HEU_GCD_MAX):
         ff, gg = _eval_at(f, i, xi), _eval_at(g, i, xi)
@@ -548,33 +636,35 @@ def _heu_gcd(f, g):
 
 
 def _eval_at(p, i, xi):
-    """p with variable i set to the integer xi (slot i of every exponent 0)."""
+    """p with variable i set to the integer xi (its exponent 0 in every term)."""
+    s, unit = p.chart._shifts[i], p.chart._units[i]
     res = {}
-    for e, c in p.terms.items():
-        k = e[i]
+    for m, c in p._terms.items():
+        k = (m >> s) & _FIELD
         if k:
-            e = e[:i] + (0,) + e[i + 1:]
+            m -= k * unit
             c *= xi**k
-        res[e] = res.get(e, 0) + c
-    return Poly(p.chart, {e: c for e, c in res.items() if c}, _clean=True)
+        res[m] = res.get(m, 0) + c
+    return Poly._make(p.chart, {m: c for m, c in res.items() if c})
 
 
 def _interpolate(h, i, xi):
     """The polynomial in variable i whose coefficients are the balanced
-    xi-adic digits, in (-xi/2, xi/2], of the coefficients of h."""
+    xi-adic digits, in (-xi/2, xi/2], of the coefficients of h (which does
+    not involve variable i)."""
     half = xi // 2
+    unit = h.chart._units[i]
     res = {}
-    for e, c in h.terms.items():
-        k = 0
+    for m, c in h._terms.items():
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                res[e[:i] + (k,) + e[i + 1:]] = d
+                res[m] = d
             c = (c - d) // xi
-            k += 1
-    return Poly(h.chart, res, _clean=True)
+            m += unit
+    return Poly._make(h.chart, res)
 
 
 def _prs_gcd(f, g):

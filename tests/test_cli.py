@@ -150,6 +150,15 @@ def test_degree_cap(tmp_path):
     assert r.stderr.startswith("error: DegreeCapExceeded") and "Traceback" not in r.stderr
 
 
+def test_degree_past_the_monomial_limit_is_an_error(tmp_path):
+    # total degree 2^31 does not fit a packed monomial: the power is refused
+    # before it multiplies, with no cap set
+    job = write(tmp_path, "big.dk", "chart x; p = x^2147483648; classify p;")
+    r = run_cli(["run", str(job)], timeout=30)
+    assert r.returncode == 2
+    assert "error: DegreeCapExceeded" in r.stdout
+
+
 @pytest.mark.parametrize(
     "body", ["p = x^3 * x^3; classify p;", "F = frame custom(x^3*Dx; y^3*Dy);"]
 )

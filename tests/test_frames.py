@@ -370,3 +370,13 @@ def test_algebroid_d_matches_koszul(rng):
                     expected = expected - c * val(m, i)
                 got = dom.comps.get((i, j, k), Poly.zero(frame.chart))
                 assert got == expected, (frame.label, i, j, k)
+
+
+def test_frame_on_a_point_is_refused():
+    # a chart may have no variables, but a frame on it anchors nothing
+    from divkit.cli import frame_from_payload
+
+    with pytest.raises(BadParams):
+        AnchorFrame(Chart([]), [])
+    with pytest.raises(BadParams):
+        frame_from_payload({"chart": [], "generators": []})

@@ -249,3 +249,13 @@ def test_elllog_z_residue_follows_the_variable_order(rng):
         "form": str(want),
         "twisted": True,
     }
+
+
+def test_elliptic_residue_on_a_point():
+    # on a 2-variable chart the elliptic locus {x = y = 0} is a point, whose
+    # chart has no variables: the residue there is the constant 1
+    job = parse("chart x, y; w = e1^^e2; residue w via elliptic_q on frame elliptic(x, y);")
+    cert, code = run_job(job)
+    assert code == 0 and cert["verdict"] == "ok"
+    result = cert["payload"]["result"]
+    assert result == {"kind": "plain", "chart": [], "form": "1", "twisted": False}

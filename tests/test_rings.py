@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from divkit.rings import (
+    MAX_DEGREE,
     Chart,
+    DegreeCapExceeded,
     Poly,
     UnknownVariable,
     ZeroPolynomial,
@@ -152,3 +154,40 @@ def test_fraction_str_cancels_and_normalizes():
     assert fraction_str(X, X * Y) == "(1)/(y)"
     assert fraction_str(X * (X + 1), X * Y * (X + 1), 2) == "(1)/(x^2*y^2 + x*y^2)"
     assert fraction_str(X * X, X * Y, 2) == "(1)/(y^2)"
+
+
+def test_degree_limit_is_an_error():
+    # a monomial holds total degree up to 2^31 - 1; past it a power or a
+    # product raises before it multiplies, so no field carries into the next
+    top = X**MAX_DEGREE
+    assert top.total_degree() == MAX_DEGREE and str(top) == "x^2147483647"
+    assert exact_divide(top, X**(MAX_DEGREE - 1)) == X
+    with pytest.raises(DegreeCapExceeded):
+        X ** 2**31
+    with pytest.raises(DegreeCapExceeded):
+        top * Y
+    with pytest.raises(DegreeCapExceeded):
+        X**2**30 * Y**2**30
+    with pytest.raises(DegreeCapExceeded):
+        Poly(C2, {(2**31, 0): 1})
+    assert (top * 0).is_zero() and (top**0) == 1
+
+
+def test_term_view_reads_exponent_tuples():
+    p = 3 * X**2 * Y - Fraction(1, 2)
+    assert dict(p.terms) == {(2, 1): 3, (0, 0): Fraction(-1, 2)}
+    assert p.terms[(2, 1)] == 3 and (1, 1) not in p.terms and len(p.terms) == 2
+    assert p.coeff((2, 1)) == 3 and p.coeff((5, 0)) == 0
+    assert p.leading() == ((2, 1), 3)
+    assert (X * Y + Y * Y).is_homogeneous() and not p.is_homogeneous()
+
+
+def test_chart_without_variables():
+    # the chart of a point: every polynomial on it is a constant
+    pt = Chart([])
+    three = Poly.const(pt, 3)
+    assert pt.dimension == 0 and three.is_constant() and three.total_degree() == 0
+    assert three == Poly(pt, {(): 3}) and str(three * three - 1) == "8"
+    assert exact_divide(Poly.const(pt, 6), three) == 2
+    assert three.evaluate(()) == 3 and three.variables_used() == set()
+    assert three.unit_normalized() == 1 and Chart(()).subchart(()) == pt

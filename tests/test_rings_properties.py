@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from divkit import rings  # noqa: E402
 from divkit.rings import (  # noqa: E402
+    MAX_DEGREE,
     Chart,
+    DegreeCapExceeded,
     Poly,
     _prs_gcd,
     exact_divide,
@@ -205,3 +207,83 @@ def test_poly_gcd_of_degree_five_divisor_factors():
     b = x + 2 * y**3 * z**2 - y**4 * z + z**5 - 2 * y * z + y**2 + 2
     assert poly_gcd(a * c, b * c) == c
     assert poly_gcd(a * a * c, a * b * c) == a * c
+
+
+# -- packed monomials ---------------------------------------------------------
+
+
+@st.composite
+def exponent_tuples(draw, n, max_degree=MAX_DEGREE):
+    """Exponent tuples of total degree at most max_degree, so that single
+    fields near 2^31 - 1 and spread-out degrees both occur."""
+    left = draw(st.integers(0, max_degree))
+    exps = []
+    for _ in range(n):
+        k = draw(st.integers(0, left))
+        exps.append(k)
+        left -= k
+    return tuple(draw(st.permutations(exps)))
+
+
+@kernel_settings
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(exponent_tuples(n), exponent_tuples(n))))
+def test_pack_round_trips_and_orders_by_grlex(case):
+    e1, e2 = case
+    n = len(e1)
+    chart = Chart(["x%d" % i for i in range(n)])
+    m1, m2 = chart._pack(e1), chart._pack(e2)
+    assert chart._unpack(m1) == e1 and chart._unpack(m2) == e2
+    assert (m1 < m2) == ((sum(e1), e1) < (sum(e2), e2))
+    assert (m1 == m2) == (e1 == e2)
+    total = tuple(a + b for a, b in zip(e1, e2))
+    if sum(total) <= MAX_DEGREE:
+        assert m1 + m2 == chart._pack(total)
+    else:
+        with pytest.raises(DegreeCapExceeded):
+            chart._pack(total)
+
+
+@kernel_settings
+@given(exponent_tuples(3, MAX_DEGREE // 2), exponent_tuples(3, MAX_DEGREE // 2))
+def test_monomial_divisibility_by_guard_bits(e, g):
+    # exact division of monomials with exponents up to 2^30: divisible
+    # exactly when no field of the quotient would be negative
+    f, d = Poly(CHART3, {e: 3}), Poly(CHART3, {g: 2})
+    q = exact_divide(f, d)
+    if all(a >= b for a, b in zip(e, g)):
+        assert q == Poly(CHART3, {tuple(a - b for a, b in zip(e, g)): Fraction(3, 2)})
+    else:
+        assert q is None
+
+
+@st.composite
+def one_field_short(draw, chart=CHART3):
+    """(f, g) where the leading monomial of f has exactly one exponent below
+    that of g's leading monomial and every other one at or above it."""
+    g = draw(nonzero_polys(2, 4, chart).filter(lambda p: not p.is_constant()))
+    a = draw(polys(1, 3, chart))
+    ge = g.leading()[0]
+    j = draw(st.sampled_from([i for i, k in enumerate(ge) if k]))
+    k = draw(st.sampled_from([i for i in range(len(ge)) if i != j]))
+    te = [e + draw(st.integers(0, 1)) for e in ge]
+    te[j] = draw(st.integers(0, ge[j] - 1))
+    te[k] += max(a.total_degree(), 0) + 1 + ge[j] - te[j]  # t leads a*g + t
+    return a * g + Poly(chart, {tuple(te): draw(coefficients.filter(bool))}), g
+
+
+@kernel_settings
+@given(one_field_short())
+def test_exact_divide_one_field_short_against_sympy(case):
+    f, g = case
+    _, rem = sympy.div(to_sympy(f), to_sympy(g))
+    assert not rem.is_zero
+    assert exact_divide(f, g) is None
+
+
+@kernel_settings
+@given(polys(3, 5, CHART3), nonzero_polys(2, 4, CHART3))
+def test_exact_divide_recovers_the_cofactor(a, g):
+    f = a * g
+    q = exact_divide(f, g)
+    assert q is not None and q * g == f
+    assert_same(q, to_sympy(a))
