@@ -46,7 +46,6 @@ from .frames import (
     verify_ideal_algebroid,
 )
 from .poisson import (
-    PoissonStruct,
     check_poisson,
     darboux_catalog,
     degeneracy_ideals,
@@ -54,7 +53,6 @@ from .poisson import (
     hamiltonian_vf,
     lift,
     modular_foliation_report,
-    modular_shift,
     modular_vf,
     poisson_bracket,
     poisson_vf_check,

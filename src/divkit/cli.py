@@ -2,9 +2,9 @@
 
 Exit codes: 0 for a positive verdict, 1 for a negative one (a failed check,
 a non-liftable bivector, a corpus mismatch), 2 for errors (parse errors,
-bad arguments, degree-cap overruns).  Certificates are canonical JSON:
-fixed key order, canonical term order in every printed value, so runs are
-byte-stable.  `--strict` turns any certificate carrying a heuristic warning
+bad arguments, degree-cap overruns, internal errors).  Certificates are
+canonical JSON: fixed key order, canonical term order in every printed
+value, so runs are byte-stable.  `--strict` turns any certificate carrying a heuristic warning
 (sampled line or nondegeneracy evidence) into an error; other warnings, such
 as a divisor job's non-Poisson input, leave an exact certificate alone.
 """
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import dsl
-from .rings import DegreeCapExceeded, set_degree_cap
+from .rings import DegreeCapExceeded, InternalError, set_degree_cap
 from .divisors import DivisorIdeal, classify, make_ideal
 from .dsl import ParseError, parse
 from .frames import (
@@ -296,11 +296,12 @@ def _error_cert(message, source_name):
 
 
 def _parse(source):
-    """(job, None), or (None, error text) when the source does not parse or
-    parsing overruns the degree cap."""
+    """(job, None), or (None, error text) when the source does not parse,
+    parsing overruns the degree cap, or an invariant fails while the job's
+    frames are certified."""
     try:
         return parse(source), None
-    except (ParseError, DegreeCapExceeded) as e:
+    except (ParseError, DegreeCapExceeded, InternalError) as e:
         return None, "%s: %s" % (type(e).__name__, e)
 
 

@@ -190,12 +190,15 @@ def _is_elliptic_atom(p):
     return None
 
 
-def _linear_candidates(chart, extra):
-    cands = [Poly.var(chart, v) for v in chart.variables]
-    for p in extra or []:
-        if _is_linear_atom(p):
-            cands.append(p)
-    return cands
+def _divide_out(residual, p):
+    """(residual / p^mult, mult) for the largest mult with p^mult | residual."""
+    mult = 0
+    while True:
+        q = exact_divide(residual, p)
+        if q is None:
+            return residual, mult
+        residual = q
+        mult += 1
 
 
 def classify(ideal, candidates=None):
@@ -208,16 +211,18 @@ def classify(ideal, candidates=None):
     residual = gen
     atoms = []
 
-    for cand in _linear_candidates(chart, candidates):
-        mult = 0
-        while True:
-            q = exact_divide(residual, cand)
-            if q is None:
-                break
-            residual = q
-            mult += 1
+    # a coordinate's whole power comes off in one division
+    for v in chart.variables:
+        mult = residual.order_in(v)
         if mult:
-            atoms.append((Atom(Atom.LOG, cand.unit_normalized()), mult))
+            x = Poly.var(chart, v)
+            residual = exact_divide(residual, x**mult)
+            atoms.append((Atom(Atom.LOG, x), mult))
+    for cand in candidates or []:
+        if _is_linear_atom(cand):
+            residual, mult = _divide_out(residual, cand)
+            if mult:
+                atoms.append((Atom(Atom.LOG, cand.unit_normalized()), mult))
 
     # whole residual itself linear
     if _is_linear_atom(residual):
@@ -232,15 +237,9 @@ def classify(ideal, candidates=None):
         if _is_elliptic_atom(sq) and all(sq != p for p in ell_cands):
             ell_cands.append(sq)
     for p in ell_cands:
-        pair = _is_elliptic_atom(p)
-        mult = 0
-        while True:
-            q = exact_divide(residual, p)
-            if q is None:
-                break
-            residual = q
-            mult += 1
+        residual, mult = _divide_out(residual, p)
         if mult:
+            pair = _is_elliptic_atom(p)
             atoms.append((Atom(Atom.ELLIPTIC, p.unit_normalized(), pair), mult))
 
     if not residual.is_constant():

@@ -18,7 +18,7 @@ extended to coframe forms as a graded derivation.
 from __future__ import annotations
 
 from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_str
-from .divisors import DivisorClass, classify, make_ideal, preserves
+from .divisors import DivisorClass, classify, divides_ideal, make_ideal, preserves
 from .multivector import (
     Multivector,
     _accumulate,
@@ -123,6 +123,17 @@ def poly_adjugate(m):
         memo.clear()
         memo.update(tails)
     return adj
+
+
+def invert_antisym(m):
+    """Exact inverse of an antisymmetric Poly matrix with constant nonzero
+    determinant (all the catalog dual forms have one)."""
+    det = poly_det(m)
+    if not det.is_constant() or det.is_zero():
+        raise BadParams("matrix inversion needs a constant nonzero determinant")
+    c = det.constant_value()
+    adj = poly_adjugate(m)
+    return [[adj[i][j] * (1 / c) for j in range(len(m))] for i in range(len(m))]
 
 
 def mat_mul(a, b):
@@ -570,15 +581,12 @@ def verify_ideal_algebroid(frame, ideal):
     standard = fd == ideal
     if standard:
         relation = "frame divisor %s equals the ideal" % fd
+    elif divides_ideal(fd, ideal):
+        relation = "frame divisor %s divides %s" % (fd, ideal)
+    elif divides_ideal(ideal, fd):
+        relation = "%s divides the frame divisor %s" % (ideal, fd)
     else:
-        from .divisors import divides_ideal
-
-        if divides_ideal(fd, ideal):
-            relation = "frame divisor %s divides %s" % (fd, ideal)
-        elif divides_ideal(ideal, fd):
-            relation = "%s divides the frame divisor %s" % (ideal, fd)
-        else:
-            relation = "frame divisor %s unrelated to %s" % (fd, ideal)
+        relation = "frame divisor %s unrelated to %s" % (fd, ideal)
     return FrameIdealReport(
         frame, ideal, all(ok for ok, _ in certs), certs, standard, relation
     )

@@ -23,14 +23,14 @@ from .frames import (
     NotInModule,
     catalog,
     expand_in_frame,
+    invert_antisym,
     mat_mul,
     mat_transpose,
-    poly_adjugate,
-    poly_det,
     pushforward,
 )
 from .multivector import (
     DegreeMismatch,
+    DiffForm,
     Multivector,
     bivector_from_matrix,
     bivector_matrix,
@@ -60,36 +60,12 @@ class NotLiftable(ValueError):
         )
 
 
-class ConventionCheckFailed(AssertionError):
+class ConventionCheckFailed(InternalError):
     pass
-
-
-class PoissonStruct:
-    """A bivector with its cached jacobiator."""
-
-    __slots__ = ("pi", "jacobiator", "label", "advertised_frame", "advertised_class")
-
-    def __init__(self, pi, label=None):
-        if pi.degree != 2:
-            raise DegreeMismatch("a Poisson structure is a bivector")
-        self.pi = pi
-        self.jacobiator = schouten_bracket(pi, pi)
-        self.label = label
-        self.advertised_frame = None
-        self.advertised_class = None
-
-    @property
-    def is_poisson(self):
-        return self.jacobiator.is_zero()
-
-    def __str__(self):
-        return str(self.pi)
 
 
 def check_poisson(pi):
     """(ok, jacobiator) -- exact zero test of [pi, pi]."""
-    if isinstance(pi, PoissonStruct):
-        return pi.is_poisson, pi.jacobiator
     if pi.degree != 2:
         raise DegreeMismatch("check_poisson expects a bivector")
     jac = schouten_bracket(pi, pi)
@@ -173,11 +149,6 @@ def divisor_type(pi, grid_values=None):
     part W with pi^m/m! = g*W.  The line condition is exact when W has
     constant components, otherwise certified on a deterministic sample grid
     and flagged as heuristic."""
-    if isinstance(pi, PoissonStruct):
-        ps = pi
-        pi = ps.pi
-    else:
-        ps = None
     if pi.degree != 2:
         raise DegreeMismatch("expected a bivector")
     warnings = []
@@ -252,8 +223,6 @@ class LiftCertificate:
 def lift(pi, frame, grid_values=None):
     """Solve pi = rho pi_A rho^T exactly; liftable iff every entry of
     adj(rho) Pi adj(rho)^T is divisible by det(rho)^2."""
-    if isinstance(pi, PoissonStruct):
-        pi = pi.pi
     if pi.chart != frame.chart:
         raise ChartMismatch("bivector and frame on different charts")
     if pi.degree != 2:
@@ -315,8 +284,6 @@ def lift(pi, frame, grid_values=None):
 
 def hamiltonian_vf(pi, f):
     """pi^#(df) with pi^#(alpha) = pi(alpha, .); equals -[pi, f]."""
-    if isinstance(pi, PoissonStruct):
-        pi = pi.pi
     return -schouten_bracket(pi, Multivector.function(f))
 
 
@@ -327,47 +294,26 @@ def poisson_bracket(pi, f, g):
 
 def poisson_vf_check(pi, v):
     """Exact zero test of L_v pi."""
-    if isinstance(pi, PoissonStruct):
-        pi = pi.pi
     return lie_derivative(v, pi).is_zero()
 
 
 def _coordinate_volume(chart):
-    from .multivector import DiffForm
-
     n = chart.dimension
     return DiffForm(chart, n, {tuple(range(n)): Poly.const(chart, 1)})
 
 
-def modular_vf(pi, volume_factor=None):
-    """Modular vector field for the coordinate volume (optionally rescaled
-    by a positive rational constant, which leaves it unchanged).
+def modular_vf(pi):
+    """Modular vector field for the coordinate volume mu.
 
     The sign convention is anchored to the plane example
     f*Dx^^Dy |-> (df/dx) Dy - (df/dy) Dx; the defining property
     L_{pi^#(df)} mu = -(L_V f) mu is re-verified for every coordinate
-    function before returning.  For a non-constant polynomial volume factor
-    see `modular_shift`.
+    function before returning.  A constant rescaling of mu leaves V
+    unchanged; mu -> g*mu shifts it by hamiltonian_vf(pi, g)/g.
     """
-    if isinstance(pi, PoissonStruct):
-        ps = pi
-        pi = ps.pi
-        if not ps.is_poisson:
-            raise BadParams("modular field requires a Poisson bivector")
-    else:
-        ok, _ = check_poisson(pi)
-        if not ok:
-            raise BadParams("modular field requires a Poisson bivector")
-    if volume_factor is not None:
-        if isinstance(volume_factor, Poly):
-            if not volume_factor.is_constant():
-                raise BadParams(
-                    "non-constant volume factors change the field by a fraction; "
-                    "use modular_shift for the exact polynomial statement"
-                )
-            volume_factor = volume_factor.constant_value()
-        if Fraction(volume_factor) <= 0:
-            raise BadParams("volume factor must be positive")
+    ok, _ = check_poisson(pi)
+    if not ok:
+        raise BadParams("modular field requires a Poisson bivector")
     chart = pi.chart
     m = bivector_matrix(pi)
     coeffs = []
@@ -389,15 +335,6 @@ def modular_vf(pi, volume_factor=None):
                 "modular defining property failed for coordinate %s" % var
             )
     return v
-
-
-def modular_shift(pi, g):
-    """Polynomial shift datum for a volume rescaling mu -> g*mu: the modular
-    field changes by W/g with W = pi^#(dg) in this engine's sharp convention
-    (equal to minus the sharp of the opposite slot convention)."""
-    if isinstance(pi, PoissonStruct):
-        pi = pi.pi
-    return hamiltonian_vf(pi, g)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +365,12 @@ class ModularFoliationReport:
         return not self.failures
 
 
-def modular_foliation_report(pi, frame, lift_cert=None, grid_values=None):
+def modular_foliation_report(pi, frame):
     """Certify F_pi <= F_mod <= F_A for a lifted Poisson structure:
     coordinate Hamiltonian fields and the modular field must expand in the
     frame with polynomial coefficients, and the modular field must preserve
     every principal degeneracy ideal."""
-    if isinstance(pi, PoissonStruct):
-        pi = pi.pi
-    if lift_cert is None:
-        lift_cert = lift(pi, frame, grid_values)  # raises NotLiftable on bad input
+    lift(pi, frame)  # raises NotLiftable on bad input
     rep = ModularFoliationReport()
     rep.frame = frame
     chart = pi.chart
@@ -469,17 +403,6 @@ def modular_foliation_report(pi, frame, lift_cert=None, grid_values=None):
 # ---------------------------------------------------------------------------
 
 
-def invert_antisym(chart, m):
-    """Exact inverse of an antisymmetric Poly matrix with constant nonzero
-    determinant (all the catalog dual forms have one)."""
-    det = poly_det(m)
-    if not det.is_constant() or det.is_zero():
-        raise BadParams("matrix inversion needs a constant nonzero determinant")
-    c = det.constant_value()
-    adj = poly_adjugate(m)
-    return [[adj[i][j] * (1 / c) for j in range(len(m))] for i in range(len(m))]
-
-
 def _omega_pairs(chart, slots):
     """Standard symplectic bivector sum over consecutive slot pairs."""
     out = Multivector.zero(chart, 2)
@@ -489,11 +412,12 @@ def _omega_pairs(chart, slots):
 
 
 def darboux_catalog(kind, dim, k=None, lam=None):
-    """Local Darboux models, in Cartesian coordinates, as PoissonStructs.
+    """Local Darboux models, in Cartesian coordinates, as
+    (pi, frame, divisor_class): the bivector, the anchor frame it lifts to,
+    and its divisor class.
 
     kinds: log | bk (power k) | scattering | elliptic (parameter lam != 0)
-           | elliptic_zero.  The Poisson identity is asserted at
-    construction; each model advertises its frame and divisor class.
+           | elliptic_zero.  The Poisson identity is checked at construction.
     """
     if dim < 2 or dim % 2:
         raise BadParams("Darboux models live on even-dimensional charts")
@@ -528,7 +452,7 @@ def darboux_catalog(kind, dim, k=None, lam=None):
             for a in range(2, n, 2):
                 setw(0, a + 1, Poly.var(chart, "x%d" % a))
                 setw(a, a + 1, Poly.const(chart, Fraction(-1, 2)))
-            p = invert_antisym(chart, w)
+            p = invert_antisym(w)
             pa = bivector_from_matrix(chart, [[-e for e in row] for row in p])
             pi = pushforward(frame, pa.comps, 2)
             cls = DivisorClass(DivisorClass.BPOWER, dim + 1)
@@ -555,9 +479,6 @@ def darboux_catalog(kind, dim, k=None, lam=None):
         cls = DivisorClass(DivisorClass.ELLIPTIC)
     else:
         raise BadParams("unknown Darboux model %r" % (kind,))
-    ps = PoissonStruct(pi, label=(kind, dim, k, str(lam) if lam is not None else None))
-    if not ps.is_poisson:  # pragma: no cover - models are Poisson by construction
+    if not check_poisson(pi)[0]:  # pragma: no cover - models are Poisson by construction
         raise InternalError("catalog model failed the Poisson check")
-    ps.advertised_frame = frame
-    ps.advertised_class = cls
-    return ps
+    return pi, frame, cls

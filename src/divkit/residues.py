@@ -12,10 +12,11 @@ Res_D = Res_{Z,D} o Res_Z holds with no correction factors.
 from __future__ import annotations
 
 from .rings import InternalError
-from .frames import BadParams, CoframeForm, algebroid_d, catalog
+from .frames import BadParams, CoframeForm, algebroid_d, catalog, invert_antisym
 from .multivector import (
     DiffForm,
     _accumulate,
+    bivector_matrix,
     exterior_derivative,
     merge_indices,
     partial_pfaffian,
@@ -232,21 +233,16 @@ def elliptic_log_factorization(w, frame):
 def dual_form(cert):
     """Dual coframe 2-form of a nondegenerate lift with constant Pfaffian:
     invert the lifted bivector's coefficient matrix exactly."""
-    from .poisson import invert_antisym
-    from .multivector import bivector_matrix
-
-    frame = cert.frame
-    chart = frame.chart
     p = bivector_matrix(cert.lifted)
-    winv = invert_antisym(chart, p)
+    winv = invert_antisym(p)
     comps = {}
-    n = chart.dimension
+    n = len(p)
     for i in range(n):
         for j in range(i + 1, n):
             v = -winv[i][j]
             if not v.is_zero():
                 comps[(i, j)] = v
-    return CoframeForm(frame, 2, comps)
+    return CoframeForm(cert.frame, 2, comps)
 
 
 class SpinorReport:

@@ -274,6 +274,12 @@ class Poly:
             return -1
         return max((m >> s) & _FIELD for m in self._terms)
 
+    def order_in(self, var):
+        """The least exponent of var over the terms of a nonzero polynomial:
+        var^k divides it exactly for k up to it."""
+        s = self.chart._shifts[self.chart.index(var)]
+        return min((m >> s) & _FIELD for m in self._terms)
+
     def variables_used(self):
         seen = 0
         for m in self._terms:

@@ -247,15 +247,15 @@ def test_criterion_8_residue_cochain():
 
 @criterion(9, "cosymplectic spinors (log, zero-elliptic, rejection)")
 def test_criterion_9_spinors():
-    ps = darboux_catalog("log", 4)
-    om = dual_form(lift(ps, ps.advertised_frame))
-    rep = cosymplectic_spinor(om, ResidueSpec(ps.advertised_frame, LOG))
+    pi, frame, _ = darboux_catalog("log", 4)
+    om = dual_form(lift(pi, frame))
+    rep = cosymplectic_spinor(om, ResidueSpec(frame, LOG))
     assert rep.closed and not rep.rho_top.is_zero()
     assert all(flag for _, flag in rep.identities)
 
-    ps0 = darboux_catalog("elliptic_zero", 6)
-    om0 = dual_form(lift(ps0, ps0.advertised_frame))
-    rep0 = cosymplectic_spinor(om0, ResidueSpec(ps0.advertised_frame, ELLIPTIC_Q))
+    pi0, frame0, _ = darboux_catalog("elliptic_zero", 6)
+    om0 = dual_form(lift(pi0, frame0))
+    rep0 = cosymplectic_spinor(om0, ResidueSpec(frame0, ELLIPTIC_Q))
     assert rep0.closed and not rep0.rho_top.is_zero()
     # the exact identity Res_q(omega^2/2!) = -Res_r(omega)^Res_theta(omega):
     # equivalently, without the exponential normalization,
@@ -265,14 +265,14 @@ def test_criterion_9_spinors():
     from divkit.residues import residue
 
     square = om0.wedge(om0)
-    q2 = residue(square, ResidueSpec(ps0.advertised_frame, ELLIPTIC_Q))
+    q2 = residue(square, ResidueSpec(frame0, ELLIPTIC_Q))
     assert q2.form == (-2) * pair
     assert all(flag for _, flag in rep0.identities)
 
-    psl = darboux_catalog("elliptic", 4, lam=1)
-    oml = dual_form(lift(psl, psl.advertised_frame))
+    pil, framel, _ = darboux_catalog("elliptic", 4, lam=1)
+    oml = dual_form(lift(pil, framel))
     with pytest.raises(NonzeroEllipticResidue):
-        cosymplectic_spinor(oml, ResidueSpec(psl.advertised_frame, ELLIPTIC_Q))
+        cosymplectic_spinor(oml, ResidueSpec(framel, ELLIPTIC_Q))
 
 
 @criterion(10, "Schouten algebra property suite (200 random cases)")
@@ -335,9 +335,9 @@ def test_criterion_11_darboux_catalog():
         ("elliptic_zero", 6, {}),
     ]
     for kind, dim, kw in cases:
-        ps = darboux_catalog(kind, dim, **kw)
-        assert ps.is_poisson, (kind, dim)
-        rep = divisor_type(ps)
-        assert rep.divisor_class == ps.advertised_class, (kind, dim)
-        cert = lift(ps, ps.advertised_frame)
+        pi, frame, cls = darboux_catalog(kind, dim, **kw)
+        assert check_poisson(pi)[0], (kind, dim)
+        rep = divisor_type(pi)
+        assert rep.divisor_class == cls, (kind, dim)
+        cert = lift(pi, frame)
         assert cert.nondegenerate and cert.evidence.startswith("constant Pfaffian")

@@ -368,3 +368,44 @@ def test_internal_error_is_reported_as_such(tmp_path, monkeypatch, capsys):
     assert cert["error"] == "InternalError: Pfaffian multiplicativity violated (internal error)"
     assert issubclass(divkit.InternalError, RuntimeError)
     assert not issubclass(divkit.rings.DegreeCapExceeded, divkit.InternalError)
+
+
+def test_internal_error_while_parsing_is_reported(tmp_path, monkeypatch, capsys):
+    # frames are certified while the job is parsed
+    from divkit import InternalError, cli, frames
+
+    def broken(frame):
+        raise InternalError("structure table is not antisymmetric")
+
+    monkeypatch.setattr(frames, "check_involutive", broken)
+    monkeypatch.delenv("DK_MAX_DEGREE", raising=False)
+    job = write(tmp_path, "j.dk", "chart x, y; pi = x*Dx^^Dy; lift pi to frame log(x);")
+    assert cli.main(["run", str(job), "--json"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "error"
+    assert cert["error"].startswith("InternalError:")
+    assert cli.main(["fmt", str(job)]) == 2
+    assert capsys.readouterr().err.startswith("error: InternalError:")
+
+
+def test_convention_check_failure_is_an_error(tmp_path, monkeypatch, capsys):
+    from divkit import cli, poisson
+
+    true_lie_derivative = poisson.lie_derivative
+    monkeypatch.setattr(
+        poisson, "lie_derivative", lambda v, w: 2 * true_lie_derivative(v, w)
+    )
+    monkeypatch.delenv("DK_MAX_DEGREE", raising=False)
+    job = write(tmp_path, "j.dk", "chart x, y, z; pi1 = x*Dx^^Dy; modular pi1;")
+    assert cli.main(["run", str(job), "--json"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "error"
+    assert cert["error"].startswith("ConventionCheckFailed:")
+
+
+def test_classify_divides_a_coordinate_power_at_once(tmp_path):
+    # one exact division by x^k, not k divisions by x
+    job = write(tmp_path, "big.dk", "chart x; p = x^2147483647; classify p;")
+    r = run_cli(["run", str(job)], timeout=20)
+    assert r.returncode == 0
+    assert "class: BPower(2147483647)" in r.stdout

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from divkit.poisson import (
     hamiltonian_vf,
     lift,
     modular_foliation_report,
-    modular_shift,
     modular_vf,
     poisson_bracket,
     poisson_vf_check,
@@ -193,15 +191,14 @@ def test_pfaffian_multiplicativity_random(rng):
 
 def test_nondegenerate_lift_criterion():
     # nondegenerate <=> residual trivial <=> frame divisor equals pi's divisor
-    cases = [
-        (darboux_catalog("log", 4), None),
-        (darboux_catalog("bk", 2, k=3), None),
-        (darboux_catalog("elliptic", 4, lam=1), None),
+    models = [
+        darboux_catalog("log", 4),
+        darboux_catalog("bk", 2, k=3),
+        darboux_catalog("elliptic", 4, lam=1),
     ]
-    for ps, _ in cases:
-        frame = ps.advertised_frame
-        cert = lift(ps.pi, frame)
-        rep = divisor_type(ps.pi)
+    for pi, frame, _ in models:
+        cert = lift(pi, frame)
+        rep = divisor_type(pi)
         assert cert.nondegenerate
         assert cert.residual_ideal.is_trivial()
         assert frame_divisor(frame) == rep.ideal
@@ -252,16 +249,14 @@ def test_modular_is_poisson_field():
 
 
 def test_modular_volume_rescale(rng):
-    # constant rescale leaves the field unchanged; for polynomial g the
-    # shift satisfies g*(v' - v) = -pi_sharp(dg) (second-slot sharp), with
-    # v' certified through the defining identity with denominators cleared
+    # for polynomial g the shift satisfies g*(v' - v) = -pi_sharp(dg)
+    # (second-slot sharp), with v' certified through the defining identity
+    # with denominators cleared
     pi = DX.wedge(DY)
-    assert modular_vf(pi, volume_factor=Fraction(7, 2)) == modular_vf(pi)
     for _ in range(10):
         g = rand_poly(C2, rng, max_degree=2)
         g = g * g + 1  # positive
-        w = modular_shift(pi, g)
-        assert w == hamiltonian_vf(pi, g)
+        w = hamiltonian_vf(pi, g)
         v = modular_vf(pi)
         mu = DiffForm(C2, 2, {(0, 1): Poly.const(C2, 1)})
         for var in C2.variables:
@@ -362,6 +357,9 @@ def test_modular_foliation_reports():
     # trivially: nondegenerate pi with TX
     rep = modular_foliation_report(DX.wedge(DY), catalog("tx", C2))
     assert rep.passed
+    # the report lifts first, so a non-liftable bivector is rejected
+    with pytest.raises(NotLiftable):
+        modular_foliation_report(DX.wedge(DY), catalog("log", C2, "x"))
 
 
 def test_darboux_catalog_self_check():
@@ -378,17 +376,17 @@ def test_darboux_catalog_self_check():
         ("elliptic_zero", 6, {}),
     ]
     for kind, dim, kw in cases:
-        ps = darboux_catalog(kind, dim, **kw)
-        assert ps.is_poisson
-        rep = divisor_type(ps)
-        assert rep.divisor_class == ps.advertised_class, (kind, dim)
-        cert = lift(ps, ps.advertised_frame)
+        pi, frame, cls = darboux_catalog(kind, dim, **kw)
+        assert check_poisson(pi)[0]
+        rep = divisor_type(pi)
+        assert rep.divisor_class == cls, (kind, dim)
+        cert = lift(pi, frame)
         assert cert.nondegenerate, (kind, dim)
         assert cert.evidence.startswith("constant Pfaffian")
-    ps = darboux_catalog("log", 4)
-    assert str(ps.pi) == "z*Dz^^Dx1 + Dx2^^Dx3"
-    ps = darboux_catalog("bk", 2, k=3)
-    assert str(ps.pi) == "z^3*Dz^^Dx1"
+    pi, _, _ = darboux_catalog("log", 4)
+    assert str(pi) == "z*Dz^^Dx1 + Dx2^^Dx3"
+    pi, _, _ = darboux_catalog("bk", 2, k=3)
+    assert str(pi) == "z^3*Dz^^Dx1"
 
 
 def test_divisor_warns_on_non_poisson():

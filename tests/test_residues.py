@@ -145,11 +145,11 @@ def test_elliptic_log_factorization_random(rng):
 
 
 def test_log_spinor():
-    ps = darboux_catalog("log", 4)
-    cert = lift(ps, ps.advertised_frame)
+    pi, frame, _ = darboux_catalog("log", 4)
+    cert = lift(pi, frame)
     om = dual_form(cert)
     assert str(om) == "e1^^e2 + e3^^e4"
-    rep = cosymplectic_spinor(om, ResidueSpec(ps.advertised_frame, LOG))
+    rep = cosymplectic_spinor(om, ResidueSpec(frame, LOG))
     assert rep.closed
     assert [str(r) for r in rep.rho] == ["-dx1", "-dx1^^dx2^^dx3"]
     assert not rep.rho_top.is_zero()
@@ -172,10 +172,10 @@ def test_log_spinor_in_dimension_two():
 
 
 def test_elliptic_zero_spinor():
-    ps = darboux_catalog("elliptic_zero", 6)
-    cert = lift(ps, ps.advertised_frame)
+    pi, frame, _ = darboux_catalog("elliptic_zero", 6)
+    cert = lift(pi, frame)
     om = dual_form(cert)
-    rep = cosymplectic_spinor(om, ResidueSpec(ps.advertised_frame, ELLIPTIC_Q))
+    rep = cosymplectic_spinor(om, ResidueSpec(frame, ELLIPTIC_Q))
     assert rep.closed
     assert str(rep.alpha) == "-dx1" and str(rep.alpha2) == "-dx2"
     assert [str(r) for r in rep.rho] == ["-dx1^^dx2", "-dx1^^dx2^^dx3^^dx4"]
@@ -186,11 +186,11 @@ def test_elliptic_zero_spinor():
 
 
 def test_elliptic_nonzero_spinor_rejected():
-    ps = darboux_catalog("elliptic", 4, lam=1)
-    cert = lift(ps, ps.advertised_frame)
+    pi, frame, _ = darboux_catalog("elliptic", 4, lam=1)
+    cert = lift(pi, frame)
     om = dual_form(cert)
     with pytest.raises(NonzeroEllipticResidue):
-        cosymplectic_spinor(om, ResidueSpec(ps.advertised_frame, ELLIPTIC_Q))
+        cosymplectic_spinor(om, ResidueSpec(frame, ELLIPTIC_Q))
 
 
 def test_spinor_requires_closed_form():

@@ -47,6 +47,14 @@ def test_exact_divide_examples():
         exact_divide(X, Poly.zero(C2))
 
 
+def test_order_in_is_the_largest_dividing_power():
+    f = X**3 * Y + X**2 * Y**4
+    assert (f.order_in("x"), f.order_in("y")) == (2, 1)
+    assert exact_divide(f, X**2 * Y) is not None
+    assert exact_divide(f, X**3) is None and exact_divide(f, Y**2) is None
+    assert (X + 1).order_in("x") == 0
+
+
 def test_exact_divide_round_trip(rng):
     for _ in range(60):
         f = rand_poly(C2, rng, max_degree=3, terms=4)
