@@ -5,7 +5,10 @@ coefficient matrix -- the anchor -- has nonzero determinant, so the frame
 spans TX over the fraction field and the algebroid is almost-injective.
 Involutivity is certified by solving every pairwise Lie bracket back into
 the frame with Cramer's rule and demanding that all denominators cancel;
-the determinant and the adjugate come from one memoized table of minors.
+the adjugate comes from one memoized table of minors, and the determinant
+from the adjugate's first column.  Every sum of products here (a minor's
+expansion, a matrix product entry, a Cramer numerator) is one
+`rings.sum_products` call.
 
 The algebroid differential d_A is the Chevalley-Eilenberg differential of
 the anchor and the certified structure coefficients c^k_ij:
@@ -17,7 +20,7 @@ extended to coframe forms as a graded derivation.
 
 from __future__ import annotations
 
-from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_str
+from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_str, sum_products
 from .divisors import DivisorClass, classify, divides_ideal, make_ideal, preserves
 from .multivector import (
     Multivector,
@@ -76,8 +79,9 @@ class BadParams(ValueError):
 
 def _minor_table(m, memo):
     """minor(rows, cols) = det of m on the increasing index tuples rows and
-    cols, expanded along its first row; zero entries and zero sub-minors are
-    skipped and each sub-minor is memoized in `memo`, which the caller owns."""
+    cols, expanded along its first row in one `sum_products` call; zero
+    entries and zero sub-minors are skipped and each sub-minor is memoized in
+    `memo`, which the caller owns."""
     chart = m[0][0].chart
     one = Poly.const(chart, 1)
 
@@ -86,17 +90,15 @@ def _minor_table(m, memo):
             return m[rows[0]][cols[0]] if rows else one
         total = memo.get((rows, cols))
         if total is None:
-            total = Poly.zero(chart)
             row, rest = m[rows[0]], rows[1:]
+            terms = []
             for pos, c in enumerate(cols):
                 if row[c].is_zero():
                     continue
                 sub = minor(rest, cols[:pos] + cols[pos + 1 :])
-                if sub.is_zero():
-                    continue
-                term = row[c] * sub
-                total = total - term if pos % 2 else total + term
-            memo[rows, cols] = total
+                if not sub.is_zero():
+                    terms.append((-1 if pos % 2 else 1, row[c], sub))
+            total = memo[rows, cols] = sum_products(chart, terms)
         return total
 
     return minor
@@ -125,30 +127,30 @@ def poly_adjugate(m):
     return adj
 
 
+def adjugate_and_det(m):
+    """(adj(m), det(m)), the determinant taken from the adjugate's first
+    column, det = sum_j m[0][j] adj[j][0], so one table of minors serves both."""
+    adj = poly_adjugate(m)
+    chart = m[0][0].chart
+    return adj, sum_products(chart, [(1, m[0][j], adj[j][0]) for j in range(len(m))])
+
+
 def invert_antisym(m):
     """Exact inverse of an antisymmetric Poly matrix with constant nonzero
     determinant (all the catalog dual forms have one)."""
-    det = poly_det(m)
+    adj, det = adjugate_and_det(m)
     if not det.is_constant() or det.is_zero():
         raise BadParams("matrix inversion needs a constant nonzero determinant")
     c = det.constant_value()
-    adj = poly_adjugate(m)
     return [[adj[i][j] * (1 / c) for j in range(len(m))] for i in range(len(m))]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
     chart = a[0][0].chart
-    out = [[Poly.zero(chart) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = Poly.zero(chart)
-            for t in range(k):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
+    cols = list(zip(*b))
+    return [
+        [sum_products(chart, [(1, x, y) for x, y in zip(row, col)]) for col in cols] for row in a
+    ]
 
 
 def mat_transpose(a):
@@ -180,13 +182,11 @@ class AnchorFrame:
                 raise BadParams("frame generators must be vector fields")
         self.chart = chart
         self.generators = list(generators)
-        m = self.matrix()
-        self.det = poly_det(m)
+        self.adj, self.det = adjugate_and_det(self.matrix())
         if self.det.is_zero():
             raise DegenerateFrame(
                 "anchor determinant vanishes identically; not of divisor-type"
             )
-        self.adj = poly_adjugate(m)
         self.label = label
         self.structure = check_involutive(self)
 
@@ -225,16 +225,11 @@ def expand_in_frame(v, frame):
         raise ChartMismatch("vector field on a different chart")
     if v.degree != 1:
         raise BadParams("can only expand vector fields")
-    adj = frame.adj
     det = frame.det
     col = v.vector_coeffs()
     out = []
-    for i in range(frame.chart.dimension):
-        num = Poly.zero(frame.chart)
-        for j in range(frame.chart.dimension):
-            if adj[i][j].is_zero() or col[j].is_zero():
-                continue
-            num = num + adj[i][j] * col[j]
+    for row in frame.adj:
+        num = sum_products(frame.chart, [(1, a, c) for a, c in zip(row, col)])
         q = exact_divide(num, det)
         if q is None:
             raise NotInModule(fraction_str(num, det))

@@ -21,11 +21,15 @@ extended bilinearly, and for a function g
 
     [X1^...^Xp, g] = sum_i (-1)^(p-i) Xi(g) X1^...^Xi-hat^...^Xp;
 
-on vector fields it is the ordinary Lie bracket.  The k-th partial Pfaffian
-of a bivector or 2-form pi is pi^k / k!, so printed values match the usual
-wedge-power literals; it is computed without wedge powers, as the Pfaffians
-of pi on all 2k-subsets of the indices, by one memoized first-row expansion
-(the shape of `frames._minor_table`).
+on vector fields it is the ordinary Lie bracket.  The contraction collects,
+for each output index tuple, the products that land on it and sums them in
+one `rings.sum_products` call.  In [a, a] the two contractions coincide, so
+it is 2 * (the first) for even degree and 0 for odd degree, and is contracted
+once.  The k-th partial Pfaffian of a bivector or 2-form pi is pi^k / k!, so
+printed values match the usual wedge-power literals; it is computed without
+wedge powers, as the Pfaffians of pi on all 2k-subsets of the indices, by one
+memoized first-row expansion (the shape of `frames._minor_table`), each
+expansion one `sum_products` call.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .rings import ChartMismatch, Poly
+from .rings import ChartMismatch, Poly, sum_products
 
 
 class DegreeMismatch(ValueError):
@@ -285,9 +289,11 @@ def _graded_str(obj, basis_name):
 # ---------------------------------------------------------------------------
 
 
-def _contract(res, a, b, sign):
-    """Accumulate sign * sum_k da/dD_k ^ d_k b into res, where da/dD_k
-    strikes D_k from the right of each index tuple of a."""
+def _contract(groups, a, b, sign):
+    """Collect sign * sum_k da/dD_k ^ d_k b, where da/dD_k strikes D_k from the
+    right of each index tuple of a: each product of a coefficient of a and a
+    derivative of one of b goes into groups[index tuple] as a `sum_products`
+    triple."""
     vars_ = a.chart.variables
     p = a.degree
     derivs = {}
@@ -305,8 +311,7 @@ def _contract(res, a, b, sign):
                 if m is None:
                     continue
                 s, idx = m
-                v = ca * d
-                _accumulate(res, idx, v if s * t > 0 else -v)
+                groups.setdefault(idx, []).append((s * t, ca, d))
 
 
 def schouten_bracket(a, b):
@@ -326,9 +331,21 @@ def schouten_bracket(a, b):
     if deg > chart.dimension:
         # indices must repeat, so the bracket vanishes identically
         return Multivector.zero(chart, chart.dimension)
+    groups = {}
+    if a is b:
+        # the second contraction is -(-1)^(p-1) times the first, so [a, a]
+        # is 0 for odd p and twice the first contraction for even p
+        if p % 2:
+            return a._like(deg, {})
+        _contract(groups, a, a, 2)
+    else:
+        _contract(groups, a, b, 1)
+        _contract(groups, b, a, 1 if (p - 1) * (q - 1) % 2 else -1)
     res = {}
-    _contract(res, a, b, 1)
-    _contract(res, b, a, 1 if (p - 1) * (q - 1) % 2 else -1)
+    for idx, terms in groups.items():
+        v = sum_products(chart, terms)
+        if not v.is_zero():
+            res[idx] = v
     return a._like(deg, res)
 
 
@@ -412,7 +429,7 @@ def partial_pfaffian(pi, k):
     """k-th partial Pfaffian pi^k / k! of a 2-form or bivector.
 
     Its component on each increasing 2k-tuple S is the Pfaffian Pf(pi|S),
-    expanded along S's first row,
+    expanded along S's first row in one `sum_products` call,
 
         Pf(S) = sum_j (-1)^(j-1) pi[s0, sj] Pf(S - {s0, sj});
 
@@ -433,18 +450,16 @@ def partial_pfaffian(pi, k):
             return entries.get(idx, zero) if idx else one
         total = memo.get(idx)
         if total is None:
-            total = zero
             first, rest = idx[0], idx[1:]
+            terms = []
             for pos, j in enumerate(rest):
                 a = entries.get((first, j))
                 if a is None:
                     continue
                 sub = pf(rest[:pos] + rest[pos + 1 :])
-                if sub.is_zero():
-                    continue
-                term = a * sub
-                total = total - term if pos % 2 else total + term
-            memo[idx] = total
+                if not sub.is_zero():
+                    terms.append((-1 if pos % 2 else 1, a, sub))
+            total = memo[idx] = sum_products(chart, terms)
         return total
 
     comps = {}

@@ -29,6 +29,13 @@ raises `DegreeCapExceeded` above `MAX_DEGREE` (or above the cap
 is a read-only view of the terms keyed by exponent tuples, for callers that
 want them; no module outside this one reads the packed form.
 
+`sum_products` computes a sum of products s*a*b into one term dict, with the
+checks of a single product, and normalizes once; it serves every long sum of
+products in the engine (minors, Pfaffians, matrix products, the Schouten
+bracket), which would otherwise build one Poly per product and copy the
+running sum at every addition, the waste that Yan's geobuckets ("The
+geobucket data structure for polynomials", 1998) also remove.
+
 `exact_divide` reduces the remainder from its leading term down, popping
 the next term from a max-heap of the remainder's monomials (a stale entry,
 whose term has cancelled, is skipped), so no step rescans the remainder.
@@ -48,7 +55,8 @@ recursively down to integers, and rebuild a candidate from balanced xi-adic
 digits.  It stays a decision because two conditions hold at every level:
 xi >= 2*min(|f|, |g|) + 2 for the max norms of the primitive inputs, and the
 candidate is accepted only if it divides both of them exactly.  After at most
-`HEU_GCD_MAX` evaluation points per level the heuristic gives up, and the
+`HEU_GCD_MAX` evaluation points per level, or before an evaluation whose
+image would exceed `HEU_GCD_MAX_BITS` bits, the heuristic gives up, and the
 primitive remainder sequence `_prs_gcd` decides instead.
 
 There is no rational-function type: a fraction arises only as the witness of
@@ -343,19 +351,7 @@ class Poly:
                 return NotImplemented
             c = _norm(other)
             return Poly._make(self.chart, _normed({m: k * c for m, k in self._terms.items()}))
-        self._check(other)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return Poly.zero(self.chart)
-        shift = self.chart._degree_shift
-        _check_degree((max(a) >> shift) + (max(b) >> shift))
-        res = {}
-        get = res.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                res[m] = get(m, 0) + c1 * c2
-        return Poly._make(self.chart, _normed(res))
+        return sum_products(self.chart, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -497,6 +493,37 @@ class Poly:
         return "Poly(%s)" % self
 
 
+def sum_products(chart, triples):
+    """The Poly sum of s*a*b over the triples (s, a, b), with s a nonzero int
+    and a, b Polys on `chart`.
+
+    Every product is written into one packed-monomial term dict, normalized
+    once at the end, so a sum of many products builds no intermediate Poly
+    and never copies a running sum.  Each product is checked as `Poly.__mul__`
+    checks it: both operands on `chart` (else `ChartMismatch`), and its total
+    degree against `_check_degree` before it multiplies."""
+    shift = chart._degree_shift
+    res = {}
+    get = res.get
+    for s, a, b in triples:
+        if a.chart is not chart or b.chart is not chart:
+            for p in (a, b):
+                if p.chart != chart:
+                    raise ChartMismatch("%r vs %r" % (chart, p.chart))
+        ta, tb = a._terms, b._terms
+        if not ta or not tb:
+            continue
+        _check_degree((max(ta) >> shift) + (max(tb) >> shift))
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        for m1, c1 in ta.items():
+            c1 *= s
+            for m2, c2 in tb.items():
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+    return Poly._make(chart, _normed(res))
+
+
 # ---------------------------------------------------------------------------
 # Exact division, gcd, squarefree part
 # ---------------------------------------------------------------------------
@@ -583,6 +610,10 @@ def _pseudo_rem(a, b, i):
 # At most this many evaluation points per recursion level (as sympy's
 # HEU_GCD_MAX); the heuristic then gives up and the PRS decides.
 HEU_GCD_MAX = 6
+# The heuristic also gives up, before it evaluates, when xi^d, d the degree in
+# the main variable, would have more than this many bits: the images would be
+# too large to be worth their gcd (Char, Geddes & Gonnet abandon on size too).
+HEU_GCD_MAX_BITS = 1 << 16
 
 
 def poly_gcd(f, g):
@@ -626,9 +657,13 @@ def _heu_gcd(f, g):
     f = Poly._make(chart, {m: k // cf for m, k in f._terms.items()})
     g = Poly._make(chart, {m: k // cg for m, k in g._terms.items()})
     i = max(chart.index(v) for v in f.variables_used() | g.variables_used())
+    var = chart.variables[i]
+    degree = max(f.degree_in(var), g.degree_in(var))
     norm = min(max(map(abs, f._terms.values())), max(map(abs, g._terms.values())))
     xi = 2 * norm + 29  # also >= 3, so the balanced digits terminate
     for _ in range(HEU_GCD_MAX):
+        if xi.bit_length() * degree > HEU_GCD_MAX_BITS:
+            return None
         ff, gg = _eval_at(f, i, xi), _eval_at(g, i, xi)
         if ff and gg:
             h = _heu_gcd(ff, gg)

@@ -409,3 +409,12 @@ def test_classify_divides_a_coordinate_power_at_once(tmp_path):
     r = run_cli(["run", str(job)], timeout=20)
     assert r.returncode == 0
     assert "class: BPower(2147483647)" in r.stdout
+
+
+def test_classify_of_a_huge_degree_binomial_is_decided(tmp_path):
+    # the heuristic gcd of squarefree_part would evaluate x at an integer to
+    # the power 2^31 - 1; it gives up on the size and the PRS decides
+    job = write(tmp_path, "big.dk", "chart x; p = x^2147483647 + 1; classify p;")
+    r = run_cli(["run", str(job)], timeout=10)
+    assert r.returncode == 0
+    assert "class: Unclassified" in r.stdout

@@ -146,6 +146,26 @@ def test_schouten_graded_antisymmetry(rng):
         assert lhs == rhs, (p, q)
 
 
+def test_schouten_self_bracket_matches_a_distinct_copy(rng):
+    # schouten_bracket(a, a) doubles one contraction for even degree and is 0
+    # without contracting for odd degree; an equal but distinct copy takes
+    # the general path of two contractions
+    nonzero = 0
+    for n in range(2, 6):
+        chart = Chart(["x%d" % i for i in range(n)])
+        for p in range(0, min(3, n) + 1):
+            for _ in range(3):
+                a = rand_multivector(chart, rng, p, max_degree=2)
+                b = Multivector(chart, p, dict(a.comps))
+                assert b is not a and b == a
+                got, want = schouten_bracket(a, a), schouten_bracket(a, b)
+                assert got == want and got.degree == want.degree, (n, p)
+                if p % 2:
+                    assert got.is_zero(), (n, p)
+                nonzero += not got.is_zero()
+    assert nonzero
+
+
 def test_schouten_graded_jacobi(rng):
     c3 = Chart(["x", "y", "z"])
     for _ in range(12):

@@ -10,6 +10,7 @@ from divkit.rings import Chart, Poly
 from divkit.multivector import DiffForm, exterior_derivative
 from divkit.frames import (
     CoframeForm,
+    adjugate_and_det,
     algebroid_d,
     catalog,
     mat_mul,
@@ -142,13 +143,15 @@ def test_det_and_adjugate_against_sympy():
             m = random_matrix(chart, rng2, n, density)
             det, adj = poly_det(m), poly_adjugate(m)
             assert element(det) == domain_matrix(m).det(), (n, density)
+            # a frame's determinant comes from its adjugate's first column
+            assert adjugate_and_det(m) == (adj, det), (n, density)
             scalar = [[det if i == j else zero for j in range(n)] for i in range(n)]
             assert mat_mul(m, adj) == scalar, (n, density)
     # singular: the last row is a polynomial combination of the first two,
     # and m * adj = 0 does not pin adj down, so compare it entrywise
     m = random_matrix(chart, rng2, 4, 1)
     m[3] = [Poly.var(chart, "x") * a + b for a, b in zip(m[0], m[1])]
-    assert poly_det(m).is_zero()
+    assert poly_det(m).is_zero() and adjugate_and_det(m)[1].is_zero()
     adj, expected = poly_adjugate(m), domain_matrix(m).adjugate()
     assert any(not c.is_zero() for row in adj for c in row)
     assert [[element(c) for c in row] for row in adj] == expected.to_list()

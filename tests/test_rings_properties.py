@@ -16,12 +16,14 @@ from divkit import rings  # noqa: E402
 from divkit.rings import (  # noqa: E402
     MAX_DEGREE,
     Chart,
+    ChartMismatch,
     DegreeCapExceeded,
     Poly,
     _prs_gcd,
     exact_divide,
     poly_gcd,
     squarefree_part,
+    sum_products,
 )
 
 CHART = Chart(["x", "y"])
@@ -106,6 +108,73 @@ def test_exact_divide_against_sympy(f, g, r):
         assert ours is None
 
 
+# -- sum_products ---------------------------------------------------------------
+
+triples = st.lists(st.tuples(st.sampled_from([1, -1, 2, -3]), polys(), polys()), max_size=5)
+
+
+def naive_sum(chart, terms):
+    total = Poly.zero(chart)
+    for s, a, b in terms:
+        total = total + s * (a * b)
+    return total
+
+
+@kernel_settings
+@given(triples)
+def test_sum_products_against_sympy_and_the_naive_sum(terms):
+    ours = sum_products(CHART, terms)
+    theirs = to_sympy(Poly.zero(CHART))
+    for s, a, b in terms:
+        theirs += s * to_sympy(a) * to_sympy(b)
+    assert_same(ours, theirs)
+    assert ours == naive_sum(CHART, terms)
+
+
+def test_sum_products_edge_cases():
+    x, y = Poly.var(CHART, "x"), Poly.var(CHART, "y")
+    zero = Poly.zero(CHART)
+    assert sum_products(CHART, []) == zero
+    assert sum_products(CHART, [(1, zero, x), (-1, y, zero)]) == zero
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # Fraction coefficients that cancel to an int, within one product and
+    # across products
+    for terms in ([(1, half * x, 2 * y)], [(1, third * x, y), (2, third * x, y)]):
+        assert canonical(sum_products(CHART, terms)) == x * y
+    assert sum_products(CHART, [(1, half * x, y), (-1, y, half * x)]) == zero
+    # mixed signs and s = 2
+    assert sum_products(CHART, [(2, x, y), (-1, y, x), (-3, x, x)]) == x * y - 3 * x * x
+
+
+def test_sum_products_checks_charts():
+    x, x3 = Poly.var(CHART, "x"), Poly.var(CHART3, "x")
+    for terms in ([(1, x, x3)], [(1, x3, x)], [(1, x, x), (-1, x3, x3)]):
+        with pytest.raises(ChartMismatch):
+            sum_products(CHART, terms)
+    with pytest.raises(ChartMismatch):
+        sum_products(CHART3, [(1, x, x)])
+    # an equal chart that is a distinct object is the same chart
+    assert sum_products(Chart(["x", "y"]), [(1, x, x)]) == x * x
+
+
+def test_sum_products_checks_degrees_as_mul_does():
+    x, y = Poly.var(CHART, "x"), Poly.var(CHART, "y")
+    old = rings._DEGREE_CAP
+    rings.set_degree_cap(4)
+    try:
+        assert sum_products(CHART, [(1, x**2, y**2)]) == x**2 * y**2
+        with pytest.raises(DegreeCapExceeded):
+            x**3 * y**2
+        with pytest.raises(DegreeCapExceeded):
+            sum_products(CHART, [(1, x, y), (-1, x**3, y**2)])
+    finally:
+        rings.set_degree_cap(old)
+    half = Poly(CHART, {(MAX_DEGREE // 2 + 1, 0): 1})
+    for fn in (lambda: half * half, lambda: sum_products(CHART, [(1, half, half)])):
+        with pytest.raises(DegreeCapExceeded):
+            fn()
+
+
 def assert_gcd(gcd, f, g):
     ours = gcd(f, g)
     assert ours.content() == 1 and ours.leading()[1] > 0
@@ -171,6 +240,17 @@ def test_poly_gcd_falls_back_when_inner_level_gives_up(monkeypatch):
     # (the PRS calls poly_gcd on coefficients, so more top-level calls follow)
     assert all(n is None or n <= 1 for n in inner)  # a give-up is never retried
     assert fallbacks[0] >= 3
+
+
+def test_heuristic_gcd_gives_up_before_a_huge_evaluation():
+    # x^(2^31 - 1) + 1 at x = xi would have billions of bits: the heuristic
+    # gives up before it evaluates, and the PRS decides the gcd
+    x = Poly.var(CHART, "x")
+    f = x**MAX_DEGREE + 1
+    df = f.diff("x")
+    assert rings._heu_gcd(f, df.unit_normalized()) is None
+    assert poly_gcd(f, df) == 1
+    assert squarefree_part(f) == f
 
 
 def nonconstant_polys3():
