@@ -22,6 +22,7 @@ from .rings import DegreeCapExceeded, InternalError, set_degree_cap
 from .divisors import DivisorIdeal, classify, make_ideal
 from .dsl import ParseError, parse
 from .frames import (
+    CoframeForm,
     NotASubalgebroid,
     NotDivisibleGenerator,
     frame_divisor,
@@ -89,12 +90,15 @@ def frame_from_payload(data):
     return AnchorFrame(chart, gens, label=_label_from_json(data.get("label")))
 
 
-def restricted_payload(res):
+def restricted_payload(form):
+    """A residue's target: a plain form on the locus, or a log coframe form
+    whose differential carries the isotropy twist."""
+    twisted = isinstance(form, CoframeForm)
     return {
-        "kind": res.kind,
-        "chart": list(res.chart.variables),
-        "form": str(res.form),
-        "twisted": res.twisted,
+        "kind": "log_coframe" if twisted else "plain",
+        "chart": list(form.chart.variables),
+        "form": str(form),
+        "twisted": twisted,
     }
 
 

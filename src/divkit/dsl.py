@@ -368,11 +368,9 @@ class Parser:
             v = self.expr_value(Poly, "a polynomial")
             self.expect(")")
         else:
-            v = self.operand()
+            v = self.expr_value((Poly, DivisorIdeal), "an ideal or a polynomial")
             if isinstance(v, DivisorIdeal):
                 return v
-            if not isinstance(v, Poly):
-                self.fail("expected an ideal or a polynomial")
         try:
             return make_ideal(v)
         except (ValueError, KeyError, TypeError) as e:

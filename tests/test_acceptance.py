@@ -260,13 +260,13 @@ def test_criterion_9_spinors():
     # the exact identity Res_q(omega^2/2!) = -Res_r(omega)^Res_theta(omega):
     # equivalently, without the exponential normalization,
     # Res_q(omega^2) = -2 Res_r(omega)^Res_theta(omega)
-    pair = rep0.alpha.form.wedge(rep0.alpha2.form)
-    assert rep0.rho[0].form == -pair
+    pair = rep0.alpha.wedge(rep0.alpha2)
+    assert rep0.rho[0] == -pair
     from divkit.residues import residue
 
     square = om0.wedge(om0)
     q2 = residue(square, ResidueSpec(frame0, ELLIPTIC_Q))
-    assert q2.form == (-2) * pair
+    assert q2 == (-2) * pair
     assert all(flag for _, flag in rep0.identities)
 
     pil, framel, _ = darboux_catalog("elliptic", 4, lam=1)

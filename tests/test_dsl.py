@@ -155,3 +155,24 @@ def test_format_job_inlines_values():
     job = parse("chart x,y; modular x*Dx^^Dy;")
     out = format_job(job)
     assert out == "chart x, y;\nmodular x*Dx^^Dy;\n"
+
+
+def test_ideal_operand_accepts_a_constant():
+    from divkit.cli import run_job
+
+    jobs = (
+        "chart x, y; verify_frame frame log(x) by %s;",
+        "chart x, y; modify lower frame tx() keep 1 by %s;",
+        "chart x, y; c = 3; verify_frame frame log(x) by %s;",
+    )
+    for job in jobs:
+        for const in ("1", "3", "1/2", "c" if "c =" in job else "2"):
+            got = run_job(parse(job % const))
+            assert got == run_job(parse(job % ("ideal(%s)" % const))), (job, const)
+            assert got[1] == 0 and got[0]["command"].endswith(" by 1")
+        # dk fmt prints the unit ideal as `by 1`, which must parse back
+        text = format_job(parse(job % "ideal(1)"))
+        assert text.endswith(" by 1;\n") and format_job(parse(text)) == text
+    for zero in ("0", "x - x", "ideal(0)"):
+        with pytest.raises(ParseError, match="bad ideal generator"):
+            parse("chart x, y; verify_frame frame log(x) by %s;" % zero)

@@ -67,8 +67,6 @@ def test_elliptic_residue_read_off():
     assert str(residue(pair, ResidueSpec(ellf, ELLIPTIC_Q))) == "1"
     with pytest.raises(NonzeroHigherResidue):
         residue(pair, ResidueSpec(ellf, ELLIPTIC_R))
-    # force flag extracts the coordinate representative anyway
-    assert residue(pair, ResidueSpec(ellf, ELLIPTIC_R), force=True).is_zero()
 
 
 def test_flavor_admissibility():
@@ -181,7 +179,7 @@ def test_elliptic_zero_spinor():
     assert [str(r) for r in rep.rho] == ["-dx1^^dx2", "-dx1^^dx2^^dx3^^dx4"]
     assert all(flag for _, flag in rep.identities), rep.identities
     # 2-cosymplectic volume alpha1 ^ alpha2 ^ beta nonzero
-    vol = rep.alpha.form.wedge(rep.alpha2.form).wedge(rep.beta)
+    vol = rep.alpha.wedge(rep.alpha2).wedge(rep.beta)
     assert not vol.is_zero()
 
 
@@ -228,9 +226,9 @@ def test_elllog_z_residue_follows_the_variable_order(rng):
     for w in [rand_coframe(f_xzy, rng, d) for d in (1, 2, 3)]:
         got = residue(w, ResidueSpec(f_xzy, ELLLOG_Z))
         ref = residue(_reordered(w, f_xyz), ResidueSpec(f_xyz, ELLLOG_Z))
-        assert got.kind == ref.kind == "log_coframe" and got.twisted and ref.twisted
+        assert isinstance(got, CoframeForm) and isinstance(ref, CoframeForm)
         assert got.chart.variables == ("z", "y") and ref.chart.variables == ("y", "z")
-        assert got.form == _reordered(ref.form, got.form.frame)
+        assert got == _reordered(ref, got.frame)
 
     # the job e1^^e2^^e3 on x, z, y against the same job on x, y, z
     job = "chart %s; w = e1^^e2^^e3; residue w via elllog_z on frame elliptic_log(x, y);"
@@ -238,9 +236,9 @@ def test_elllog_z_residue_follows_the_variable_order(rng):
     assert code == 0 and ref_cert["payload"]["result"]["chart"] == ["y", "z"]
     top = CoframeForm(f_xyz, 3, {(0, 1, 2): Poly.const(xyz, 1)})
     ref = residue(top, ResidueSpec(f_xyz, ELLLOG_Z))
-    assert ref_cert["payload"]["result"]["form"] == str(ref.form)
+    assert ref_cert["payload"]["result"]["form"] == str(ref)
     # e_x^^e_z^^e_y = -e_x^^e_y^^e_z, so the residue is minus the reordered one
-    want = -_reordered(ref.form, catalog("log", Chart(["z", "y"]), "y"))
+    want = -_reordered(ref, catalog("log", Chart(["z", "y"]), "y"))
     cert, code = run_job(parse(job % "x, z, y"))
     assert code == 0
     assert cert["payload"]["result"] == {
@@ -259,3 +257,45 @@ def test_elliptic_residue_on_a_point():
     assert code == 0 and cert["verdict"] == "ok"
     result = cert["payload"]["result"]
     assert result == {"kind": "plain", "chart": [], "form": "1", "twisted": False}
+
+
+def test_each_flavor_payload():
+    # kind, chart and twisted follow from the residue's target: a plain
+    # form on the locus, or a log coframe form (twisted d) for elllog_z
+    lower = "(1 + u)*e1^^e3 + v*e2^^e4 + e3^^e4"
+    cases = [
+        ("log", "x, y, u", "(1 + y)*e1^^e2 + x*e1^^e3 + u*e2^^e3", "log(x)",
+         "plain", ["y", "u"], "(-y - 1)*dy"),
+        ("elliptic_q", "x, y, u", "(1 + u)*e1^^e2^^e3", "elliptic(x, y)",
+         "plain", ["u"], "(u + 1)*du"),
+        ("elliptic_r", "x, y, u, v", lower, "elliptic(x, y)",
+         "plain", ["u", "v"], "(-u - 1)*du"),
+        ("elliptic_theta", "x, y, u, v", lower, "elliptic(x, y)",
+         "plain", ["u", "v"], "-v*dv"),
+        ("elllog_z", "x, y, u", "(1 + u)*e1^^e2 + y*e1^^e3 + e2^^e3", "elliptic_log(x, y)",
+         "log_coframe", ["y", "u"], "(u + 1)*e1 - e2"),
+        ("elllog_d", "x, y, u", "(1 + u)*e1^^e2^^e3", "elliptic_log(x, y)",
+         "plain", ["u"], "(u + 1)*du"),
+    ]
+    for flavor, chart, w, frame, kind, variables, form in cases:
+        job = "chart %s; w = %s; residue w via %s on frame %s;" % (chart, w, flavor, frame)
+        cert, code = run_job(parse(job))
+        assert code == 0 and cert["verdict"] == "ok", (flavor, cert)
+        assert cert["payload"] == {
+            "flavor": flavor,
+            "result": {
+                "kind": kind,
+                "chart": variables,
+                "form": form,
+                "twisted": kind == "log_coframe",
+            },
+        }, flavor
+
+
+def test_elliptic_spinor_on_a_two_variable_chart_is_degenerate():
+    # n = 1 is below the first nonzero elliptic rho, so the spinor has no
+    # rho at all and its top residue Res_q(omega) is the zero just checked
+    job = "chart x, y; w = (x^2+y^2)*e1^^e2; spinor w on frame elliptic(x, y) via elliptic;"
+    cert, code = run_job(parse(job))
+    assert code == 2 and cert["verdict"] == "error"
+    assert cert["error"].startswith("DegenerateSpinor: ")
