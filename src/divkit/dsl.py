@@ -541,6 +541,9 @@ def value_to_source(v, names=None):
         return "frame custom(%s)" % "; ".join(str(g) for g in v.generators)
     if isinstance(v, DivisorIdeal):
         return "ideal(%s)" % v.generator
+    if isinstance(v, _Graded) and v.is_zero() and v.degree:
+        # a bare 0 would read back as a scalar: keep the kind and degree
+        return "0*" + "^^".join(v._basis_name(i) for i in range(v.degree))
     return str(v)
 
 

@@ -26,6 +26,8 @@ from .multivector import (
     Multivector,
     _accumulate,
     _Graded,
+    bivector_from_matrix,
+    bivector_matrix,
     lie_bracket,
     merge_indices,
 )
@@ -530,15 +532,12 @@ def algebroid_d(form):
     return form._like(form.degree + 1, res)
 
 
-def pushforward(frame, comps, degree):
-    """Push a frame multivector (components over e-index tuples) to TX."""
-    out = Multivector.zero(frame.chart, degree)
-    for idx, c in comps.items():
-        term = Multivector.function(c)
-        for i in idx:
-            term = term.wedge(frame.generators[i])
-        out = out + term
-    return out
+def pushforward(frame, lifted):
+    """Push a frame bivector (indices over the generators) to TX: the
+    bivector of the matrix rho Pi_A rho^T."""
+    rho = frame.matrix()
+    m = mat_mul(mat_mul(rho, bivector_matrix(lifted)), mat_transpose(rho))
+    return bivector_from_matrix(frame.chart, m)
 
 
 # ---------------------------------------------------------------------------

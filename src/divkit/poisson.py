@@ -209,10 +209,9 @@ class LiftCertificate:
         self.evidence = evidence
         self.warnings = warnings
 
-    def pushforward(self):
-        return pushforward(self.frame, self.lifted.comps, 2)
-
     def lifted_pfaffian(self):
+        """Pf(pi_A) of the lifted bivector itself (None on an odd chart): a
+        reference for the Pf(pi) / det(rho) that `lift` computes."""
         n = self.frame.chart.dimension
         if n % 2:
             return None
@@ -220,9 +219,59 @@ class LiftCertificate:
         return pf.comps.get(tuple(range(n)), Poly.zero(self.frame.chart))
 
 
+def _anchor_pfaffian(pi, det):
+    """Pf(pi_A) = Pf(pi) / det(rho) for a nonzero bivector pi on an even
+    chart, with Pf(pi) = g^(n/2) Pf(pi/g) for the gcd g of pi's components:
+    one Pfaffian, of the primitive part."""
+    chart = pi.chart
+    n = chart.dimension
+    g = gcd_content(list(pi.comps.values()))
+    prim = {}
+    for idx, c in pi.comps.items():
+        q = exact_divide(c, g)
+        if q is None:  # pragma: no cover - g is a gcd of the components
+            raise InternalError("gcd of the bivector does not divide it (internal error)")
+        prim[idx] = q
+    pf = partial_pfaffian(Multivector(chart, 2, prim), n // 2)
+    pf = pf.comps.get(tuple(range(n)), Poly.zero(chart))
+    scale = g ** (n // 2)
+    quotient = exact_divide(scale, det)  # when it divides, the smaller factor
+    if quotient is not None:
+        return quotient * pf
+    pf = exact_divide(scale * pf, det)
+    if pf is None:  # Pf(rho Pi_A rho^T) = det(rho) Pf(Pi_A)
+        raise InternalError("Pfaffian multiplicativity violated (internal error)")
+    return pf
+
+
+def _scan_grid(pf, n, grid_values):
+    """(nondegenerate, evidence, warnings) of a non-constant Pfaffian from a
+    scan of the full grid product: a zero at any real point, or two points
+    of opposite sign (intermediate value theorem on the connected chart),
+    is an exact proof of degeneracy; a grid without either gives a sampled
+    certificate."""
+    values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
+    signs = set()
+    for p in itertools.product(values, repeat=n):
+        v = pf.evaluate(p)
+        signs.add(v > 0)
+        if v == 0 or len(signs) > 1:
+            return False, "Pfaffian %s vanishes somewhere" % pf, []
+    warning = "nondegeneracy certificate " + SAMPLED
+    return True, "Pfaffian nonvanishing on the sample grid", [warning]
+
+
 def lift(pi, frame, grid_values=None):
     """Solve pi = rho pi_A rho^T exactly; liftable iff every entry of
-    adj(rho) Pi adj(rho)^T is divisible by det(rho)^2."""
+    adj(rho) Pi adj(rho)^T is divisible by det(rho)^2.  The pushforward
+    rho pi_A rho^T is checked to give pi back.
+
+    On an even chart the lift is nondegenerate iff Pf(pi_A) = Pf(pi) /
+    det(rho) has no real zero.  A constant nonzero Pf(pi_A) decides it.  A
+    non-constant one is degenerate when it vanishes identically on the
+    coordinate subspace where the variables of det(rho) are 0; otherwise a
+    grid scan looks for a zero or a sign change, and a scan that finds
+    neither gives a sampled certificate."""
     if pi.chart != frame.chart:
         raise ChartMismatch("bivector and frame on different charts")
     if pi.degree != 2:
@@ -241,39 +290,22 @@ def lift(pi, frame, grid_values=None):
             if not q.is_zero():
                 comps[(i, j)] = q
     lifted = Multivector(chart, 2, comps)
-    cert = LiftCertificate(frame, lifted, None, False, "degenerate", [])
-    back = cert.pushforward()
-    if back != pi:  # pragma: no cover - solving is exact
+    if pushforward(frame, lifted) != pi:  # pragma: no cover - solving is exact
         raise InternalError("lift pushforward does not reproduce the bivector")
-    pf = cert.lifted_pfaffian()
-    if pf is not None:
-        if not pf.is_zero():
-            cert.residual_ideal = make_ideal(pf)
-        if pf.is_constant() and not pf.is_zero():
-            cert.nondegenerate = True
-            cert.evidence = "constant Pfaffian %s" % pf
-        elif not pf.is_zero():
-            # include 0 and scan the full product lazily: a Pfaffian zero at
-            # any real point, or two points of opposite sign (intermediate
-            # value theorem on the connected chart), is an exact proof of
-            # degeneracy
-            values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
-            points = itertools.product(values, repeat=n)
-            signs = set()
-            for p in points:
-                v = pf.evaluate(p)
-                signs.add(v > 0)
-                if v == 0 or len(signs) > 1:
-                    cert.evidence = "Pfaffian %s vanishes somewhere" % pf
-                    break
-            else:
-                cert.nondegenerate = True
-                cert.evidence = "Pfaffian nonvanishing on the sample grid"
-                cert.warnings.append("nondegeneracy certificate " + SAMPLED)
-        # exact multiplicativity check Pf(pi) = det * Pf(pi_A)
-        top = partial_pfaffian(pi, n // 2).comps.get(tuple(range(n)), Poly.zero(chart))
-        if top != frame.det * pf:  # pragma: no cover
-            raise InternalError("Pfaffian multiplicativity violated (internal error)")
+    cert = LiftCertificate(frame, lifted, None, False, "degenerate", [])
+    if n % 2 or pi.is_zero():
+        return cert
+    pf = _anchor_pfaffian(pi, frame.det)
+    if pf.is_zero():
+        return cert
+    cert.residual_ideal = make_ideal(pf)
+    if pf.is_constant():
+        cert.nondegenerate = True
+        cert.evidence = "constant Pfaffian %s" % pf
+    elif pf.substitute_zero(frame.det.variables_used()).is_zero():
+        cert.evidence = "Pfaffian %s vanishes somewhere" % pf
+    else:
+        cert.nondegenerate, cert.evidence, cert.warnings = _scan_grid(pf, n, grid_values)
     return cert
 
 
@@ -454,7 +486,7 @@ def darboux_catalog(kind, dim, k=None, lam=None):
                 setw(a, a + 1, Poly.const(chart, Fraction(-1, 2)))
             p = invert_antisym(w)
             pa = bivector_from_matrix(chart, [[-e for e in row] for row in p])
-            pi = pushforward(frame, pa.comps, 2)
+            pi = pushforward(frame, pa)
             cls = DivisorClass(DivisorClass.BPOWER, dim + 1)
     elif kind in ("elliptic", "elliptic_zero"):
         chart = Chart(["x", "y"] + ["x%d" % i for i in range(1, dim - 1)])

@@ -142,7 +142,7 @@ def test_criterion_4_pfaffian_multiplicativity():
                 if rng.random() < 0.8:
                     comps[(i, j)] = rand_poly(frame.chart, rng, max_degree=2, terms=2)
         pa = Multivector(frame.chart, 2, comps)
-        pi = pushforward(frame, comps, 2)
+        pi = pushforward(frame, pa)
         cert = lift(pi, frame)
         assert cert.lifted == pa  # round trip: lifts are unique
         top = partial_pfaffian(pi, n // 2).comps.get(

@@ -176,3 +176,19 @@ def test_ideal_operand_accepts_a_constant():
     for zero in ("0", "x - x", "ideal(0)"):
         with pytest.raises(ParseError, match="bad ideal generator"):
             parse("chart x, y; verify_frame frame log(x) by %s;" % zero)
+
+
+def test_format_job_keeps_the_kind_of_a_zero_value():
+    from divkit.cli import run_job
+
+    jobs = (
+        "chart x, y; pi = x*Dx^^Dy - x*Dx^^Dy; check_poisson pi;",
+        "chart x, y; w = e1^^e2 - e1^^e2; residue w via log on frame log(x);",
+        "chart x, y; spinor e1^^e2 - e1^^e2 on frame log(x) via log;",
+    )
+    for src in jobs:
+        job = parse(src)
+        text = format_job(job)
+        assert "0*" in text, text
+        assert run_job(parse(text)) == run_job(job), text
+        assert format_job(parse(text)) == text

@@ -20,6 +20,7 @@ from divkit.frames import (
     fiber_product,
     frame_divisor,
     lower_modify,
+    pushforward,
     upper_modify,
     verify_ideal_algebroid,
 )
@@ -370,6 +371,20 @@ def test_algebroid_d_matches_koszul(rng):
                     expected = expected - c * val(m, i)
                 got = dom.comps.get((i, j, k), Poly.zero(frame.chart))
                 assert got == expected, (frame.label, i, j, k)
+
+
+def test_pushforward_is_the_wedge_of_the_generators(rng):
+    # rho Pi_A rho^T against the sum of c_ij e_i ^ e_j, wedged out
+    for frame in catalog_frames() + non_catalog_frames():
+        for _ in range(3):
+            comps = {
+                idx: rand_poly(frame.chart, rng, max_degree=2)
+                for idx in itertools.combinations(range(frame.chart.dimension), 2)
+            }
+            expected = Multivector.zero(frame.chart, 2)
+            for (i, j), c in comps.items():
+                expected = expected + c * frame.generators[i].wedge(frame.generators[j])
+            assert pushforward(frame, Multivector(frame.chart, 2, comps)) == expected
 
 
 def test_frame_on_a_point_is_refused():

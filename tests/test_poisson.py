@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from divkit.rings import Chart, Poly, exact_divide
 from divkit.multivector import DiffForm, Multivector, lie_derivative, partial_pfaffian
-from divkit.divisors import DivisorClass, preserves
+from divkit.divisors import DivisorClass, make_ideal, preserves
 from divkit.frames import AnchorFrame, catalog, frame_divisor
 from divkit.poisson import (
     NotLiftable,
@@ -155,24 +156,31 @@ def _push_random_frame_bivector(frame, rng):
             if rng.random() < 0.8:
                 comps[(i, j)] = rand_poly(frame.chart, rng, max_degree=2, terms=2)
     pa = Multivector(frame.chart, 2, comps)
-    return pa, pushforward(frame, comps, 2)
+    return pa, pushforward(frame, pa)
+
+
+def _random_lift_frames():
+    """Catalog frames on 2 and 4 variables, each with the atoms of its
+    divisor (the irreducible factors of det(rho))."""
+    c4 = Chart(["x", "y", "u", "v"])
+    x4, y4 = Poly.var(c4, "x"), Poly.var(c4, "y")
+    q2, q4 = X * X + Y * Y, x4 * x4 + y4 * y4
+    return [
+        (catalog("log", C2, "x"), [X]),
+        (catalog("bk", C2, "x", 2), [X]),
+        (catalog("scattering", C2, "x"), [X]),
+        (catalog("zero", C2, "x"), [X]),
+        (catalog("elliptic", C2, "x", "y"), [q2]),
+        (catalog("elliptic_log", C2, "x", "y"), [X, q2]),
+        (catalog("log", c4, "x"), [x4]),
+        (catalog("elliptic", c4, "x", "y"), [q4]),
+        (catalog("nc_log", c4, "x", "y"), [x4, y4]),
+        (catalog("elliptic_log", c4, "x", "y"), [x4, q4]),
+    ]
 
 
 def test_pfaffian_multiplicativity_random(rng):
-    c2 = C2
-    c4 = Chart(["x", "y", "u", "v"])
-    frames = [
-        catalog("log", c2, "x"),
-        catalog("bk", c2, "x", 2),
-        catalog("scattering", c2, "x"),
-        catalog("zero", c2, "x"),
-        catalog("elliptic", c2, "x", "y"),
-        catalog("elliptic_log", c2, "x", "y"),
-        catalog("log", c4, "x"),
-        catalog("elliptic", c4, "x", "y"),
-        catalog("nc_log", c4, "x", "y"),
-        catalog("elliptic_log", c4, "x", "y"),
-    ]
+    frames = [frame for frame, _ in _random_lift_frames()]
     count = 0
     while count < 100:
         frame = frames[count % len(frames)]
@@ -187,6 +195,53 @@ def test_pfaffian_multiplicativity_random(rng):
         pf_a = cert.lifted_pfaffian()
         assert top == frame.det * pf_a
         count += 1
+
+
+def _reference_scan(pf, n):
+    """The lift's verdict on Pf(pi_A) by the grid scan alone, on the
+    default grid: a zero or a sign change proves degeneracy."""
+    if pf.is_zero():
+        return False, "degenerate", []
+    if pf.is_constant():
+        return True, "constant Pfaffian %s" % pf, []
+    signs = set()
+    for p in itertools.product((-2, -1, 0, 1, 2), repeat=n):
+        v = pf.evaluate(p)
+        signs.add(v > 0)
+        if v == 0 or len(signs) > 1:
+            return False, "Pfaffian %s vanishes somewhere" % pf, []
+    return (
+        True,
+        "Pfaffian nonvanishing on the sample grid",
+        ["nondegeneracy certificate is sampled, not exact"],
+    )
+
+
+def test_lift_verdict_matches_the_pfaffian_of_the_lift_and_the_grid_scan(rng):
+    # Pf(pi_A) from Pf(pi) of the primitive part, and the verdict with the
+    # frame-divisor test first, against Pf of the lifted bivector itself
+    # and the scan alone; on random frame bivectors and on g*pi' for
+    # products g of the frame's atoms
+    frames = _random_lift_frames()
+    routes = set()
+    for count in range(240):
+        frame, atoms = frames[count % len(frames)]
+        pa, pi = _push_random_frame_bivector(frame, rng)
+        if count % 2:
+            g = Poly.const(frame.chart, rng.choice([1, -2, 3]))
+            for a in atoms:
+                g = g * a ** rng.randint(0, 2)
+            pa, pi = g * pa, g * pi
+        cert = lift(pi, frame)
+        assert cert.lifted == pa
+        n = frame.chart.dimension
+        ref = cert.lifted_pfaffian()
+        assert cert.residual_ideal == (make_ideal(ref) if not ref.is_zero() else None)
+        got = (cert.nondegenerate, cert.evidence, cert.warnings)
+        assert got == _reference_scan(ref, n)
+        if not ref.is_constant():
+            routes.add(ref.substitute_zero(frame.det.variables_used()).is_zero())
+    assert routes == {True, False}  # both the exact test and the scan decided some
 
 
 def test_nondegenerate_lift_criterion():
