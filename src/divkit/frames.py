@@ -15,7 +15,9 @@ the anchor and the certified structure coefficients c^k_ij:
 
     d_A f = sum_i rho(e_i)(f) e^i,    d_A e^k = -sum_{i<j} c^k_ij e^i ^ e^j,
 
-extended to coframe forms as a graded derivation.
+extended to coframe forms as a graded derivation by
+`multivector.differential`; plain d is the same differential for the
+coordinate frame, the tangent algebroid TX.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_st
 from .divisors import DivisorClass, classify, divides_ideal, make_ideal, preserves
 from .multivector import (
     Multivector,
-    _accumulate,
     _Graded,
     bivector_from_matrix,
     bivector_matrix,
+    differential,
     lie_bracket,
-    merge_indices,
 )
 
 
@@ -506,30 +507,10 @@ class CoframeForm(_Graded):
 
 
 def algebroid_d(form):
-    """Chevalley-Eilenberg differential d_A of the frame (see module
-    docstring): d_A(f e^I) = d_A f ^ e^I + f sum_p (-1)^p d_A e^{I_p} ^ e^{I - I_p}."""
-    frame = form.frame
-    n = frame.chart.dimension
-    if form.degree >= n:
-        return CoframeForm.zero(frame, n)
-    res = {}
-
-    def put(head, rest, v):
-        m = merge_indices(head, rest)
-        if m is not None and not v.is_zero():
-            _accumulate(res, m[1], v if m[0] > 0 else -v)
-
-    for idx, f in form.comps.items():
-        for i, g in enumerate(frame.generators):
-            if i not in idx:
-                put((i,), idx, g.apply_to(f))
-        for pos, k in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            for pair, coeffs in frame.structure.items():
-                if not coeffs[k].is_zero():
-                    v = f * coeffs[k]  # the sign of d_A e^k times (-1)^pos
-                    put(pair, rest, v if pos % 2 else -v)
-    return form._like(form.degree + 1, res)
+    """d_A of a CoframeForm: the differential of the frame's generators and
+    structure coefficients (see module docstring)."""
+    anchor = [[(j, c) for (j,), c in g.comps.items()] for g in form.frame.generators]
+    return differential(form, anchor, form.frame.structure)
 
 
 def pushforward(frame, lifted):

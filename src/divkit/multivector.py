@@ -6,6 +6,11 @@ components over dx_{i1} ^ ... ^ dx_{ik}.  Both, like the coframe forms
 `frames.CoframeForm` and `dsl.CoframeExpr`, are thin subclasses of
 `_Graded`, which implements the graded algebra once.
 
+Every keyed sum of products here (wedge, contraction, pairing, Schouten,
+Pfaffian, differential) collects the triples (sign, a, b) that land on each
+output index tuple and sums them in one `rings.sum_products` call.  Plain d
+is `differential` for the coordinate frame D_i, as d_A is for an anchor frame.
+
 The Schouten-Nijenhuis bracket of a p- and a q-vector is computed by the
 coordinate contraction
 
@@ -21,15 +26,13 @@ extended bilinearly, and for a function g
 
     [X1^...^Xp, g] = sum_i (-1)^(p-i) Xi(g) X1^...^Xi-hat^...^Xp;
 
-on vector fields it is the ordinary Lie bracket.  The contraction collects,
-for each output index tuple, the products that land on it and sums them in
-one `rings.sum_products` call.  In [a, a] the two contractions coincide, so
-it is 2 * (the first) for even degree and 0 for odd degree, and is contracted
-once.  The k-th partial Pfaffian of a bivector or 2-form pi is pi^k / k!, so
-printed values match the usual wedge-power literals; it is computed without
-wedge powers, as the Pfaffians of pi on all 2k-subsets of the indices, by one
-memoized first-row expansion (the shape of `frames._minor_table`), each
-expansion one `sum_products` call.
+on vector fields it is the ordinary Lie bracket.  In [a, a] the two
+contractions coincide, so it is 2 * (the first) for even degree and 0 for
+odd degree, and is contracted once.  The k-th partial Pfaffian of a bivector
+or 2-form pi is pi^k / k!, so printed values match the usual wedge-power
+literals; it is computed without wedge powers, as the Pfaffians of pi on all
+2k-subsets of the indices, by one memoized first-row expansion (the shape of
+`frames._minor_table`), each expansion one `sum_products` call.
 """
 
 from __future__ import annotations
@@ -62,15 +65,15 @@ def merge_indices(a, b):
     return sign, tuple(lst)
 
 
-def _accumulate(res, key, v):
-    """res[key] += v, dropping the entry when the sum is zero."""
-    old = res.get(key)
-    if old is not None:
-        v = old + v
-    if v.is_zero():
-        res.pop(key, None)
-    else:
-        res[key] = v
+def _sum_groups(chart, groups):
+    """{key: sum_products(chart, triples)} for groups {key: [(s, a, b), ...]},
+    with the zero sums dropped."""
+    res = {}
+    for key, triples in groups.items():
+        v = sum_products(chart, triples)
+        if not v.is_zero():
+            res[key] = v
+    return res
 
 
 class _Graded:
@@ -157,7 +160,9 @@ class _Graded:
             raise DegreeMismatch("cannot add degrees %d and %d" % (self.degree, other.degree))
         res = dict(self.comps)
         for idx, c in other.comps.items():
-            _accumulate(res, idx, c)
+            res[idx] = res[idx] + c if idx in res else c
+            if res[idx].is_zero():
+                del res[idx]
         return self._like(self.degree, res)
 
     def __neg__(self):
@@ -197,16 +202,13 @@ class _Graded:
         deg = self.degree + other.degree
         if deg > self.chart.dimension:
             return self._like(self.chart.dimension, {})
-        res = {}
+        groups = {}
         for ia, ca in self.comps.items():
             for ib, cb in other.comps.items():
                 m = merge_indices(ia, ib)
-                if m is None:
-                    continue
-                sign, idx = m
-                v = ca * cb
-                _accumulate(res, idx, v if sign > 0 else -v)
-        return self._like(deg, res)
+                if m is not None:
+                    groups.setdefault(m[1], []).append((m[0], ca, cb))
+        return self._like(deg, _sum_groups(self.chart, groups))
 
     def __str__(self):
         return _graded_str(self, self._basis_name)
@@ -241,10 +243,9 @@ class Multivector(_Graded):
         """Derivation action of a vector field on a Poly."""
         if self.degree != 1:
             raise DegreeMismatch("only vector fields act on functions")
-        out = Poly.zero(self.chart)
-        for (i,), c in self.comps.items():
-            out = out + c * f.diff(self.chart.variables[i])
-        return out
+        vars_ = self.chart.variables
+        terms = [(1, c, f.diff(vars_[i])) for (i,), c in self.comps.items()]
+        return sum_products(self.chart, terms)
 
 
 class DiffForm(_Graded):
@@ -341,12 +342,7 @@ def schouten_bracket(a, b):
     else:
         _contract(groups, a, b, 1)
         _contract(groups, b, a, 1 if (p - 1) * (q - 1) % 2 else -1)
-    res = {}
-    for idx, terms in groups.items():
-        v = sum_products(chart, terms)
-        if not v.is_zero():
-            res[idx] = v
-    return a._like(deg, res)
+    return a._like(deg, _sum_groups(chart, groups))
 
 
 def lie_bracket(v, w):
@@ -366,17 +362,14 @@ def interior_product(v, w):
     v._check(w)
     if w.degree == 0:
         return DiffForm.zero(w.chart, 0)
-    res = {}
+    groups = {}
     vc = {i: c for (i,), c in v.comps.items()}
     for idx, c in w.comps.items():
         for pos, i in enumerate(idx):
-            if i not in vc:
-                continue
-            coeff = c * vc[i]
-            if pos % 2 == 1:
-                coeff = -coeff
-            _accumulate(res, idx[:pos] + idx[pos + 1 :], coeff)
-    return w._like(w.degree - 1, res)
+            if i in vc:
+                key = idx[:pos] + idx[pos + 1 :]
+                groups.setdefault(key, []).append((-1 if pos % 2 else 1, c, vc[i]))
+    return w._like(w.degree - 1, _sum_groups(w.chart, groups))
 
 
 def pairing(form, mv):
@@ -384,31 +377,54 @@ def pairing(form, mv):
     form._check(mv)
     if form.degree != mv.degree:
         raise DegreeMismatch("pairing needs equal degrees")
-    total = Poly.zero(form.chart)
-    for idx, c in form.comps.items():
-        m = mv.comps.get(idx)
-        if m is not None:
-            total = total + c * m
-    return total
+    pairs = [(1, c, mv.comps[idx]) for idx, c in form.comps.items() if idx in mv.comps]
+    return sum_products(form.chart, pairs)
+
+
+def differential(w, anchor, structure):
+    """Chevalley-Eilenberg differential of a form over generators e_i:
+    anchor[i] lists the (j, c) with e_i = sum c*D_j, and structure maps each
+    pair i < j to the c^k_ij of [e_i, e_j] = sum_k c^k_ij e_k.  With
+    d f = sum_i e_i(f) e^i and d e^k = -sum_{i<j} c^k_ij e^i ^ e^j,
+    d(f e^I) = d f ^ e^I + f sum_p (-1)^p d e^{I_p} ^ e^{I - I_p}.  Each
+    derivative of a component is taken once; zero derivatives and zero
+    structure coefficients are skipped before their indices are merged."""
+    chart = w.chart
+    if w.degree >= chart.dimension:
+        return w._like(chart.dimension, {})
+    groups = {}
+    for idx, f in w.comps.items():
+        derivs = {}
+        for i, gen in enumerate(anchor):
+            if i in idx:
+                continue  # e^i ^ e^I = 0
+            group = None
+            for j, c in gen:
+                df = derivs.get(j)
+                if df is None:
+                    df = derivs[j] = f.diff(chart.variables[j])
+                if df.is_zero():
+                    continue
+                if group is None:
+                    s, key = merge_indices((i,), idx)
+                    group = groups.setdefault(key, [])
+                group.append((s, c, df))
+        for pair, coeffs in structure.items():
+            for pos, k in enumerate(idx):
+                if coeffs[k].is_zero():
+                    continue
+                m = merge_indices(pair, idx[:pos] + idx[pos + 1 :])
+                if m is not None:
+                    t = m[0] if pos % 2 else -m[0]  # the sign of d e^k times (-1)^pos
+                    groups.setdefault(m[1], []).append((t, f, coeffs[k]))
+    return w._like(w.degree + 1, _sum_groups(chart, groups))
 
 
 def exterior_derivative(w):
-    """Exact exterior derivative of a DiffForm; d o d = 0."""
-    chart = w.chart
-    if w.degree >= chart.dimension:
-        return DiffForm.zero(chart, min(w.degree + 1, chart.dimension))
-    res = {}
-    for idx, c in w.comps.items():
-        for i, var in enumerate(chart.variables):
-            dc = c.diff(var)
-            if dc.is_zero():
-                continue
-            m = merge_indices((i,), idx)
-            if m is None:
-                continue
-            sign, key = m
-            _accumulate(res, key, dc if sign > 0 else -dc)
-    return w._like(w.degree + 1, res)
+    """Exact exterior derivative of a DiffForm, the differential of the
+    coordinate frame D_i with no structure coefficients; d o d = 0."""
+    one = Poly.const(w.chart, 1)
+    return differential(w, [((i, one),) for i in range(w.chart.dimension)], {})
 
 
 def lie_derivative(v, t):

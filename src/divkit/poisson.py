@@ -144,6 +144,18 @@ def sample_grid(chart, values=None):
     return pts
 
 
+def _primitive_part(comps):
+    """(g, {idx: c/g}) for the gcd g of the components, taken in order."""
+    g = gcd_content(list(comps.values()))
+    prim = {}
+    for idx, c in comps.items():
+        q = exact_divide(c, g)
+        if q is None:  # pragma: no cover - g is a gcd of the components
+            raise InternalError("gcd of the components does not divide them (internal error)")
+        prim[idx] = q
+    return g, prim
+
+
 def divisor_type(pi, grid_values=None):
     """Largest m with pi^m != 0, the extracted divisor ideal, and the line
     part W with pi^m/m! = g*W.  The line condition is exact when W has
@@ -169,14 +181,7 @@ def divisor_type(pi, grid_values=None):
         cls = classify(ideal)
         return DivisorTypeReport(0, ideal, Multivector.function(Poly.const(chart, 1)),
                                  "constant", cls, warnings)
-    comps = [pf.comps[idx] for idx in sorted(pf.comps)]
-    g = gcd_content(comps)
-    line = {}
-    for idx, c in pf.comps.items():
-        q = exact_divide(c, g)
-        if q is None:
-            raise InternalError("gcd of the Pfaffian does not divide it (internal error)")
-        line[idx] = q
+    g, line = _primitive_part(pf.comps)
     w = Multivector(chart, 2 * m, line)
     ideal = make_ideal(g)
     cls = classify(ideal)
@@ -225,13 +230,7 @@ def _anchor_pfaffian(pi, det):
     one Pfaffian, of the primitive part."""
     chart = pi.chart
     n = chart.dimension
-    g = gcd_content(list(pi.comps.values()))
-    prim = {}
-    for idx, c in pi.comps.items():
-        q = exact_divide(c, g)
-        if q is None:  # pragma: no cover - g is a gcd of the components
-            raise InternalError("gcd of the bivector does not divide it (internal error)")
-        prim[idx] = q
+    g, prim = _primitive_part(pi.comps)
     pf = partial_pfaffian(Multivector(chart, 2, prim), n // 2)
     pf = pf.comps.get(tuple(range(n)), Poly.zero(chart))
     scale = g ** (n // 2)

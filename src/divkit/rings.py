@@ -30,11 +30,12 @@ is a read-only view of the terms keyed by exponent tuples, for callers that
 want them; no module outside this one reads the packed form.
 
 `sum_products` computes a sum of products s*a*b into one term dict, with the
-checks of a single product, and normalizes once; it serves every long sum of
-products in the engine (minors, Pfaffians, matrix products, the Schouten
-bracket), which would otherwise build one Poly per product and copy the
-running sum at every addition, the waste that Yan's geobuckets ("The
-geobucket data structure for polynomials", 1998) also remove.
+checks of a single product, and normalizes once; it serves every sum of
+products in the engine (minors, Pfaffians, matrix products, the graded
+products wedge, contraction and pairing, the Schouten bracket, and both
+differentials, d and d_A), which would otherwise build one Poly per product
+and copy the running sum at every addition, the waste that Yan's geobuckets
+("The geobucket data structure for polynomials", 1998) also remove.
 
 `exact_divide` reduces the remainder from its leading term down, popping
 the next term from a max-heap of the remainder's monomials (a stale entry,
