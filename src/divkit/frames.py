@@ -1,14 +1,24 @@
 """Lie algebroids of divisor-type presented by polynomial anchor frames.
 
 A frame is a list of n polynomial vector fields (n = chart dimension) whose
-coefficient matrix -- the anchor -- has nonzero determinant, so the frame
+coefficient matrix -- the anchor rho -- has nonzero determinant, so the frame
 spans TX over the fraction field and the algebroid is almost-injective.
-Involutivity is certified by solving every pairwise Lie bracket back into
-the frame with Cramer's rule and demanding that all denominators cancel;
-the adjugate comes from one memoized table of minors, and the determinant
-from the adjugate's first column.  Every sum of products here (a minor's
-expansion, a matrix product entry, a Cramer numerator) is one
-`rings.sum_products` call.
+
+At construction the anchor is reduced once by fraction-free elimination over
+constant pivots: each step pivots on a nonzero constant entry of least
+Markowitz cost (r-1)(c-1) (Markowitz 1957), ties broken by position, and
+clears its column with the polynomial multipliers e/p.  What no constant
+pivot reaches is the Schur block S, which has no nonzero constant entry, and
+det(rho) = +-(prod p) det(S) (the Schur-complement identity behind Bareiss
+1968).  A solve rho x = v runs the multipliers forward over v, takes S's part
+by Cramer's rule with adj(S) and det(S) from one memoized table of minors,
+and back-substitutes through the constant pivots, so every component is a
+numerator over det(S).  Frame expansion, the involutivity certificate (every
+pairwise Lie bracket solved back into the frame, all denominators
+cancelling) and the lift's pullback Pi_A = rho^-1 pi rho^-T all go through
+that one solve; the adjugate of the whole anchor is never built.  Every sum
+of products here (a minor's expansion, a matrix product entry, a Cramer
+numerator) is one `rings.sum_products` call.
 
 The algebroid differential d_A is the Chevalley-Eilenberg differential of
 the anchor and the certified structure coefficients c^k_ij:
@@ -22,6 +32,8 @@ coordinate frame, the tangent algebroid TX.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_str, sum_products
 from .divisors import DivisorClass, classify, divides_ideal, make_ideal, preserves
 from .multivector import (
@@ -31,6 +43,7 @@ from .multivector import (
     bivector_matrix,
     differential,
     lie_bracket,
+    merge_indices,
 )
 
 
@@ -52,6 +65,15 @@ class NotInModule(ValueError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__("vector field is not in the frame module: coefficient %s" % witness)
+
+
+class NotLiftable(ValueError):
+    def __init__(self, entry, witness):
+        self.entry = entry
+        self.witness = witness
+        super().__init__(
+            "no polynomial lift: entry (%d, %d) is %s" % (entry[0] + 1, entry[1] + 1, witness)
+        )
 
 
 class NotASubalgebroid(ValueError):
@@ -160,6 +182,117 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _constant_pivot(a, rows, cols):
+    """(r, c) of the nonzero constant entry of a on the active rows and
+    columns with the least Markowitz cost (r-1)(c-1), r and c the nonzero
+    counts of its row and column there; the first in position on ties; None
+    when no entry is a nonzero constant."""
+    best = best_cost = None
+    for r in rows:
+        row = a[r]
+        others = -1
+        for c in cols:
+            e = row[c]
+            if not e or not e.is_constant():
+                continue
+            if others < 0:
+                others = sum(1 for j in cols if row[j]) - 1
+            cost = others and others * (sum(1 for t in rows if a[t][c]) - 1)
+            if not cost:
+                return r, c
+            if best is None or cost < best_cost:
+                best, best_cost = (r, c), cost
+    return best
+
+
+class _Elimination:
+    """The anchor reduced over constant pivots (see the module docstring).
+
+    `steps` lists, in pivot order, (r, c, inv, row, mults): pivot row r and
+    column c, inv = 1/p for the constant pivot p, the pivot row's other
+    nonzero entries [(j, e)] as reduced so far, and the multipliers [(t, e/p)]
+    that cleared column c from the rows t still active.  `rows` and `cols`
+    are the rows and columns of the Schur block S, increasing; `adj` and
+    `den` are adj(S) and det(S); `det` is det(rho)."""
+
+    __slots__ = ("chart", "steps", "rows", "cols", "adj", "den", "det")
+
+    def __init__(self, m):
+        chart = self.chart = m[0][0].chart
+        one = Poly.const(chart, 1)
+        a = [row[:] for row in m]
+        rows, cols = list(range(len(m))), list(range(len(m)))
+        steps = []
+        scale = 1
+        while True:
+            pivot = _constant_pivot(a, rows, cols)
+            if pivot is None:
+                break
+            r, c = pivot
+            p = a[r][c].leading()[1]
+            inv = 1 if p == 1 else 1 / Fraction(p)
+            rows.remove(r)
+            cols.remove(c)
+            pivot_row = [(j, a[r][j]) for j in cols if a[r][j]]
+            mults = []
+            for t in rows:
+                e = a[t][c]
+                if not e:
+                    continue
+                f = e if inv == 1 else e * inv
+                mults.append((t, f))
+                row = a[t]
+                for j, x in pivot_row:
+                    row[j] = sum_products(chart, [(1, row[j], one), (-1, f, x)])
+            steps.append((r, c, inv, pivot_row, mults))
+            scale *= p
+        self.steps, self.rows, self.cols = steps, rows, cols
+        if rows:
+            self.adj, self.den = adjugate_and_det([[a[r][c] for c in cols] for r in rows])
+        else:
+            self.adj, self.den = [], one
+        # the sign of the row and the column order (pivots first, then S)
+        scale *= merge_indices(tuple(step[0] for step in steps) + tuple(rows), ())[0]
+        scale *= merge_indices(tuple(step[1] for step in steps) + tuple(cols), ())[0]
+        self.det = self.den if scale == 1 else self.den * scale
+
+    def solve(self, v, numerators=False):
+        """(x, True) with rho x = v when every x_k is a polynomial, else
+        (N, False) with x = N / det(S); `numerators` asks for N in any case.
+
+        The multipliers run forward over v, S's part of the solution is
+        adj(S) v_S exact-divided by det(S), and back-substitution through the
+        constant pivots fills in the rest; after a miss it carries the
+        numerators, x_c = (v_r det(S) - sum_j e_j N_j) / p."""
+        chart = self.chart
+        one = Poly.const(chart, 1)
+        v = list(v)
+        for r, _, _, _, mults in self.steps:
+            vr = v[r]
+            if vr:
+                for t, f in mults:
+                    v[t] = sum_products(chart, [(1, v[t], one), (-1, f, vr)])
+        x = [None] * len(v)
+        block = [v[r] for r in self.rows]
+        nums = [sum_products(chart, [(1, a, b) for a, b in zip(row, block)]) for row in self.adj]
+        exact = not numerators
+        if exact:
+            quotients = []
+            for num in nums:
+                q = exact_divide(num, self.den)
+                if q is None:
+                    exact = False
+                    break
+                quotients.append(q)
+        for c, q in zip(self.cols, quotients if exact else nums):
+            x[c] = q
+        unit = one if exact else self.den
+        for r, c, inv, row, _ in reversed(self.steps):
+            s = sum_products(chart, [(1, v[r], unit)] + [(-1, e, x[j]) for j, e in row])
+            x[c] = s if inv == 1 else s * inv
+        return x, exact
+
+
 # ---------------------------------------------------------------------------
 # Anchor frames
 # ---------------------------------------------------------------------------
@@ -168,7 +301,7 @@ def mat_transpose(a):
 class AnchorFrame:
     """A divisor-type Lie algebroid presented by n vector-field generators."""
 
-    __slots__ = ("chart", "generators", "det", "adj", "structure", "label")
+    __slots__ = ("chart", "generators", "det", "structure", "label", "_elim")
 
     def __init__(self, chart, generators, label=None):
         if not chart.dimension:
@@ -185,7 +318,8 @@ class AnchorFrame:
                 raise BadParams("frame generators must be vector fields")
         self.chart = chart
         self.generators = list(generators)
-        self.adj, self.det = adjugate_and_det(self.matrix())
+        self._elim = _Elimination(self.matrix())
+        self.det = self._elim.det
         if self.det.is_zero():
             raise DegenerateFrame(
                 "anchor determinant vanishes identically; not of divisor-type"
@@ -221,23 +355,20 @@ class AnchorFrame:
 def expand_in_frame(v, frame):
     """Coefficients c with  sum_i c_i * generator_i = v, all polynomial.
 
-    Solves by Cramer's rule over the fraction field and demands exact
-    cancellation of the determinant denominators.
+    Solves through the frame's elimination record and demands exact
+    cancellation of the det(S) denominators; the witness of a miss is the
+    first coefficient, in generator order, that is not a polynomial.
     """
     if v.chart != frame.chart:
         raise ChartMismatch("vector field on a different chart")
     if v.degree != 1:
         raise BadParams("can only expand vector fields")
-    det = frame.det
-    col = v.vector_coeffs()
-    out = []
-    for row in frame.adj:
-        num = sum_products(frame.chart, [(1, a, c) for a, c in zip(row, col)])
-        q = exact_divide(num, det)
-        if q is None:
-            raise NotInModule(fraction_str(num, det))
-        out.append(q)
-    return out
+    x, exact = frame._elim.solve(v.vector_coeffs())
+    if not exact:
+        den = frame._elim.den
+        num = next(num for num in x if exact_divide(num, den) is None)
+        raise NotInModule(fraction_str(num, den))
+    return x
 
 
 def check_involutive(frame):
@@ -511,6 +642,48 @@ def algebroid_d(form):
     structure coefficients (see module docstring)."""
     anchor = [[(j, c) for (j,), c in g.comps.items()] for g in form.frame.generators]
     return differential(form, anchor, form.frame.structure)
+
+
+def _two_rounds(elim, m, numerators):
+    """Rows 0..n-2 of rho^-1 m rho^-T, by solves of m's columns and then of
+    the rows of rho^-1 m, or None when a solve misses; with `numerators`,
+    rows of N m N^T for N = det(S) rho^-1, which never miss."""
+    first = []
+    for col in mat_transpose(m):
+        sol, exact = elim.solve(col, numerators)
+        if not (exact or numerators):
+            return None
+        first.append(sol)
+    rows = []
+    for i in range(len(m) - 1):
+        row, exact = elim.solve([sol[i] for sol in first], numerators)
+        if not (exact or numerators):
+            return None
+        rows.append(row)
+    return rows
+
+
+def pullback(frame, pi):
+    """The frame bivector pi_A with rho pi_A rho^T = pi, or NotLiftable.
+
+    Two rounds of solves: X = rho^-1 Pi column by column, which is Pi_A
+    rho^T and so polynomial whenever the lift exists, then row i of Pi_A =
+    rho^-1 (row i of X).  On a miss both rounds run again on numerators, and
+    the first entry (i, j), i < j, of N Pi N^T / det(S)^2 that is not a
+    polynomial is the witness."""
+    m = bivector_matrix(pi)
+    n = len(m)
+    rows = _two_rounds(frame._elim, m, False)
+    if rows is not None:
+        comps = {(i, j): row[j] for i, row in enumerate(rows) for j in range(i + 1, n)}
+        return Multivector(frame.chart, 2, comps)
+    den = frame._elim.den
+    den2 = den * den
+    for i, row in enumerate(_two_rounds(frame._elim, m, True)):
+        for j in range(i + 1, n):
+            if exact_divide(row[j], den2) is None:
+                raise NotLiftable((i, j), fraction_str(row[j], den, 2))
+    raise InternalError("pullback missed on polynomial entries (internal error)")  # pragma: no cover
 
 
 def pushforward(frame, lifted):

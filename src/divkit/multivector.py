@@ -104,6 +104,8 @@ class _Graded:
                     raise self._invalid("bad index tuple %r for degree %d" % (idx, degree))
                 if not isinstance(c, Poly):
                     c = Poly.const(chart, c)
+                elif c.chart is not chart and c.chart != chart:
+                    raise ChartMismatch("coefficient on %r for %r" % (c.chart, chart))
                 if not c.is_zero():
                     clean[idx] = c
         self.comps = clean

@@ -16,16 +16,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .rings import Chart, ChartMismatch, InternalError, Poly, exact_divide, fraction_str, gcd_content
+from .rings import Chart, ChartMismatch, InternalError, Poly, exact_divide, gcd_content
 from .divisors import DivisorClass, classify, make_ideal, preserves
 from .frames import (
     BadParams,
     NotInModule,
+    NotLiftable,
     catalog,
     expand_in_frame,
     invert_antisym,
-    mat_mul,
-    mat_transpose,
+    pullback,
     pushforward,
 )
 from .multivector import (
@@ -49,15 +49,6 @@ SAMPLED = "is sampled, not exact"
 
 class NotDivisorType(ValueError):
     pass
-
-
-class NotLiftable(ValueError):
-    def __init__(self, entry, witness):
-        self.entry = entry
-        self.witness = witness
-        super().__init__(
-            "no polynomial lift: entry (%d, %d) is %s" % (entry[0] + 1, entry[1] + 1, witness)
-        )
 
 
 class ConventionCheckFailed(InternalError):
@@ -144,16 +135,35 @@ def sample_grid(chart, values=None):
     return pts
 
 
-def _primitive_part(comps):
-    """(g, {idx: c/g}) for the gcd g of the components, taken in order."""
-    g = gcd_content(list(comps.values()))
+def _primitive_part(comps, g):
+    """{idx: c/g} for a common divisor g of the components."""
     prim = {}
     for idx, c in comps.items():
         q = exact_divide(c, g)
         if q is None:  # pragma: no cover - g is a gcd of the components
             raise InternalError("gcd of the components does not divide them (internal error)")
         prim[idx] = q
-    return g, prim
+    return prim
+
+
+def _gcd_over_power(polys, f):
+    """gcd_content(polys) for nonzero polys, with f^k split off first for the
+    largest k such that f^k divides all of them: the normalized f^k times
+    the gcd of the quotients, so the gcd runs on the smaller cofactors."""
+    k = 0
+    while not f.is_constant():
+        quotients = []
+        for p in polys:
+            q = exact_divide(p, f)
+            if q is None:
+                break
+            quotients.append(q)
+        if len(quotients) < len(polys):
+            break
+        polys, k = quotients, k + 1
+    if not k:
+        return gcd_content(polys)
+    return (f**k * gcd_content(polys)).unit_normalized()
 
 
 def divisor_type(pi, grid_values=None):
@@ -181,8 +191,8 @@ def divisor_type(pi, grid_values=None):
         cls = classify(ideal)
         return DivisorTypeReport(0, ideal, Multivector.function(Poly.const(chart, 1)),
                                  "constant", cls, warnings)
-    g, line = _primitive_part(pf.comps)
-    w = Multivector(chart, 2 * m, line)
+    g = gcd_content(list(pf.comps.values()))
+    w = Multivector(chart, 2 * m, _primitive_part(pf.comps, g))
     ideal = make_ideal(g)
     cls = classify(ideal)
     if all(c.is_constant() for c in w.comps.values()):
@@ -227,11 +237,12 @@ class LiftCertificate:
 def _anchor_pfaffian(pi, det):
     """Pf(pi_A) = Pf(pi) / det(rho) for a nonzero bivector pi on an even
     chart, with Pf(pi) = g^(n/2) Pf(pi/g) for the gcd g of pi's components:
-    one Pfaffian, of the primitive part."""
+    one Pfaffian, of the primitive part.  The power of det(rho) that divides
+    every component is split off before the gcd runs."""
     chart = pi.chart
     n = chart.dimension
-    g, prim = _primitive_part(pi.comps)
-    pf = partial_pfaffian(Multivector(chart, 2, prim), n // 2)
+    g = _gcd_over_power(list(pi.comps.values()), det)
+    pf = partial_pfaffian(Multivector(chart, 2, _primitive_part(pi.comps, g)), n // 2)
     pf = pf.comps.get(tuple(range(n)), Poly.zero(chart))
     scale = g ** (n // 2)
     quotient = exact_divide(scale, det)  # when it divides, the smaller factor
@@ -261,9 +272,10 @@ def _scan_grid(pf, n, grid_values):
 
 
 def lift(pi, frame, grid_values=None):
-    """Solve pi = rho pi_A rho^T exactly; liftable iff every entry of
-    adj(rho) Pi adj(rho)^T is divisible by det(rho)^2.  The pushforward
-    rho pi_A rho^T is checked to give pi back.
+    """Solve pi = rho pi_A rho^T exactly: `frames.pullback` takes pi_A =
+    rho^-1 Pi rho^-T by two rounds of frame solves, and raises NotLiftable
+    with the first entry that is not a polynomial.  The pushforward rho pi_A
+    rho^T is checked to give pi back.
 
     On an even chart the lift is nondegenerate iff Pf(pi_A) = Pf(pi) /
     det(rho) has no real zero.  A constant nonzero Pf(pi_A) decides it.  A
@@ -275,20 +287,8 @@ def lift(pi, frame, grid_values=None):
         raise ChartMismatch("bivector and frame on different charts")
     if pi.degree != 2:
         raise DegreeMismatch("expected a bivector")
-    chart = pi.chart
-    n = chart.dimension
-    adj = frame.adj
-    det2 = frame.det * frame.det
-    m = mat_mul(mat_mul(adj, bivector_matrix(pi)), mat_transpose(adj))
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = exact_divide(m[i][j], det2)
-            if q is None:
-                raise NotLiftable((i, j), fraction_str(m[i][j], frame.det, 2))
-            if not q.is_zero():
-                comps[(i, j)] = q
-    lifted = Multivector(chart, 2, comps)
+    n = pi.chart.dimension
+    lifted = pullback(frame, pi)
     if pushforward(frame, lifted) != pi:  # pragma: no cover - solving is exact
         raise InternalError("lift pushforward does not reproduce the bivector")
     cert = LiftCertificate(frame, lifted, None, False, "degenerate", [])
