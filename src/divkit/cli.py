@@ -309,11 +309,19 @@ def _parse(source):
         return None, "%s: %s" % (type(e).__name__, e)
 
 
-def run_file(path, options, as_json):
+def _read(path):
+    """(text, None), or (None, error text) when the job file cannot be read
+    or is not UTF-8."""
     try:
-        source = Path(path).read_text()
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
+        return Path(path).read_text(encoding="utf-8"), None
+    except (OSError, UnicodeDecodeError) as e:
+        return None, "%s: %s" % (type(e).__name__, e)
+
+
+def run_file(path, options, as_json):
+    source, error = _read(path)
+    if error:
+        print("error: %s" % error, file=sys.stderr)
         return 2
     job, error = _parse(source)
     cert, code = (_error_cert(error, str(path)), 2) if error else run_job(job, options)
@@ -334,7 +342,9 @@ def run_corpus(directory, options, write_expected=False):
     failures = 0
     for jobfile in jobs:
         expected_file = jobfile.with_suffix(".expected.json")
-        job, error = _parse(jobfile.read_text())
+        source, error = _read(jobfile)
+        if not error:
+            job, error = _parse(source)
         got = certificate_json(
             _error_cert(error, jobfile.name) if error else run_job(job, options)[0]
         )
@@ -374,10 +384,9 @@ def _diff_lines(expected, got, limit=12):
 
 
 def fmt_file(path):
-    try:
-        job, error = _parse(Path(path).read_text())
-    except OSError as e:
-        error = str(e)
+    source, error = _read(path)
+    if not error:
+        job, error = _parse(source)
     if error:
         print("error: %s" % error, file=sys.stderr)
         return 2

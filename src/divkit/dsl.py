@@ -8,8 +8,10 @@ and one command.
 Basis tokens: Dx, Dy, ... (one per chart variable) for vector fields,
 dx, dy, ... for plain forms, e1, e2, ... for coframe generators (bound to a
 frame by the command that uses them).  Operators: + - * ^ (scalar power)
-and ^^ (wedge).  Rational literals are written 3/2.  Errors carry line and
-column.
+and ^^ (wedge).  Rational literals are written 3/2.  Parentheses and unary
+minus nest at most `MAX_NESTING` levels.  Tokens carry their source offset;
+a `ParseError`'s line and column are computed from it where the error is
+raised.
 
 Each command's syntax is one `COMMANDS` entry, which both the parser and
 the printer walk; a new command is that entry plus one branch in
@@ -58,53 +60,50 @@ KEYWORDS = frozenset(
     + [w for pair in _SUBSET_KEYWORD.items() for w in pair]
 )
 
+# One match per token: whitespace and comments are skipped before it, and
+# `eof` and `bad` (any other character) make every match succeed.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<num>\d+)
+    r"""(?:\s+|\#[^\n]*)*
+    (?: (?P<num>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<str>"[^"\n]*")
       | (?P<wedge>\^\^)
       | (?P<sym>[-+*^(),;=/])
-    """,
-    re.VERBOSE,
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "pos")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, pos):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.pos = pos  # offset in the source
 
     def __repr__(self):
-        return "%s(%r)@%d:%d" % (self.kind, self.text, self.line, self.col)
+        return "%s(%r)@%d" % (self.kind, self.text, self.pos)
+
+
+def _error_at(source, pos, message):
+    """A ParseError at a source offset, with its 1-based line and column."""
+    line_start = source.rfind("\n", 0, pos) + 1
+    return ParseError(source.count("\n", 0, pos) + 1, pos - line_start + 1, message)
 
 
 def tokenize(source):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(line, col, "unexpected character %r" % source[pos])
-        text = m.group(0)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        start = m.start(kind)
+        if kind == "bad":
+            raise _error_at(source, start, "unexpected character %r" % source[start])
+        tokens.append(Token(kind, m.group(kind), start))
+        if kind == "eof":
+            return tokens
 
 
 class CoframeExpr(_Graded):
@@ -132,11 +131,20 @@ class Job:
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*$")
 
 
+# the most parentheses and unary minus signs around a factor; deeper nesting
+# would run into the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class Parser:
-    def __init__(self, source):
+    def __init__(self, source, chart=None, definitions=None):
+        self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0  # parentheses and unary minus signs around the current factor
         self.job = Job()
+        self.job.chart = chart
+        self.job.definitions.update(definitions or {})
 
     # -- token helpers ------------------------------------------------------
 
@@ -149,8 +157,7 @@ class Parser:
         return t
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(tok.line, tok.col, message)
+        raise _error_at(self.source, (tok or self.peek()).pos, message)
 
     def expect(self, text):
         t = self.next()
@@ -409,10 +416,15 @@ class Parser:
                 return v
 
     def factor(self):
+        if self.depth > MAX_NESTING:
+            self.fail("expression nests deeper than %d levels" % MAX_NESTING)
         t = self.peek()
         if t.text == "-":
             self.next()
-            return self.negate(self.factor())
+            self.depth += 1
+            v = self.negate(self.factor())
+            self.depth -= 1
+            return v
         v = self.atom()
         while self.peek().text == "^":
             op = self.next()
@@ -425,7 +437,9 @@ class Parser:
     def atom(self):
         t = self.next()
         if t.text == "(":
+            self.depth += 1
             v = self.expression()
+            self.depth -= 1
             self.expect(")")
             return v
         if t.kind == "num":
@@ -508,15 +522,10 @@ def parse(source):
 def parse_expression(source, chart, definitions=None):
     """Parse a single expression in a given chart context (used for
     round-tripping printed payload values)."""
-    p = Parser("")
-    p.tokens = tokenize(source)
-    p.pos = 0
-    p.job.chart = chart
-    p.job.definitions = dict(definitions or {})
+    p = Parser(source, chart, definitions)
     v = p.expression()
-    t = p.peek()
-    if t.kind != "eof":
-        p.fail("trailing input after expression", t)
+    if p.peek().kind != "eof":
+        p.fail("trailing input after expression")
     return v
 
 

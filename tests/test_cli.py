@@ -91,6 +91,36 @@ def test_corpus_empty(tmp_path):
     assert "0 jobs" in r.stdout
 
 
+def test_undecodable_job_file_is_an_error(tmp_path):
+    job = tmp_path / "latin1.dk"
+    job.write_bytes(b"chart x;\np = x\xff;\nclassify p;\n")
+    for args in (["run", str(job)], ["fmt", str(job)]):
+        r = run_cli(args)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: UnicodeDecodeError") and "Traceback" not in r.stderr
+    # the corpus reports the job as an error certificate and goes on
+    write(tmp_path, "ok.dk", "chart x; classify x;")
+    r = run_cli(["corpus", "--write-expected", str(tmp_path)])
+    assert r.returncode == 0 and "Traceback" not in r.stderr
+    cert = json.loads((tmp_path / "latin1.expected.json").read_text())
+    assert cert["verdict"] == "error" and cert["error"].startswith("UnicodeDecodeError")
+    assert json.loads((tmp_path / "ok.expected.json").read_text())["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("wrap", ["(%s)", "-%s"], ids=["parentheses", "minus"])
+def test_deep_nesting_is_a_parse_error(tmp_path, wrap):
+    text = "x"
+    for _ in range(3000):
+        text = wrap % text
+    job = write(tmp_path, "deep.dk", "chart x; p = %s; classify p;" % text)
+    r = run_cli(["run", str(job), "--json"])
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert "ParseError" in json.loads(r.stdout)["error"]
+    r = run_cli(["fmt", str(job)])
+    assert r.returncode == 2 and r.stderr.startswith("error: ParseError")
+    assert "Traceback" not in r.stderr
+
+
 def test_strict_rejects_heuristic(tmp_path):
     # rank-2 bivector in dim 4: the line certificate is sampled
     job = write(

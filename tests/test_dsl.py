@@ -33,6 +33,48 @@ def test_unknown_name_has_position():
     assert "unknown name 'q'" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        ("# header\nchart x, y;  # two\np = x $ y;\nclassify p;\n", 3, 7,
+         "unexpected character '$'"),
+        ('chart x;\noutput "abc;\nclassify x;\n', 2, 8, "unexpected character '\"'"),
+        ("chart x, y;\r\np = q;\r\nclassify p;\r\n", 2, 5, "unknown name 'q'"),
+        ("chart x, y;\np = x\n\n\n", 5, 1, "expected ';', found 'end of input'"),
+        ("  \n\t ", 2, 3, "job has no chart declaration"),
+        ("chart x, y;\nclassify x;\n  classify y;\n", 3, 3, "a job holds exactly one command"),
+        (None, 3, 3, "expected a value, found ')'"),  # parse_expression
+    ],
+    ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression"],
+)
+def test_parse_error_positions(source, line, col, message):
+    with pytest.raises(ParseError) as e:
+        if source is None:
+            parse_expression("x +\n  y *\n  )", Chart(["x", "y"]))
+        else:
+            parse(source)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == "%d:%d: %s" % (line, col, message)
+
+
+@pytest.mark.parametrize("wrap", ["(%s)", "-%s"], ids=["parentheses", "minus"])
+def test_nesting_is_bounded(wrap):
+    from divkit.dsl import MAX_NESTING
+
+    def nested(depth):
+        text = "x"
+        for _ in range(depth):
+            text = wrap % text
+        return "chart x; p = %s; classify p;" % text
+
+    assert parse(nested(MAX_NESTING)).definitions["p"] == Poly.var(Chart(["x"]), "x")
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nests deeper than %d" % MAX_NESTING) as e:
+            parse(nested(depth))
+        # the error points at the first factor past the limit
+        assert e.value.col == len("chart x; p = ") + MAX_NESTING + 2
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse("chart x,y; check_poisson;")  # missing operand

@@ -1,24 +1,42 @@
-"""Parser fuzzing from the bundled corpus.  Each example takes one corpus job,
+"""Parser fuzzing from the bundled corpus, and printer round trips.
+
+Each fuzzing example takes one corpus job,
 applies one or two token-level mutations (delete, duplicate or swap tokens,
 or replace one by another corpus token, of any kind or of its own kind) and
 runs the result.  Whatever the input, `dsl.parse` may only raise
 `ParseError` or `DegreeCapExceeded`, and `cli.run_job` must return a
 certificate that is not an internal error.  Tokens are joined by spaces, so
 no two numbers fuse into a larger one; exponents stay corpus-sized, and a
-degree cap bounds the polynomial powers a mutant can build."""
+degree cap bounds the polynomial powers a mutant can build.
 
+The round trips check that what the printer writes reads back as the same
+thing: a mutant that parses gives the same certificate bytes after `dk fmt`,
+and a generated value's source text parses back to an equal value of the
+same kind and degree."""
+
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from divkit import rings  # noqa: E402
-from divkit.cli import bundled_corpus_dir, run_job  # noqa: E402
-from divkit.dsl import ParseError, parse, tokenize  # noqa: E402
-from divkit.rings import DegreeCapExceeded  # noqa: E402
+from divkit.cli import bundled_corpus_dir, certificate_json, run_job  # noqa: E402
+from divkit.dsl import (  # noqa: E402
+    CoframeExpr,
+    ParseError,
+    format_job,
+    parse,
+    parse_expression,
+    tokenize,
+    value_to_source,
+)
+from divkit.multivector import DiffForm, Multivector  # noqa: E402
+from divkit.rings import Chart, DegreeCapExceeded, Poly  # noqa: E402
 
 JOBS = [
     [(t.kind, t.text) for t in tokenize(p.read_text()) if t.kind != "eof"]
@@ -69,3 +87,60 @@ def test_mutated_corpus_jobs_parse_or_fail_cleanly(source):
     assert code == {"ok": 0, "fail": 1, "error": 2}[cert["verdict"]]
     assert not cert.get("error", "").startswith("InternalError"), source
     json.dumps(cert)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=2000)
+@given(mutants())
+def test_formatted_mutants_give_the_same_certificate(source):
+    old = rings._DEGREE_CAP
+    rings.set_degree_cap(DEGREE_CAP)
+    try:
+        try:
+            job = parse(source)
+        except (ParseError, DegreeCapExceeded):
+            return
+        text = format_job(job)
+        want = certificate_json(run_job(job)[0])
+        got = certificate_json(run_job(parse(text))[0])
+    finally:
+        rings.set_degree_cap(old)
+    assert got == want, text
+
+
+CHART = Chart(["x", "y", "z"])
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * CHART.dimension), coefficients, max_size=4
+).map(lambda terms: Poly(CHART, terms))
+
+
+@st.composite
+def graded_values(draw):
+    cls = draw(st.sampled_from([Multivector, DiffForm, CoframeExpr]))
+    degree = 2 if cls is Multivector and draw(st.booleans()) else draw(st.integers(1, 3))
+    keys = list(itertools.combinations(range(CHART.dimension), degree))
+    comps = draw(st.dictionaries(st.sampled_from(keys), polys, max_size=len(keys)))
+    return cls(CHART, degree, comps)
+
+
+X = Poly.var(CHART, "x")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=2000)
+@given(st.one_of(polys, graded_values()))
+@example(Poly.zero(CHART))
+@example(Poly.const(CHART, Fraction(-3, 2)))
+@example(Multivector(CHART, 2, {}))
+@example(Multivector(CHART, 2, {(0, 2): Fraction(-5, 2) * X, (1, 2): Fraction(1, 2) - X}))
+@example(DiffForm(CHART, 3, {}))
+@example(CoframeExpr(CHART, 2, {}))
+@example(CoframeExpr(CHART, 1, {(1,): Fraction(7, 3) * X - 1}))
+def test_printed_values_parse_back(v):
+    text = value_to_source(v)
+    got = parse_expression(text, CHART)
+    assert got == v, text
+    if not isinstance(v, Poly):  # a constant polynomial reads back as a scalar
+        assert type(got) is type(v) and got.degree == v.degree, text
