@@ -11,7 +11,19 @@ frame by the command that uses them).  Operators: + - * ^ (scalar power)
 and ^^ (wedge).  Rational literals are written 3/2.  Parentheses and unary
 minus nest at most `MAX_NESTING` levels.  Tokens carry their source offset;
 a `ParseError`'s line and column are computed from it where the error is
-raised.
+raised.  Numbers are ASCII digits.
+
+A polynomial literal is read without building a value per atom:
+`Parser.monomial_run` reads a run of `*`-joined factors, each a number or a
+chart variable with an optional `^` and exponent, into one coefficient and
+one packed monomial (a variable adds `exponent * chart._units[i]`), checking
+degrees where a product of Polys would check them, and `expression` adds the
+terms of a sum into one packed term dict, normalized once.  The generic path,
+one value per atom combined by `combine_mul` and `combine_add`, reads
+everything else: a number followed by `/` or `^`, a repeated `^`, a defined
+name, the basis tokens `Dx`, `dx`, `e1`, parentheses and unary minus.  A
+lone number stays a `Fraction` and any other run is a Poly, so both paths
+give equal values of the same type.
 
 Each command's syntax is one `COMMANDS` entry, which both the parser and
 the printer walk; a new command is that entry plus one branch in
@@ -23,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rings import Chart, Poly
+from .rings import Chart, Poly, _check_degree, _normed
 from .multivector import DiffForm, Multivector, _Graded
 from .frames import AnchorFrame, CoframeForm, catalog
 from .divisors import DivisorIdeal, make_ideal
@@ -64,7 +76,7 @@ KEYWORDS = frozenset(
 # `eof` and `bad` (any other character) make every match succeed.
 _TOKEN_RE = re.compile(
     r"""(?:\s+|\#[^\n]*)*
-    (?: (?P<num>\d+)
+    (?: (?P<num>[0-9]+)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<str>"[^"\n]*")
       | (?P<wedge>\^\^)
@@ -395,15 +407,52 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def expression(self):
-        v = self.term()
-        while self.peek().text in ("+", "-"):
+        """A sum of terms.  While the sum is a polynomial, its terms are
+        added into one packed term dict, normalized once at the end.  A term
+        of another kind (a graded value, say) makes the sum a value, and
+        `combine_add` adds each later term to it."""
+        w, m = self.term()
+        if self.peek().text not in ("+", "-"):
+            return w if m is None else self._monomial(w, m)
+        chart = self.job.chart
+        terms = {}
+        get = terms.get
+        v = None  # the sum, once it is not a polynomial
+        first = True
+        op = "+"
+        while True:
+            if v is not None:
+                v = self.combine_add(v, w if m is None else self._monomial(w, m), op)
+            elif m is not None:
+                terms[m] = get(m, 0) + (w if op == "+" else -w)
+            elif isinstance(w, (int, Fraction)):
+                terms[0] = get(0, 0) + (w if op == "+" else -w)
+            elif type(w) is Poly and w.chart == chart:
+                for k, c in w._terms.items():
+                    terms[k] = get(k, 0) + (c if op == "+" else -c)
+            elif first:
+                v = w
+            else:
+                v = self.combine_add(Poly._make(chart, _normed(terms)), w, op)
+            if self.peek().text not in ("+", "-"):
+                return Poly._make(chart, _normed(terms)) if v is None else v
             op = self.next().text
-            w = self.term()
-            v = self.combine_add(v, w, op)
-        return v
+            w, m = self.term()
+            first = False
 
     def term(self):
-        v = self.factor()
+        """A product, as (value, None), or as (coefficient, packed monomial)
+        when it is a monomial run, other than a lone number, with nothing
+        multiplied onto it."""
+        run = self.monomial_run()
+        if run is None:
+            v = self.factor()
+        else:
+            c, m, is_poly = run
+            t = self.peek()
+            if is_poly and t.text != "*" and t.kind != "wedge":
+                return c, m
+            v = self._monomial(c, m) if is_poly else Fraction(c)
         while True:
             t = self.peek()
             if t.text == "*":
@@ -413,7 +462,74 @@ class Parser:
                 self.next()
                 v = self.combine_wedge(v, self.factor(), t)
             else:
-                return v
+                return v, None
+
+    def monomial_run(self):
+        """Read a run of `*`-joined factors, each an integer or a chart
+        variable with an optional `^` and integer exponent, straight into
+        (coefficient, packed monomial, whether its value is a Poly); None
+        when the first factor has another form.  A lone number is a
+        `Fraction`; any product is a Poly, as `combine_mul` makes it.  The
+        run stops before a `*` whose factor has another form, which `term`
+        then multiplies onto the run's value.
+
+        Degrees are checked where the generic path checks them: a written
+        power x^e checks e, and multiplying a nonzero product by x^e checks
+        the sum of their degrees (so `x` alone and a zero product check
+        nothing)."""
+        if self.depth > MAX_NESTING:
+            self.fail("expression nests deeper than %d levels" % MAX_NESTING)
+        chart = self.job.chart
+        if chart is None:
+            return None
+        index, units, defined = chart._index, chart._units, self.job.definitions
+        tokens = self.tokens
+        i = self.pos
+        end = None  # where the run read so far ends
+        c, m, deg, is_poly = 1, 0, None, False  # deg: None before the first factor
+        while True:
+            t = tokens[i]
+            if t.kind == "num":
+                if tokens[i + 1].text in ("/", "^"):
+                    break
+                c *= int(t.text)
+                i += 1
+                if deg is None:
+                    deg = 0
+                else:
+                    is_poly = True
+            elif t.kind == "ident" and t.text in index and t.text not in defined:
+                e = 1
+                if tokens[i + 1].text == "^":
+                    exponent = tokens[i + 2]
+                    if exponent.kind != "num" or tokens[i + 3].text == "^":
+                        break
+                    e = int(exponent.text)
+                    if e:
+                        _check_degree(e)
+                    i += 2
+                i += 1
+                if deg is None:
+                    deg = e
+                elif c:
+                    deg += e
+                    _check_degree(deg)
+                if c:
+                    m += units[index[t.text]] * e
+                is_poly = True
+            else:
+                break
+            end = i
+            if tokens[i].text != "*":
+                break
+            i += 1
+        if end is None:
+            return None
+        self.pos = end
+        return c, m, is_poly
+
+    def _monomial(self, c, m):
+        return Poly._make(self.job.chart, {m: c} if c else {})
 
     def factor(self):
         if self.depth > MAX_NESTING:

@@ -107,6 +107,18 @@ def test_undecodable_job_file_is_an_error(tmp_path):
     assert json.loads((tmp_path / "ok.expected.json").read_text())["verdict"] == "ok"
 
 
+def test_non_ascii_digits_are_a_parse_error(tmp_path):
+    # Arabic-Indic three and one: `int()` would read them, the tokenizer does not
+    job = tmp_path / "digits.dk"
+    job.write_text("chart x;\np = x^\u0663 + \u0661;\nclassify p;\n", encoding="utf-8")
+    r = run_cli(["run", str(job), "--json"])
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["error"] == "ParseError: 2:7: unexpected character '\u0663'"
+    r = run_cli(["fmt", str(job)])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ParseError: 2:7:") and "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("wrap", ["(%s)", "-%s"], ids=["parentheses", "minus"])
 def test_deep_nesting_is_a_parse_error(tmp_path, wrap):
     text = "x"
@@ -190,7 +202,13 @@ def test_degree_past_the_monomial_limit_is_an_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body", ["p = x^3 * x^3; classify p;", "F = frame custom(x^3*Dx; y^3*Dy);"]
+    "body",
+    [
+        "p = x^3 * x^3; classify p;",
+        "F = frame custom(x^3*Dx; y^3*Dy);",
+        "p = x^5; classify p;",
+        "p = x^3*y^2; classify p;",
+    ],
 )
 def test_degree_cap_is_not_a_parse_error(tmp_path, body):
     # the cap trips inside an engine call the parser wraps

@@ -234,3 +234,35 @@ def test_format_job_keeps_the_kind_of_a_zero_value():
         assert "0*" in text, text
         assert run_job(parse(text)) == run_job(job), text
         assert format_job(parse(text)) == text
+
+
+@pytest.mark.parametrize(
+    "cap, source, raises",
+    [
+        (4, "x^5", True),
+        (4, "x^3*y^2", True),
+        (4, "x*x*x*x*x", True),
+        (4, "x^2*y^2 + x^4", False),
+        # a zero product checks no degree, as a product with the zero Poly does not
+        (4, "x^3*0*y^2", False),
+        (4, "0*x^3*y^2", False),
+        (None, "x^2147483648", True),
+        (None, "x^2147483647*x", True),
+        (None, "x^2147483647 + y^2147483647", False),
+    ],
+)
+def test_monomial_literals_check_degrees_like_products(cap, source, raises):
+    from divkit import rings
+
+    chart = Chart(["x", "y"])
+    old = rings._DEGREE_CAP
+    rings.set_degree_cap(cap)
+    try:
+        if raises:
+            with pytest.raises(rings.DegreeCapExceeded):
+                parse_expression(source, chart)
+        else:
+            assert isinstance(parse_expression(source, chart), Poly)
+    finally:
+        rings.set_degree_cap(old)
+

@@ -12,7 +12,12 @@ degree cap bounds the polynomial powers a mutant can build.
 The round trips check that what the printer writes reads back as the same
 thing: a mutant that parses gives the same certificate bytes after `dk fmt`,
 and a generated value's source text parses back to an equal value of the
-same kind and degree."""
+same kind and degree.
+
+Generated expressions also parse as they did before the parser read
+monomial literals straight into packed terms: `ReferenceParser` keeps that
+evaluation, one value per atom and one `combine_add` per `+`, and both must
+give equal values of the same type, or the same error."""
 
 import itertools
 import json
@@ -29,6 +34,7 @@ from divkit.cli import bundled_corpus_dir, certificate_json, run_job  # noqa: E4
 from divkit.dsl import (  # noqa: E402
     CoframeExpr,
     ParseError,
+    Parser,
     format_job,
     parse,
     parse_expression,
@@ -144,3 +150,112 @@ def test_printed_values_parse_back(v):
     assert got == v, text
     if not isinstance(v, Poly):  # a constant polynomial reads back as a scalar
         assert type(got) is type(v) and got.degree == v.degree, text
+
+
+class ReferenceParser(Parser):
+    """The expression evaluation before the monomial reader: every number
+    and variable is a value of its own, a product is `combine_mul` of the
+    running product, and a sum is `combine_add` of the running sum."""
+
+    def expression(self):
+        v = self.term()
+        while self.peek().text in ("+", "-"):
+            op = self.next().text
+            v = self.combine_add(v, self.term(), op)
+        return v
+
+    def term(self):
+        v = self.factor()
+        while True:
+            t = self.peek()
+            if t.text == "*":
+                self.next()
+                v = self.combine_mul(v, self.factor(), t)
+            elif t.kind == "wedge":
+                self.next()
+                v = self.combine_wedge(v, self.factor(), t)
+            else:
+                return v
+
+
+def reference_parse_expression(source, chart, definitions):
+    p = ReferenceParser(source, chart, definitions)
+    v = p.expression()
+    if p.peek().kind != "eof":
+        p.fail("trailing input after expression")
+    return v
+
+
+Y = Poly.var(CHART, "y")
+# `z` is defined too: the definition shadows the chart variable
+DEFINITIONS = {
+    "p": X * Y - Fraction(1, 2),
+    "s": Fraction(3, 2),
+    "v": Multivector.basis_vector(CHART, 0),
+    "z": Y + 1,
+}
+numbers = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda t: "%d/%d" % t),
+)
+powers = st.tuples(st.sampled_from(["x", "y", "z", "2"]), st.integers(0, 3)).map(
+    lambda t: "%s^%d" % t
+)
+repeated_powers = st.tuples(
+    st.sampled_from(["x", "y"]), st.integers(0, 3), st.integers(0, 2)
+).map(lambda t: "%s^%d^%d" % t)
+names = st.sampled_from(["x", "y", "z", "p", "s"])
+graded = st.sampled_from(["v", "Dy", "Dx^^Dy", "v^^Dy"])
+
+
+@st.composite
+def expression_sources(draw, depth=2):
+    """A sum of products of numbers, powers and names (in one sum of three
+    also vector fields and wedges) and, below `depth`, negated names and
+    parenthesized sums."""
+    kinds = [numbers, numbers, powers, powers, repeated_powers, names, names]
+    products = ["*"]
+    if draw(st.integers(0, 2)) == 0:
+        kinds.append(graded)
+        products += ["*"] * 6 + ["^^"]
+    if depth:
+        inner = expression_sources(depth - 1)
+        kinds += [inner.map("(%s)".__mod__), names.map("-%s".__mod__)]
+    text = draw(st.sampled_from(["", "-"]))
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            text += draw(st.sampled_from([" + ", " - "]))
+        for j in range(draw(st.integers(1, 4))):
+            if j:
+                text += draw(st.sampled_from(products))
+            text += draw(st.one_of(*kinds))
+    return text
+
+
+def parsed(parse_expression, source, cap):
+    old = rings._DEGREE_CAP
+    rings.set_degree_cap(cap)
+    try:
+        v = parse_expression(source, CHART, DEFINITIONS)
+    except (ParseError, DegreeCapExceeded) as e:
+        return type(e), str(e)
+    finally:
+        rings.set_degree_cap(old)
+    return type(v), v
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=2000)
+@given(expression_sources(), st.sampled_from([None, None, None, 0, 3, 6]))
+@example("x*x^2 + 2*3 - 3/4*y^0 + 0*z", None)
+@example("3", None)
+@example("2*3", None)
+@example("2*x*3*y^2*x^0*x + x*-y + (x)*y*-z", None)
+@example("2^3*x - x^2^3 + s*x", None)
+@example("x^3*0*y^2 + 0*x^3*y^2", 4)
+@example("x^3*y^2", 4)
+@example("x + 2*x + x*2 + x^1", 0)
+@example("x*Dy + -x*Dy^^Dy - v", None)
+def test_monomial_reader_parses_as_the_reference(source, cap):
+    got = parsed(parse_expression, source, cap)
+    want = parsed(reference_parse_expression, source, cap)
+    assert got[0] is want[0] and got[1] == want[1], source
