@@ -318,6 +318,18 @@ def _read(path):
         return None, "%s: %s" % (type(e).__name__, e)
 
 
+def _out(text, end="\n"):
+    """Print to stdout and flush.  When the reader has closed the pipe
+    (`dk run job.dk | head -1`), the rest of the output goes to the null
+    device, so the command ends quietly with its own exit code."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def run_file(path, options, as_json):
     source, error = _read(path)
     if error:
@@ -325,7 +337,7 @@ def run_file(path, options, as_json):
         return 2
     job, error = _parse(source)
     cert, code = (_error_cert(error, str(path)), 2) if error else run_job(job, options)
-    print(certificate_json(cert) if as_json else _human(cert), end="" if as_json else "\n")
+    _out(certificate_json(cert) if as_json else _human(cert), end="" if as_json else "\n")
     return code
 
 
@@ -335,9 +347,12 @@ def bundled_corpus_dir():
 
 def run_corpus(directory, options, write_expected=False):
     directory = Path(directory)
+    if not directory.is_dir():
+        print("error: %s: not a directory" % directory, file=sys.stderr)
+        return 2
     jobs = sorted(directory.glob("*.dk"))
     if not jobs:
-        print("0 jobs")
+        _out("0 jobs")
         return 0
     failures = 0
     for jobfile in jobs:
@@ -350,22 +365,22 @@ def run_corpus(directory, options, write_expected=False):
         )
         if write_expected:
             expected_file.write_text(got)
-            print("%-40s written" % jobfile.name)
+            _out("%-40s written" % jobfile.name)
             continue
         if not expected_file.exists():
-            print("%-40s MISSING expected file" % jobfile.name)
+            _out("%-40s MISSING expected file" % jobfile.name)
             failures += 1
             continue
         expected = expected_file.read_text()
         if got == expected:
-            print("%-40s pass" % jobfile.name)
+            _out("%-40s pass" % jobfile.name)
         else:
-            print("%-40s FAIL" % jobfile.name)
+            _out("%-40s FAIL" % jobfile.name)
             failures += 1
             for line in _diff_lines(expected, got):
-                print("    " + line)
+                _out("    " + line)
     total = len(jobs)
-    print("%d/%d jobs match" % (total - failures, total))
+    _out("%d/%d jobs match" % (total - failures, total))
     return 1 if failures else 0
 
 
@@ -390,7 +405,7 @@ def fmt_file(path):
     if error:
         print("error: %s" % error, file=sys.stderr)
         return 2
-    sys.stdout.write(dsl.format_job(job))
+    _out(dsl.format_job(job), end="")
     return 0
 
 

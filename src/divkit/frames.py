@@ -11,13 +11,14 @@ clears its column with the polynomial multipliers e/p.  What no constant
 pivot reaches is the Schur block S, which has no nonzero constant entry, and
 det(rho) = +-(prod p) det(S) (the Schur-complement identity behind Bareiss
 1968).  A solve rho x = v runs the multipliers forward over v, takes S's part
-by Cramer's rule with adj(S) and det(S) from one memoized table of minors,
-and back-substitutes through the constant pivots, so every component is a
-numerator over det(S).  Frame expansion, the involutivity certificate (every
+by Cramer's rule with adj(S), and back-substitutes through the constant
+pivots, so every component is a numerator over det(S).  The one elimination
+answers det (`poly_det`), solve and the antisymmetric inverse
+(`invert_antisym`): frame expansion, the involutivity certificate (every
 pairwise Lie bracket solved back into the frame, all denominators
-cancelling) and the lift's pullback Pi_A = rho^-1 pi rho^-T all go through
-that one solve; the adjugate of the whole anchor is never built.  Every sum
-of products here (a minor's expansion, a matrix product entry, a Cramer
+cancelling), the lift's pullback Pi_A = rho^-1 pi rho^-T and the dual forms
+-Pi_A^-1 all go through it; the table of minors only gives adj(S).  Every
+sum of products here (a minor's expansion, a matrix product entry, a Cramer
 numerator) is one `rings.sum_products` call.
 
 The algebroid differential d_A is the Chevalley-Eilenberg differential of
@@ -130,8 +131,7 @@ def _minor_table(m, memo):
 
 
 def poly_det(m):
-    full = tuple(range(len(m)))
-    return _minor_table(m, {})(full, full)
+    return _Elimination(m).det
 
 
 def poly_adjugate(m):
@@ -152,22 +152,20 @@ def poly_adjugate(m):
     return adj
 
 
-def adjugate_and_det(m):
-    """(adj(m), det(m)), the determinant taken from the adjugate's first
-    column, det = sum_j m[0][j] adj[j][0], so one table of minors serves both."""
-    adj = poly_adjugate(m)
-    chart = m[0][0].chart
-    return adj, sum_products(chart, [(1, m[0][j], adj[j][0]) for j in range(len(m))])
-
-
 def invert_antisym(m):
-    """Exact inverse of an antisymmetric Poly matrix with constant nonzero
-    determinant (all the catalog dual forms have one)."""
-    adj, det = adjugate_and_det(m)
-    if not det.is_constant() or det.is_zero():
+    """{(i, j): w_ij}, i < j, the nonzero upper-triangle entries of w = -m^-1
+    for an antisymmetric Poly matrix m with constant nonzero determinant (all
+    the catalog dual forms have one): column j of m^-1 solves m x = e_j."""
+    elim = _Elimination(m)
+    if not elim.det.is_constant() or elim.det.is_zero():
         raise BadParams("matrix inversion needs a constant nonzero determinant")
-    c = det.constant_value()
-    return [[adj[i][j] * (1 / c) for j in range(len(m))] for i in range(len(m))]
+    chart, n = elim.chart, len(m)
+    zero, one = Poly.zero(chart), Poly.const(chart, 1)
+    comps = {}
+    for j in range(1, n):
+        col, _ = elim.solve([one if i == j else zero for i in range(n)])
+        comps.update(((i, j), -col[i]) for i in range(j) if col[i])
+    return comps
 
 
 def mat_mul(a, b):
@@ -206,7 +204,8 @@ def _constant_pivot(a, rows, cols):
 
 
 class _Elimination:
-    """The anchor reduced over constant pivots (see the module docstring).
+    """A square Poly matrix rho (an anchor, or the matrix of `poly_det` or
+    `invert_antisym`) reduced over constant pivots (see the module docstring).
 
     `steps` lists, in pivot order, (r, c, inv, row, mults): pivot row r and
     column c, inv = 1/p for the constant pivot p, the pivot row's other
@@ -248,7 +247,10 @@ class _Elimination:
             scale *= p
         self.steps, self.rows, self.cols = steps, rows, cols
         if rows:
-            self.adj, self.den = adjugate_and_det([[a[r][c] for c in cols] for r in rows])
+            s = [[a[r][c] for c in cols] for r in rows]
+            adj = self.adj = poly_adjugate(s)
+            # det(S) from adj(S)'s first column, so one table of minors serves both
+            self.den = sum_products(chart, [(1, s[0][j], adj[j][0]) for j in range(len(s))])
         else:
             self.adj, self.den = [], one
         # the sign of the row and the column order (pivots first, then S)

@@ -32,7 +32,6 @@ from .multivector import (
     DegreeMismatch,
     DiffForm,
     Multivector,
-    bivector_from_matrix,
     bivector_matrix,
     lie_derivative,
     partial_pfaffian,
@@ -224,15 +223,6 @@ class LiftCertificate:
         self.evidence = evidence
         self.warnings = warnings
 
-    def lifted_pfaffian(self):
-        """Pf(pi_A) of the lifted bivector itself (None on an odd chart): a
-        reference for the Pf(pi) / det(rho) that `lift` computes."""
-        n = self.frame.chart.dimension
-        if n % 2:
-            return None
-        pf = partial_pfaffian(self.lifted, n // 2)
-        return pf.comps.get(tuple(range(n)), Poly.zero(self.frame.chart))
-
 
 def _anchor_pfaffian(pi, det):
     """Pf(pi_A) = Pf(pi) / det(rho) for a nonzero bivector pi on an even
@@ -254,16 +244,18 @@ def _anchor_pfaffian(pi, det):
     return pf
 
 
-def _scan_grid(pf, n, grid_values):
+def _scan_grid(pf, grid_values):
     """(nondegenerate, evidence, warnings) of a non-constant Pfaffian from a
-    scan of the full grid product: a zero at any real point, or two points
-    of opposite sign (intermediate value theorem on the connected chart),
-    is an exact proof of degeneracy; a grid without either gives a sampled
-    certificate."""
+    scan of the grid product over the Pfaffian's own variables, which sees
+    every value the full chart grid would: a zero at any real point, or two
+    points of opposite sign (intermediate value theorem on the connected
+    chart), is an exact proof of degeneracy; a grid without either gives a
+    sampled certificate."""
     values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
+    names = sorted(pf.variables_used())
     signs = set()
-    for p in itertools.product(values, repeat=n):
-        v = pf.evaluate(p)
+    for p in itertools.product(values, repeat=len(names)):
+        v = pf.evaluate(dict(zip(names, p)))
         signs.add(v > 0)
         if v == 0 or len(signs) > 1:
             return False, "Pfaffian %s vanishes somewhere" % pf, []
@@ -281,8 +273,8 @@ def lift(pi, frame, grid_values=None):
     det(rho) has no real zero.  A constant nonzero Pf(pi_A) decides it.  A
     non-constant one is degenerate when it vanishes identically on the
     coordinate subspace where the variables of det(rho) are 0; otherwise a
-    grid scan looks for a zero or a sign change, and a scan that finds
-    neither gives a sampled certificate."""
+    grid scan over the Pfaffian's own variables looks for a zero or a sign
+    change, and a scan that finds neither gives a sampled certificate."""
     if pi.chart != frame.chart:
         raise ChartMismatch("bivector and frame on different charts")
     if pi.degree != 2:
@@ -304,7 +296,7 @@ def lift(pi, frame, grid_values=None):
     elif pf.substitute_zero(frame.det.variables_used()).is_zero():
         cert.evidence = "Pfaffian %s vanishes somewhere" % pf
     else:
-        cert.nondegenerate, cert.evidence, cert.warnings = _scan_grid(pf, n, grid_values)
+        cert.nondegenerate, cert.evidence, cert.warnings = _scan_grid(pf, grid_values)
     return cert
 
 
@@ -483,9 +475,7 @@ def darboux_catalog(kind, dim, k=None, lam=None):
             for a in range(2, n, 2):
                 setw(0, a + 1, Poly.var(chart, "x%d" % a))
                 setw(a, a + 1, Poly.const(chart, Fraction(-1, 2)))
-            p = invert_antisym(w)
-            pa = bivector_from_matrix(chart, [[-e for e in row] for row in p])
-            pi = pushforward(frame, pa)
+            pi = pushforward(frame, Multivector(chart, 2, invert_antisym(w)))
             cls = DivisorClass(DivisorClass.BPOWER, dim + 1)
     elif kind in ("elliptic", "elliptic_zero"):
         chart = Chart(["x", "y"] + ["x%d" % i for i in range(1, dim - 1)])

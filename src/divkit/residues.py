@@ -194,18 +194,9 @@ def elliptic_log_factorization(w, frame):
 
 
 def dual_form(cert):
-    """Dual coframe 2-form of a nondegenerate lift with constant Pfaffian:
-    invert the lifted bivector's coefficient matrix exactly."""
-    p = bivector_matrix(cert.lifted)
-    winv = invert_antisym(p)
-    comps = {}
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = -winv[i][j]
-            if not v.is_zero():
-                comps[(i, j)] = v
-    return CoframeForm(cert.frame, 2, comps)
+    """Dual coframe 2-form -pi_A^-1 of a nondegenerate lift with constant
+    Pfaffian, by the exact inverse of the lifted bivector's matrix."""
+    return CoframeForm(cert.frame, 2, invert_antisym(bivector_matrix(cert.lifted)))
 
 
 class SpinorReport:

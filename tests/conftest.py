@@ -7,8 +7,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
 
-from divkit.rings import Poly
-from divkit.multivector import Multivector
+from divkit.rings import Poly, sum_products
+from divkit.multivector import Multivector, partial_pfaffian
+from divkit.frames import poly_adjugate
 
 
 def rand_poly(chart, rng, max_degree=2, terms=3, zero_ok=True):
@@ -37,6 +38,30 @@ def rand_multivector(chart, rng, degree, max_degree=2, density=0.7):
         if rng.random() < density:
             comps[idx] = rand_poly(chart, rng, max_degree)
     return Multivector(chart, degree, comps)
+
+
+# ---------------------------------------------------------------------------
+# References the library's own paths are compared against
+# ---------------------------------------------------------------------------
+
+
+def adjugate_and_det(m):
+    """(adj(m), det(m)) from one table of minors, the determinant taken from
+    the adjugate's first column, det = sum_j m[0][j] adj[j][0]."""
+    adj = poly_adjugate(m)
+    chart = m[0][0].chart
+    return adj, sum_products(chart, [(1, m[0][j], adj[j][0]) for j in range(len(m))])
+
+
+def lifted_pfaffian(cert):
+    """Pf(pi_A) of a lift certificate's lifted bivector itself (None on an
+    odd chart): the reference for the Pf(pi) / det(rho) that `lift` takes."""
+    chart = cert.frame.chart
+    n = chart.dimension
+    if n % 2:
+        return None
+    pf = partial_pfaffian(cert.lifted, n // 2)
+    return pf.comps.get(tuple(range(n)), Poly.zero(chart))
 
 
 @pytest.fixture

@@ -14,8 +14,8 @@ from divkit.dsl import parse
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, env=None, **kw):
-    """Run ``python -m divkit.cli`` in a child process.
+def cli_env(env=None):
+    """The environment of a ``python -m divkit.cli`` child process.
 
     The child imports divkit from this checkout's ``src`` (as conftest.py
     arranges for the pytest process), whatever the caller's PYTHONPATH.
@@ -28,11 +28,16 @@ def run_cli(args, env=None, **kw):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_cli(args, env=None, **kw):
+    """Run ``python -m divkit.cli`` in a child process (see `cli_env`)."""
     return subprocess.run(
         [sys.executable, "-m", "divkit.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env),
         **kw,
     )
 
@@ -89,6 +94,57 @@ def test_corpus_empty(tmp_path):
     r = run_cli(["corpus", str(tmp_path)])
     assert r.returncode == 0
     assert "0 jobs" in r.stdout
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["corpus"], ["--strict", "corpus"], ["corpus", "--write-expected"]],
+    ids=["plain", "strict", "write-expected"],
+)
+def test_corpus_needs_a_directory(tmp_path, command):
+    # a mistyped path must not pass as an empty corpus
+    job = write(tmp_path, "ok.dk", "chart x; classify x;")
+    for path in (tmp_path / "missing", job):
+        r = run_cli([*command, str(path)])
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: %s: not a directory\n" % path
+    assert not (tmp_path / "ok.expected.json").exists()
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `dk run job.dk | head -1` on a 139 KB certificate with a negative
+    # verdict: the reader takes one line and closes the pipe
+    job = write(
+        tmp_path,
+        "big.dk",
+        "chart x, y, z, w; pi = (x+y+z+1)^30*Dx^^Dy + Dz^^Dw + Dx^^Dw; check_poisson pi;",
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "divkit.cli", "run", str(job)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    assert child.stdout.readline() == b"command: check_poisson pi\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1  # the verdict's exit code
+    assert child.stderr.read() == b""
+    child.stderr.close()
+    # corpus and fmt writing into a pipe that nobody reads any more
+    for args, code in ((["corpus"], 0), (["fmt", str(job)], 0)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "divkit.cli", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=cli_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (code, b""), args
 
 
 def test_undecodable_job_file_is_an_error(tmp_path):
@@ -397,6 +453,26 @@ def test_lift_sign_change_proves_degeneracy():
     assert cert["payload"]["nondegenerate"] is False
     assert cert["payload"]["evidence"] == "Pfaffian 2*x - 1 vanishes somewhere"
     assert cert["warnings"] == []
+
+
+def test_lift_scan_covers_only_the_pfaffians_variables(monkeypatch):
+    # Pf = 1 + a^2 on a 10-variable chart: five grid values of a, not the
+    # 5^10 points of the whole chart, give the same sampled verdict
+    from divkit.rings import Poly
+
+    calls = []
+    evaluate = Poly.evaluate
+    monkeypatch.setattr(Poly, "evaluate", lambda p, point: calls.append(point) or evaluate(p, point))
+    job = parse(
+        "chart a,b,c,d,e,f,g,h,i,j;"
+        " pi = (1+a^2)*Da^^Db + Dc^^Dd + De^^Df + Dg^^Dh + Di^^Dj;"
+        " lift pi to frame tx();"
+    )
+    cert, code = run_job(job)
+    assert code == 0 and cert["payload"]["nondegenerate"] is True
+    assert cert["payload"]["evidence"] == "Pfaffian nonvanishing on the sample grid"
+    assert cert["warnings"] == ["nondegeneracy certificate is sampled, not exact"]
+    assert 0 < len(calls) <= 5
 
 
 def test_lift_degeneracy_on_the_frame_divisor_needs_no_grid_zero():

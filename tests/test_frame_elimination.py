@@ -2,14 +2,15 @@
 full-adjugate path it replaced.
 
 The references below keep that path: the anchor's adjugate and determinant
-from one table of minors (`adjugate_and_det`), Cramer's rule for frame
+from one table of minors (`conftest.adjugate_and_det`), Cramer's rule for frame
 expansion and for the involutivity certificate, and the congruence
 adj(rho) Pi adj(rho)^T divided by det(rho)^2 for the lift.  On seeded random
 anchors -- with constant entries, with `Fraction` pivots, with no constant
 entry at all, and singular ones -- the frames must agree with them on the
 determinant, every structure coefficient, expansions and lift components,
 and on the exact message of every NotInvolutive, NotInModule, NotLiftable
-and DegenerateFrame.
+and DegenerateFrame.  The antisymmetric inverse, solved column by column
+through the same elimination, must agree with -adj(m) / det(m).
 """
 
 import random
@@ -19,13 +20,15 @@ import pytest
 
 from divkit.frames import (
     AnchorFrame,
+    BadParams,
     DegenerateFrame,
     NotInModule,
     NotInvolutive,
     NotLiftable,
-    adjugate_and_det,
+    _Elimination,
     catalog,
     expand_in_frame,
+    invert_antisym,
     mat_mul,
     mat_transpose,
     pullback,
@@ -35,7 +38,7 @@ from divkit.multivector import DiffForm, Multivector, bivector_matrix, lie_brack
 from divkit.poisson import _gcd_over_power, lift
 from divkit.rings import Chart, ChartMismatch, Poly, exact_divide, fraction_str, gcd_content, sum_products
 
-from conftest import rand_multivector, rand_poly, rand_vector
+from conftest import adjugate_and_det, rand_multivector, rand_poly, rand_vector
 
 C2 = Chart(["x", "y"])
 C3 = Chart(["x", "y", "u"])
@@ -286,6 +289,59 @@ def test_lifts_match_the_adjugate_path():
                     lift(pi, frame)
                 assert str(e.value) == got[2]
     assert seen["value"] and seen["error"]
+
+
+def unimodular(chart, rng, n):
+    """A random n x n polynomial matrix with a constant nonzero determinant:
+    the identity with rows scaled by `Fraction`s and random polynomial
+    multiples of rows added to others."""
+    a = [[Poly.const(chart, rand_constant(rng, True) if i == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        f = rand_poly(chart, rng, max_degree=1, terms=2)
+        a[i] = [e + f * g for e, g in zip(a[i], a[j])]
+    return a
+
+
+def test_antisymmetric_inverse_matches_the_adjugate_reference():
+    # m = A J A^T with A unimodular: antisymmetric, det(m) = det(A)^2 det(J)
+    rng = random.Random(4242)
+    shapes = set()
+    for n in (2, 4, 6):
+        chart = C2 if n == 2 else C4
+        zero = Poly.zero(chart)
+        for _ in range(8):
+            j = [[zero] * n for _ in range(n)]
+            for k in range(0, n, 2):
+                c = Poly.const(chart, rand_constant(rng, True))
+                j[k][k + 1], j[k + 1][k] = c, -c
+            a = unimodular(chart, rng, n)
+            m = mat_mul(mat_mul(a, j), mat_transpose(a))
+            adj, det = adjugate_and_det(m)
+            assert det.is_constant() and not det.is_zero()
+            want = {}
+            for r in range(n):
+                for c in range(r + 1, n):
+                    if adj[r][c]:
+                        want[r, c] = adj[r][c] * (-1 / det.constant_value())
+            assert invert_antisym(m) == want, (n, m)
+            elim = _Elimination(m)
+            shapes.add("empty" if not elim.rows else "whole" if not elim.steps else "block")
+    assert shapes == {"empty", "whole", "block"}
+
+
+def test_antisymmetric_inverse_needs_a_constant_nonzero_determinant():
+    x, y = Poly.var(C2, "x"), Poly.var(C2, "y")
+    zero, one = Poly.zero(C2), Poly.const(C2, 1)
+    cases = [
+        [[zero, x], [-x, zero]],  # det x^2
+        [[zero, zero], [zero, zero]],  # det 0
+        # rank 2: rows 3 and 4 are y times rows 1 and 2
+        [[zero, one, zero, y], [-one, zero, -y, zero], [zero, y, zero, y * y], [-y, zero, -y * y, zero]],
+    ]
+    for m in cases:
+        with pytest.raises(BadParams, match="constant nonzero determinant"):
+            invert_antisym(m)
 
 
 def test_determinant_keeps_sign_and_pivot_scale():

@@ -10,7 +10,6 @@ from divkit.rings import Chart, Poly
 from divkit.multivector import DiffForm, exterior_derivative
 from divkit.frames import (
     CoframeForm,
-    adjugate_and_det,
     algebroid_d,
     catalog,
     mat_mul,
@@ -18,7 +17,7 @@ from divkit.frames import (
     poly_det,
 )
 
-from conftest import rand_poly
+from conftest import adjugate_and_det, rand_poly
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -143,7 +142,7 @@ def test_det_and_adjugate_against_sympy():
             m = random_matrix(chart, rng2, n, density)
             det, adj = poly_det(m), poly_adjugate(m)
             assert element(det) == domain_matrix(m).det(), (n, density)
-            # a frame's determinant comes from its adjugate's first column
+            # the elimination's determinant agrees with the adjugate's first column
             assert adjugate_and_det(m) == (adj, det), (n, density)
             scalar = [[det if i == j else zero for j in range(n)] for i in range(n)]
             assert mat_mul(m, adj) == scalar, (n, density)
