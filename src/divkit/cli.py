@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import dsl
-from .rings import DegreeCapExceeded, InternalError, set_degree_cap
+from .rings import DegreeCapExceeded, InternalError, degree_cap
 from .divisors import DivisorIdeal, classify, make_ideal
 from .dsl import ParseError, parse
 from .frames import (
@@ -415,7 +415,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--seed-grid",
-        help="comma-separated rational values overriding the sample grid",
+        help="comma-separated integers overriding the sample grid",
     )
     parser.add_argument(
         "--strict", action="store_true", help="reject heuristic certificates"
@@ -435,12 +435,14 @@ def main(argv=None):
     p_fmt.add_argument("file")
     args = parser.parse_args(argv)
 
-    cap = os.environ.get("DK_MAX_DEGREE")
-    if cap:
+    cap = os.environ.get("DK_MAX_DEGREE") or None  # empty is unset; "0" is a cap
+    if cap is not None:
         try:
-            set_degree_cap(int(cap))
+            cap = int(cap)
         except ValueError:
-            print("error: DK_MAX_DEGREE must be an integer", file=sys.stderr)
+            cap = -1
+        if cap < 0:
+            print("error: DK_MAX_DEGREE must be a non-negative integer", file=sys.stderr)
             return 2
 
     grid = None
@@ -452,14 +454,13 @@ def main(argv=None):
             return 2
     options = RunOptions(grid_values=grid, strict=args.strict)
 
-    if args.cmd == "run":
-        return run_file(args.file, options, args.json)
-    if args.cmd == "corpus":
-        directory = args.dir or bundled_corpus_dir()
-        return run_corpus(directory, options, write_expected=args.write_expected)
-    if args.cmd == "fmt":
+    with degree_cap(cap):
+        if args.cmd == "run":
+            return run_file(args.file, options, args.json)
+        if args.cmd == "corpus":
+            directory = args.dir or bundled_corpus_dir()
+            return run_corpus(directory, options, write_expected=args.write_expected)
         return fmt_file(args.file)
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -23,7 +23,10 @@ one value per atom combined by `combine_mul` and `combine_add`, reads
 everything else: a number followed by `/` or `^`, a repeated `^`, a defined
 name, the basis tokens `Dx`, `dx`, `e1`, parentheses and unary minus.  A
 lone number stays a `Fraction` and any other run is a Poly, so both paths
-give equal values of the same type.
+give equal values of the same type.  Each value a statement produces (a
+definition or a command operand) is then checked whole against the degree
+cap by `Parser.checked`, so `DK_MAX_DEGREE` trips on it however it is
+spelled.
 
 Each command's syntax is one `COMMANDS` entry, which both the parser and
 the printer walk; a new command is that entry plus one branch in
@@ -259,7 +262,7 @@ class Parser:
         elif t.text == "ideal":
             value = self.ideal_operand()
         else:
-            value = self.expression()
+            value = self.checked(self.expression())
         self.expect(";")
         if name in self.job.definitions:
             self.fail("%r is already defined" % name, name_tok)
@@ -402,6 +405,16 @@ class Parser:
             v = Poly.const(self.need_chart(tok), v)
         if not isinstance(v, cls):
             self.fail("expected %s" % what, tok)
+        return self.checked(v)
+
+    def checked(self, v):
+        """`v`, once its total degree (a graded value's largest coefficient
+        degree) is within the degree cap; `x` or `x*2` multiplies no two
+        polynomials, so no product checks it."""
+        if isinstance(v, Poly):
+            _check_degree(v.total_degree())
+        elif isinstance(v, _Graded):
+            _check_degree(max((c.total_degree() for c in v.comps.values()), default=-1))
         return v
 
     # -- expressions ---------------------------------------------------------
@@ -538,7 +551,7 @@ class Parser:
         if t.text == "-":
             self.next()
             self.depth += 1
-            v = self.negate(self.factor())
+            v = self.negate(self.factor(), t)
             self.depth -= 1
             return v
         v = self.atom()
@@ -622,8 +635,11 @@ class Parser:
         except (ValueError, KeyError, TypeError) as e:
             self.fail("cannot wedge these values: %s" % e, tok)
 
-    def negate(self, v):
-        return -v
+    def negate(self, v, tok):
+        try:
+            return -v
+        except (ValueError, KeyError, TypeError) as e:
+            self.fail("cannot negate this value: %s" % e, tok)
 
     def power(self, v, e, tok):
         if isinstance(v, (int, Fraction, Poly)):

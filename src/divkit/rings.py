@@ -24,10 +24,11 @@ clear, so an exponent, and the total degree, is at most `MAX_DEGREE` =
   exactly when its exponent in m is at least that in g).
 
 Every product and power checks its total degree before it multiplies and
-raises `DegreeCapExceeded` above `MAX_DEGREE` (or above the cap
-`set_degree_cap` sets), so a carry between fields never happens.  `Poly.terms`
-is a read-only view of the terms keyed by exponent tuples, for callers that
-want them; no module outside this one reads the packed form.
+raises `DegreeCapExceeded` above `MAX_DEGREE`, so a carry between fields
+never happens, or above the cap of the innermost enclosing `degree_cap`
+block (`cli.main` opens one per command, from `DK_MAX_DEGREE`).
+`Poly.terms` is a read-only view of the terms keyed by exponent tuples, for
+callers that want them; no module outside this one reads the packed form.
 
 `sum_products` computes a sum of products s*a*b into one term dict, with the
 checks of a single product, and normalizes once; it serves every sum of
@@ -67,6 +68,8 @@ and `fraction_str` prints it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt
@@ -93,13 +96,20 @@ class InternalError(RuntimeError):
     """An invariant of divkit itself failed: a bug, not a bad input."""
 
 
-# Optional global degree cap (set from the DK_MAX_DEGREE env var by the CLI).
-_DEGREE_CAP = None
+# The DK_MAX_DEGREE cap in force, None outside every `degree_cap` block.
+_degree_cap = ContextVar("degree_cap", default=None)
 
 
-def set_degree_cap(cap):
-    global _DEGREE_CAP
-    _DEGREE_CAP = cap
+@contextmanager
+def degree_cap(cap):
+    """Cap the total degree of every product and power inside the block at
+    `cap` (None: no cap below `MAX_DEGREE`); the outer cap is back on exit,
+    also when the block raises."""
+    token = _degree_cap.set(cap)
+    try:
+        yield
+    finally:
+        _degree_cap.reset(token)
 
 
 FIELD_BITS = 32
@@ -111,7 +121,7 @@ def _check_degree(d):
     """Refuse a total degree no packed monomial holds, or above the cap."""
     if d > MAX_DEGREE:
         raise DegreeCapExceeded("degree %d exceeds the limit %d of a monomial" % (d, MAX_DEGREE))
-    cap = _DEGREE_CAP
+    cap = _degree_cap.get()
     if cap is not None and d > cap:
         raise DegreeCapExceeded("intermediate degree %d exceeds DK_MAX_DEGREE=%d" % (d, cap))
 

@@ -248,6 +248,58 @@ def test_degree_cap(tmp_path):
     assert r.stderr.startswith("error: DegreeCapExceeded") and "Traceback" not in r.stderr
 
 
+def test_degree_cap_ends_with_the_command(tmp_path, monkeypatch, capsys):
+    # the cap one cli.main call reads from DK_MAX_DEGREE is gone in the next
+    from divkit import cli
+
+    job = write(tmp_path, "cap.dk", "chart x,y; p = x^9; classify p;")
+    monkeypatch.setenv("DK_MAX_DEGREE", "4")
+    assert cli.main(["run", str(job), "--json"]) == 2
+    assert "exceeds DK_MAX_DEGREE=4" in json.loads(capsys.readouterr().out)["error"]
+    monkeypatch.delenv("DK_MAX_DEGREE")
+    assert cli.main(["run", str(job)]) == 0
+    assert "class: BPower(9)" in capsys.readouterr().out
+    monkeypatch.setenv("DK_MAX_DEGREE", "")  # empty is unset
+    assert cli.main(["run", str(job)]) == 0
+    assert "class: BPower(9)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["-1", "four", "4.5"])
+def test_degree_cap_must_be_a_non_negative_integer(tmp_path, monkeypatch, capsys, value):
+    from divkit import cli
+
+    job = write(tmp_path, "j.dk", "chart x; p = 2*x; classify p;")
+    monkeypatch.setenv("DK_MAX_DEGREE", value)
+    assert cli.main(["run", str(job)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: DK_MAX_DEGREE must be a non-negative integer\n"
+
+
+def test_degree_cap_checks_every_spelling_while_parsing(tmp_path, monkeypatch, capsys):
+    # under cap 0 each value of degree 1 fails while the job is parsed,
+    # whether or not its spelling multiplies two polynomials
+    from divkit import cli
+
+    monkeypatch.setenv("DK_MAX_DEGREE", "0")
+    certs = set()
+    for body in [
+        "p = x; classify p;",
+        "p = x*2; classify p;",
+        "p = x^1; classify p;",
+        "p = 2*x; classify p;",
+        "classify x;",
+        "pi = x*Dx^^Dy; divisor pi;",
+    ]:
+        job = write(tmp_path, "j.dk", "chart x, y; " + body)
+        assert cli.main(["run", str(job), "--json"]) == 2
+        certs.add(capsys.readouterr().out)
+    (cert,) = certs
+    cert = json.loads(cert)
+    assert cert["command"] == str(job)
+    assert cert["error"] == "DegreeCapExceeded: intermediate degree 1 exceeds DK_MAX_DEGREE=0"
+
+
 def test_degree_past_the_monomial_limit_is_an_error(tmp_path):
     # total degree 2^31 does not fit a packed monomial: the power is refused
     # before it multiplies, with no cap set

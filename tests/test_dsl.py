@@ -44,8 +44,14 @@ def test_unknown_name_has_position():
         ("  \n\t ", 2, 3, "job has no chart declaration"),
         ("chart x, y;\nclassify x;\n  classify y;\n", 3, 3, "a job holds exactly one command"),
         (None, 3, 3, "expected a value, found ')'"),  # parse_expression
+        # unary minus on a value without one: at the minus sign, not a TypeError
+        ("chart x, y;\nF = frame tx();\np = -F;\nclassify p;\n", 3, 5,
+         "cannot negate this value: bad operand type for unary -: 'AnchorFrame'"),
+        ("chart x, y;\nI = ideal(x);\np = x - -I;\n", 3, 9,
+         "cannot negate this value: bad operand type for unary -: 'DivisorIdeal'"),
     ],
-    ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression"],
+    ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression",
+         "negated_frame", "negated_ideal"],
 )
 def test_parse_error_positions(source, line, col, message):
     with pytest.raises(ParseError) as e:
@@ -255,14 +261,10 @@ def test_monomial_literals_check_degrees_like_products(cap, source, raises):
     from divkit import rings
 
     chart = Chart(["x", "y"])
-    old = rings._DEGREE_CAP
-    rings.set_degree_cap(cap)
-    try:
+    with rings.degree_cap(cap):
         if raises:
             with pytest.raises(rings.DegreeCapExceeded):
                 parse_expression(source, chart)
         else:
             assert isinstance(parse_expression(source, chart), Poly)
-    finally:
-        rings.set_degree_cap(old)
 

@@ -80,16 +80,12 @@ def test_corpus_tokens_have_small_exponents():
 @settings(derandomize=True, database=None, max_examples=500, deadline=2000)
 @given(mutants())
 def test_mutated_corpus_jobs_parse_or_fail_cleanly(source):
-    old = rings._DEGREE_CAP
-    rings.set_degree_cap(DEGREE_CAP)
-    try:
+    with rings.degree_cap(DEGREE_CAP):
         try:
             job = parse(source)
         except (ParseError, DegreeCapExceeded):
             return
         cert, code = run_job(job)
-    finally:
-        rings.set_degree_cap(old)
     assert code == {"ok": 0, "fail": 1, "error": 2}[cert["verdict"]]
     assert not cert.get("error", "").startswith("InternalError"), source
     json.dumps(cert)
@@ -98,9 +94,7 @@ def test_mutated_corpus_jobs_parse_or_fail_cleanly(source):
 @settings(derandomize=True, database=None, max_examples=500, deadline=2000)
 @given(mutants())
 def test_formatted_mutants_give_the_same_certificate(source):
-    old = rings._DEGREE_CAP
-    rings.set_degree_cap(DEGREE_CAP)
-    try:
+    with rings.degree_cap(DEGREE_CAP):
         try:
             job = parse(source)
         except (ParseError, DegreeCapExceeded):
@@ -108,8 +102,6 @@ def test_formatted_mutants_give_the_same_certificate(source):
         text = format_job(job)
         want = certificate_json(run_job(job)[0])
         got = certificate_json(run_job(parse(text))[0])
-    finally:
-        rings.set_degree_cap(old)
     assert got == want, text
 
 
@@ -233,14 +225,11 @@ def expression_sources(draw, depth=2):
 
 
 def parsed(parse_expression, source, cap):
-    old = rings._DEGREE_CAP
-    rings.set_degree_cap(cap)
     try:
-        v = parse_expression(source, CHART, DEFINITIONS)
+        with rings.degree_cap(cap):
+            v = parse_expression(source, CHART, DEFINITIONS)
     except (ParseError, DegreeCapExceeded) as e:
         return type(e), str(e)
-    finally:
-        rings.set_degree_cap(old)
     return type(v), v
 
 

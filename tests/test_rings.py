@@ -10,6 +10,7 @@ from divkit.rings import (
     Poly,
     UnknownVariable,
     ZeroPolynomial,
+    degree_cap,
     exact_divide,
     fraction_str,
     gcd_content,
@@ -179,6 +180,23 @@ def test_degree_limit_is_an_error():
     with pytest.raises(DegreeCapExceeded):
         Poly(C2, {(2**31, 0): 1})
     assert (top * 0).is_zero() and (top**0) == 1
+
+
+def test_degree_cap_is_scoped_to_its_block():
+    # the outer cap is back after a nested block, also after one that raises
+    with degree_cap(4):
+        with degree_cap(None):
+            assert X**9 == X * X**8
+        with pytest.raises(DegreeCapExceeded, match="DK_MAX_DEGREE=4"):
+            X**5
+        with pytest.raises(ZeroDivisionError):
+            with degree_cap(8):
+                X**8
+                1 / 0
+        with pytest.raises(DegreeCapExceeded, match="DK_MAX_DEGREE=4"):
+            X**5
+        assert (X * Y) ** 2 == X**2 * Y**2
+    assert X**9 == X * X**8
 
 
 def test_term_view_reads_exponent_tuples():

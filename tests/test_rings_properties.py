@@ -159,16 +159,12 @@ def test_sum_products_checks_charts():
 
 def test_sum_products_checks_degrees_as_mul_does():
     x, y = Poly.var(CHART, "x"), Poly.var(CHART, "y")
-    old = rings._DEGREE_CAP
-    rings.set_degree_cap(4)
-    try:
+    with rings.degree_cap(4):
         assert sum_products(CHART, [(1, x**2, y**2)]) == x**2 * y**2
         with pytest.raises(DegreeCapExceeded):
             x**3 * y**2
         with pytest.raises(DegreeCapExceeded):
             sum_products(CHART, [(1, x, y), (-1, x**3, y**2)])
-    finally:
-        rings.set_degree_cap(old)
     half = Poly(CHART, {(MAX_DEGREE // 2 + 1, 0): 1})
     for fn in (lambda: half * half, lambda: sum_products(CHART, [(1, half, half)])):
         with pytest.raises(DegreeCapExceeded):
