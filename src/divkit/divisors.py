@@ -190,6 +190,13 @@ def _is_elliptic_atom(p):
     return None
 
 
+def _may_be_elliptic_power(p):
+    """Could the squarefree part of p be an elliptic atom?  Such an atom q is
+    irreducible (it has no real linear factor), so p would be c*q^k:
+    homogeneous of even degree in exactly two variables."""
+    return len(p.variables_used()) == 2 and p.total_degree() % 2 == 0 and p.is_homogeneous()
+
+
 def _divide_out(residual, p):
     """(residual / p^mult, mult) for the largest mult with p^mult | residual."""
     mult = 0
@@ -232,7 +239,7 @@ def classify(ideal, candidates=None):
     # elliptic atoms: user candidates, then the squarefree part of whatever
     # remains (catching powers of a single positive-definite quadratic)
     ell_cands = [p for p in candidates or [] if _is_elliptic_atom(p)]
-    if not residual.is_constant():
+    if _may_be_elliptic_power(residual):
         sq = squarefree_part(residual)
         if _is_elliptic_atom(sq) and all(sq != p for p in ell_cands):
             ell_cands.append(sq)

@@ -40,7 +40,6 @@ from .divisors import DivisorClass, classify, divides_ideal, make_ideal, preserv
 from .multivector import (
     Multivector,
     _Graded,
-    bivector_from_matrix,
     bivector_matrix,
     differential,
     lie_bracket,
@@ -690,10 +689,16 @@ def pullback(frame, pi):
 
 def pushforward(frame, lifted):
     """Push a frame bivector (indices over the generators) to TX: the
-    bivector of the matrix rho Pi_A rho^T."""
+    bivector of the matrix rho Pi_A rho^T.  Only its entries i < j are built,
+    entry (i, j) as row i of rho Pi_A against row j of rho."""
+    chart = frame.chart
     rho = frame.matrix()
-    m = mat_mul(mat_mul(rho, bivector_matrix(lifted)), mat_transpose(rho))
-    return bivector_from_matrix(frame.chart, m)
+    left = mat_mul(rho, bivector_matrix(lifted))
+    comps = {}
+    for i, row in enumerate(left):
+        for j in range(i + 1, len(rho)):
+            comps[(i, j)] = sum_products(chart, [(1, x, y) for x, y in zip(row, rho[j])])
+    return Multivector(chart, 2, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -498,12 +498,3 @@ def bivector_matrix(pi):
         m[j][i] = -c
     return m
 
-
-def bivector_from_matrix(chart, m):
-    n = chart.dimension
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not m[i][j].is_zero():
-                comps[(i, j)] = m[i][j]
-    return Multivector(chart, 2, comps)

@@ -167,8 +167,9 @@ def _gcd_over_power(polys, f):
 
 def divisor_type(pi, grid_values=None):
     """Largest m with pi^m != 0, the extracted divisor ideal, and the line
-    part W with pi^m/m! = g*W.  The line condition is exact when W has
-    constant components, otherwise certified on a deterministic sample grid
+    part W with pi^m/m! = g*W.  The line condition (W vanishes nowhere) is
+    exact when every component of W is constant ("constant") or one of them
+    is ("unit component"), otherwise certified on a deterministic sample grid
     and flagged as heuristic."""
     if pi.degree != 2:
         raise DegreeMismatch("expected a bivector")
@@ -196,6 +197,8 @@ def divisor_type(pi, grid_values=None):
     cls = classify(ideal)
     if all(c.is_constant() for c in w.comps.values()):
         cert = "constant"
+    elif any(c.is_constant() for c in w.comps.values()):
+        cert = "unit component"  # a nonzero constant component vanishes nowhere
     else:
         cert = "sampled"
         for p in sample_grid(chart, grid_values):

@@ -59,7 +59,10 @@ xi >= 2*min(|f|, |g|) + 2 for the max norms of the primitive inputs, and the
 candidate is accepted only if it divides both of them exactly.  After at most
 `HEU_GCD_MAX` evaluation points per level, or before an evaluation whose
 image would exceed `HEU_GCD_MAX_BITS` bits, the heuristic gives up, and the
-primitive remainder sequence `_prs_gcd` decides instead.
+primitive remainder sequence `_prs_gcd` decides instead.  `gcd_content`
+takes the gcd of a list as one `poly_gcd` of its first member with a
+weighted sum of the others, checked against each member by exact division;
+only a member it fails to divide costs a further gcd.
 
 There is no rational-function type: a fraction arises only as the witness of
 a failed exact division (a lift, a frame expansion, an upper modification),
@@ -739,14 +742,7 @@ def _prs_gcd(f, g):
     i = max(chart.index(v) for v in used)
 
     def content_pp(p):
-        view = _univar_view(p, i)
-        coeffs = list(view.values())
-        cont = coeffs[0]
-        for c in coeffs[1:]:
-            cont = poly_gcd(cont, c)
-            if cont.is_constant():
-                break
-        cont = cont.unit_normalized() if not cont.is_constant() else Poly.const(chart, 1)
+        cont = gcd_content(list(_univar_view(p, i).values()))
         pp = exact_divide(p, cont)
         if pp is None:
             raise InternalError("content does not divide %s (internal error)" % p)
@@ -771,16 +767,31 @@ def _prs_gcd(f, g):
 
 
 def gcd_content(polys):
-    """GCD of a list of polynomials, content-normalized; 1 when coprime."""
+    """GCD of a list of polynomials, content-normalized; 1 when coprime.
+
+    With p0 first and at least two others, g = gcd(p0, sum_k k*p_k) is taken
+    once: every common divisor of the list divides that weighted sum, so it
+    divides g.  Each other p is then trial-divided by g, and only a miss
+    takes gcd(g, p), so g ends up dividing every p: it is the gcd, up to a
+    unit.  A list of r + 1 members usually costs one gcd and r trial
+    divisions, where a chain of pairwise gcds costs r gcds.
+    """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise ZeroPolynomial("gcd of all-zero input")
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
+    g, rest = polys[0], polys[1:]
+    chart = g.chart
+    if len(rest) >= 2:
+        one = Poly.const(chart, 1)
+        s = sum_products(chart, [(k, one, p) for k, p in enumerate(rest, 1)])
+        if s:
+            g = poly_gcd(g, s)
+    for p in rest:
         if g.is_constant():
             break
-    return g.unit_normalized() if not g.is_constant() else Poly.const(g.chart, 1)
+        if exact_divide(p, g) is None:
+            g = poly_gcd(g, p)
+    return g.unit_normalized() if not g.is_constant() else Poly.const(chart, 1)
 
 
 def squarefree_part(f):

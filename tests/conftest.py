@@ -5,9 +5,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from unittest import mock
+
 import pytest
 
-from divkit.rings import Poly, sum_products
+from divkit import divisors
+from divkit.rings import Poly, ZeroPolynomial, poly_gcd, sum_products
 from divkit.multivector import Multivector, partial_pfaffian
 from divkit.frames import poly_adjugate
 
@@ -62,6 +65,28 @@ def lifted_pfaffian(cert):
         return None
     pf = partial_pfaffian(cert.lifted, n // 2)
     return pf.comps.get(tuple(range(n)), Poly.zero(chart))
+
+
+def gcd_content_chain(polys):
+    """GCD of a list as a chain of pairwise gcds that stops at a constant:
+    the reference for the weighted-sum gcd that `rings.gcd_content` takes."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        raise ZeroPolynomial("gcd of all-zero input")
+    g = polys[0]
+    for p in polys[1:]:
+        g = poly_gcd(g, p)
+        if g.is_constant():
+            break
+    return g.unit_normalized() if not g.is_constant() else Poly.const(g.chart, 1)
+
+
+def classify_taking_every_squarefree_part(ideal, candidates=None):
+    """`divisors.classify` with the squarefree part taken of every
+    non-constant residual, whatever its shape: the reference for the
+    classifier that takes it only where it could be an elliptic atom."""
+    with mock.patch.object(divisors, "_may_be_elliptic_power", lambda p: not p.is_constant()):
+        return divisors.classify(ideal, candidates)
 
 
 @pytest.fixture

@@ -190,11 +190,24 @@ def test_deep_nesting_is_a_parse_error(tmp_path, wrap):
 
 
 def test_strict_rejects_heuristic(tmp_path):
-    # rank-2 bivector in dim 4: the line certificate is sampled
+    # rank-2 bivector in dim 4 whose line part W = Dx^^Dy + x*Dx^^Dw has a
+    # unit component: W vanishes nowhere, exactly
+    unit = write(
+        tmp_path,
+        "u.dk",
+        "chart x,y,z,w; pi = x*Dx^^Dy + x^2*Dx^^Dw; divisor pi;",
+    )
+    r = run_cli(["--strict", "run", str(unit), "--json"])
+    assert r.returncode == 0
+    cert = json.loads(r.stdout)
+    assert cert["payload"]["line_certificate"] == "unit component"
+    assert cert["warnings"] == ["bivector is not Poisson: divisor data only"]
+    # no component of W = (y^2 + 1)*Dx^^Dy + (z^2 + 1)*Dx^^Dw is constant:
+    # the line certificate is sampled
     job = write(
         tmp_path,
         "s.dk",
-        "chart x,y,z,w; pi = x*Dx^^Dy + x^2*Dx^^Dw; divisor pi;",
+        "chart x,y,z,w; pi = x*(y^2+1)*Dx^^Dy + x*(z^2+1)*Dx^^Dw; divisor pi;",
     )
     assert run_cli(["run", str(job)]).returncode == 0
     r = run_cli(["--strict", "run", str(job), "--json"])

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from divkit import divisors
 from divkit.rings import Chart, Poly
 from divkit.multivector import Multivector
 from divkit.divisors import (
@@ -13,7 +16,7 @@ from divkit.divisors import (
     radical,
 )
 
-from conftest import rand_vector
+from conftest import classify_taking_every_squarefree_part, rand_vector
 
 C2 = Chart(["x", "y"])
 X, Y = Poly.var(C2, "x"), Poly.var(C2, "y")
@@ -107,6 +110,58 @@ def test_classify_products(rng):
                 assert tag.tag == DivisorClass.PRODUCT
         else:
             assert tag.tag == DivisorClass.PRODUCT
+
+
+C3 = Chart(["x", "y", "z"])
+X3, Y3, Z3 = (Poly.var(C3, v) for v in "xyz")
+Q = X * X + X * Y + Y * Y  # positive definite
+
+
+@pytest.mark.parametrize(
+    "gen, candidates, takes_part",
+    [
+        # c*q^k for an elliptic q: the one shape whose radical can be an atom
+        (3 * Q**2, None, True),
+        (Q**3, None, True),
+        (Q * (X * X + 2 * Y * Y), None, True),  # the shape, but not c*q^k
+        # odd degree, and not homogeneous
+        (Q * (X + Y), None, False),
+        (Q * (Q + 1), None, False),
+        (Q**2 + X * Y * Y, None, False),
+        # homogeneous of even degree in three variables
+        ((X3 * X3 + Y3 * Y3) * (X3 * X3 + Z3 * Z3), None, False),
+        ((X3 * X3 + Y3 * Y3) ** 2 * (Y3 * Y3 + Z3 * Z3), None, False),
+        # candidates: the residual after them is c*q^k, or not
+        (Q**2 * (X + Y + 1), [X + Y + 1], True),
+        (Q**2 * (X + Y + 1), None, False),
+        (Q**2 * (X + Y + 1), [Q, X + Y + 1], True),
+        (Q * (X + 2 * Y + 1), [Q], False),
+        ((X3 + Y3 + Z3) * (X3 * X3 + Z3 * Z3) ** 2, [X3 + Y3 + Z3], True),
+    ],
+)
+def test_classify_takes_a_squarefree_part_only_where_it_can_be_elliptic(gen, candidates, takes_part):
+    ideal = make_ideal(gen)
+    with mock.patch.object(divisors, "squarefree_part", wraps=divisors.squarefree_part) as spy:
+        got = classify(ideal, candidates)
+    assert spy.called == takes_part
+    assert got == classify_taking_every_squarefree_part(ideal, candidates)
+
+
+def test_classify_matches_the_reference_on_random_products(rng):
+    from conftest import rand_poly
+
+    atoms = [X3, Y3, Z3, X3 + Y3 + 1, X3 * X3 + Y3 * Y3, 2 * Y3 * Y3 + Y3 * Z3 + Z3 * Z3]
+    others = [X3 * X3 - Y3 * Y3, Y3 * Y3 + 1, X3 * Y3 + Z3]
+    for _ in range(60):
+        gen = Poly.const(C3, rng.randint(1, 5))
+        for _ in range(rng.randint(1, 3)):
+            gen = gen * rng.choice(atoms + others) ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            gen = gen * rand_poly(C3, rng, zero_ok=False)
+        candidates = rng.sample(atoms + others, rng.randint(0, 2)) or None
+        ideal = make_ideal(gen)
+        want = classify_taking_every_squarefree_part(ideal, candidates)
+        assert classify(ideal, candidates) == want, (gen, candidates)
 
 
 def test_preserves_examples():

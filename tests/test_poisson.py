@@ -82,8 +82,9 @@ def test_divisor_type_examples():
     assert rep.divisor_class == DivisorClass(DivisorClass.ELLIPTIC)
 
 
-def test_divisor_type_sampled_line():
-    # m < top with a non-constant line section: certified on the grid
+def test_divisor_type_unit_component_line():
+    # m < top with a non-constant line section that has a constant
+    # component: it vanishes nowhere, exactly
     c4 = Chart(["x", "y", "z", "w"])
     x = Poly.var(c4, "x")
     d = [Multivector.basis_vector(c4, i) for i in range(4)]
@@ -91,6 +92,20 @@ def test_divisor_type_sampled_line():
     rep = divisor_type(pi)
     assert rep.m == 1 and str(rep.ideal.generator) == "x"
     assert str(rep.line_part) == "Dx^^Dy + x*Dx^^Dw"
+    assert rep.certificate == "unit component"
+    assert not any("sampled" in w for w in rep.warnings)
+
+
+def test_divisor_type_sampled_line():
+    # m < top with no constant component of the line section: certified on
+    # the grid
+    c4 = Chart(["x", "y", "z", "w"])
+    x, y, z = (Poly.var(c4, v) for v in "xyz")
+    d = [Multivector.basis_vector(c4, i) for i in range(4)]
+    pi = (x * d[0]).wedge((y * y + 1) * d[1] + (z * z + 1) * d[3])
+    rep = divisor_type(pi)
+    assert rep.m == 1 and str(rep.ideal.generator) == "x"
+    assert str(rep.line_part) == "(y^2 + 1)*Dx^^Dy + (z^2 + 1)*Dx^^Dw"
     assert rep.certificate == "sampled"
     assert any("sampled" in w for w in rep.warnings)
 

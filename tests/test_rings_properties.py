@@ -10,7 +10,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from functools import reduce  # noqa: E402
+from unittest import mock  # noqa: E402
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from divkit import rings  # noqa: E402
 from divkit.rings import (  # noqa: E402
@@ -19,12 +22,16 @@ from divkit.rings import (  # noqa: E402
     ChartMismatch,
     DegreeCapExceeded,
     Poly,
+    ZeroPolynomial,
     _prs_gcd,
     exact_divide,
+    gcd_content,
     poly_gcd,
     squarefree_part,
     sum_products,
 )
+
+from conftest import gcd_content_chain  # noqa: E402
 
 CHART = Chart(["x", "y"])
 CHART3 = Chart(["x", "y", "z"])
@@ -271,6 +278,60 @@ def test_squarefree_part_against_sympy(a, b):
 def test_squarefree_part_three_variables_against_sympy(a, b):
     f = a * a * b
     assert_associate(squarefree_part(f), sympy.sqf_part(to_sympy(f)))
+
+
+X, Y = Poly.var(CHART, "x"), Poly.var(CHART, "y")
+HALF = Fraction(1, 2)
+# the first trial division misses, so the loop takes a second gcd
+FORCED_MISS = [X * Y, X + Y, -HALF * X]
+# the weighted sum 1*p1 + 2*p2 is zero: the loop starts from p0
+ZERO_SUM = [X * Y * (X + 1), (X + 1) * (Y + 3), -HALF * (X + 1) * (Y + 3)]
+# p0 divides the rest: one gcd, with the weighted sum, and no miss
+P0_DIVIDES = [2 * X + 2, (X + 1) * Y, (X + 1) * (X - Y), (X + 1) ** 2]
+CONSTANT_GCD = [X * X - Y, X * Y + 1, Y**2, X + 3]
+
+
+def gcd_lists(chart):
+    """1 to 5 polynomials, zeros among them, all with a common factor."""
+    return st.tuples(polys(1, 3, chart), st.lists(polys(chart=chart), min_size=1, max_size=5)).map(
+        lambda t: [t[0] * p for p in t[1]]
+    )
+
+
+@kernel_settings
+@given(st.sampled_from([CHART, CHART3]).flatmap(gcd_lists))
+@example(FORCED_MISS)
+@example(ZERO_SUM)
+@example(P0_DIVIDES)
+@example(CONSTANT_GCD)
+def test_gcd_content_against_the_chain_and_sympy(ps):
+    nonzero = [p for p in ps if p]
+    if not nonzero:
+        for gcd in (gcd_content, gcd_content_chain):
+            with pytest.raises(ZeroPolynomial):
+                gcd(ps)
+        return
+    ours = gcd_content(ps)
+    assert ours == gcd_content_chain(ps)
+    assert ours.content() == 1 and ours.leading()[1] > 0
+    assert_associate(ours, reduce(sympy.gcd, map(to_sympy, nonzero)))
+
+
+@pytest.mark.parametrize(
+    "ps, want, gcds",
+    [
+        (FORCED_MISS, Poly.const(CHART, 1), 2),
+        (ZERO_SUM, X + 1, 1),
+        (P0_DIVIDES, X + 1, 1),
+        (CONSTANT_GCD, Poly.const(CHART, 1), 1),
+        ([2 * X, X * Y], X, 0),  # one other: a trial division, no gcd
+        ([Y - 1], Y - 1, 0),
+    ],
+)
+def test_gcd_content_takes_a_gcd_only_on_a_miss(ps, want, gcds):
+    with mock.patch.object(rings, "poly_gcd", wraps=rings.poly_gcd) as spy:
+        assert gcd_content(ps) == want
+    assert spy.call_count == gcds
 
 
 def test_poly_gcd_of_degree_five_divisor_factors():
