@@ -18,15 +18,22 @@ A polynomial literal is read without building a value per atom:
 chart variable with an optional `^` and exponent, into one coefficient and
 one packed monomial (a variable adds `exponent * chart._units[i]`), checking
 degrees where a product of Polys would check them, and `expression` adds the
-terms of a sum into one packed term dict, normalized once.  The generic path,
-one value per atom combined by `combine_mul` and `combine_add`, reads
+terms of a sum into one packed term dict, normalized once.  A graded literal
+is read the same way: `Parser.basis_run` reads a run `B1 ^^ B2 ...` of basis
+tokens into a sign and a sorted index tuple, and `expression` adds each
+term's coefficient (a scalar or polynomial product before the run, or 1)
+into one {index: packed term dict} for the whole sum, so the Multivector,
+DiffForm or CoframeExpr is built once.  The generic path, one value per
+atom combined by `combine_mul`, `combine_wedge` and `combine_add`, reads
 everything else: a number followed by `/` or `^`, a repeated `^`, a defined
-name, the basis tokens `Dx`, `dx`, `e1`, parentheses and unary minus.  A
-lone number stays a `Fraction` and any other run is a Poly, so both paths
-give equal values of the same type.  Each value a statement produces (a
-definition or a command operand) is then checked whole against the degree
-cap by `Parser.checked`, so `DK_MAX_DEGREE` trips on it however it is
-spelled.
+name, a basis run with a repeated index, mixed kinds, an `e` index out of
+range or a `*`, `^` or `^^` after it, a term of another kind or degree than
+the sum so far, parentheses and unary minus.  A lone number stays a
+`Fraction` and any other run is a Poly, so both paths give equal values of
+the same type and degree, and the same errors.  Each value a statement
+produces (a definition or a command operand) is then checked whole against
+the degree cap by `Parser.checked`, so `DK_MAX_DEGREE` trips on it however
+it is spelled.
 
 Each command's syntax is one `COMMANDS` entry, which both the parser and
 the printer walk; a new command is that entry plus one branch in
@@ -39,7 +46,7 @@ import re
 from fractions import Fraction
 
 from .rings import Chart, Poly, _check_degree, _normed
-from .multivector import DiffForm, Multivector, _Graded
+from .multivector import DiffForm, Multivector, _Graded, merge_indices
 from .frames import AnchorFrame, CoframeForm, catalog
 from .divisors import DivisorIdeal, make_ideal
 
@@ -420,24 +427,43 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def expression(self):
-        """A sum of terms.  While the sum is a polynomial, its terms are
-        added into one packed term dict, normalized once at the end.  A term
-        of another kind (a graded value, say) makes the sum a value, and
-        `combine_add` adds each later term to it."""
-        w, m = self.term()
+        """A sum of terms, added into one keyed dict while every term has
+        the same shape: a polynomial sum into one packed term dict, and a
+        graded sum (each term a coefficient times a basis run, all of one
+        kind and degree) into one {index: packed term dict}, each
+        normalized once at the end.  A term of another shape makes the sum
+        a value, built from the dict so far, and `combine_add` adds each
+        later term to it."""
+        w, key = self.term()
         if self.peek().text not in ("+", "-"):
-            return w if m is None else self._monomial(w, m)
+            return self._value(w, key)
         chart = self.job.chart
         terms = {}
         get = terms.get
-        v = None  # the sum, once it is not a polynomial
+        graded = None  # (class, degree) of a graded sum, whose terms are in comps
+        comps = {}
+        v = None  # the sum, once it is neither
         first = True
         op = "+"
         while True:
+            if first and type(key) is tuple:
+                graded = key[0], len(key[1])
             if v is not None:
-                v = self.combine_add(v, w if m is None else self._monomial(w, m), op)
-            elif m is not None:
-                terms[m] = get(m, 0) + (w if op == "+" else -w)
+                v = self.combine_add(v, self._value(w, key), op)
+            elif graded is not None:
+                if type(key) is tuple and graded == (key[0], len(key[1])):
+                    acc = comps.get(key[1])
+                    if acc is None:
+                        acc = comps[key[1]] = {}
+                    add = acc.get
+                    for m, c in w._terms.items():
+                        acc[m] = add(m, 0) + (c if op == "+" else -c)
+                else:
+                    v = self.combine_add(self._graded_sum(graded, comps), self._value(w, key), op)
+            elif type(key) is int:
+                terms[key] = get(key, 0) + (w if op == "+" else -w)
+            elif key is not None:
+                v = self.combine_add(Poly._make(chart, _normed(terms)), self._value(w, key), op)
             elif isinstance(w, (int, Fraction)):
                 terms[0] = get(0, 0) + (w if op == "+" else -w)
             elif type(w) is Poly and w.chart == chart:
@@ -448,17 +474,51 @@ class Parser:
             else:
                 v = self.combine_add(Poly._make(chart, _normed(terms)), w, op)
             if self.peek().text not in ("+", "-"):
-                return Poly._make(chart, _normed(terms)) if v is None else v
+                if v is not None:
+                    return v
+                if graded is not None:
+                    return self._graded_sum(graded, comps)
+                return Poly._make(chart, _normed(terms))
             op = self.next().text
-            w, m = self.term()
+            w, key = self.term()
             first = False
 
+    def _value(self, w, key):
+        """The value of a term as `term` returns it."""
+        if key is None:
+            return w
+        if type(key) is int:
+            return self._monomial(w, key)
+        cls, idx = key
+        return cls._make(self.job.chart, len(idx), {idx: w} if w else {})
+
+    def _graded_sum(self, graded, comps):
+        """The value of a graded sum: class and degree, and its term dicts."""
+        chart = self.job.chart
+        cls, degree = graded
+        clean = {}
+        for idx, acc in comps.items():
+            acc = _normed(acc)
+            if acc:
+                clean[idx] = Poly._make(chart, acc)
+        return cls._make(chart, degree, clean)
+
     def term(self):
-        """A product, as (value, None), or as (coefficient, packed monomial)
-        when it is a monomial run, other than a lone number, with nothing
-        multiplied onto it."""
+        """A product, as one of
+        - (value, None);
+        - (coefficient, packed monomial), when it is a monomial run, other
+          than a lone number, with nothing multiplied onto it;
+        - (Poly coefficient, (class, index tuple)), when it is a basis run
+          (`basis_run`) that ends the product, after a scalar or polynomial
+          coefficient and `*`, or alone (coefficient 1).  The run's sign is
+          in the coefficient, whose degree is checked as multiplying it onto
+          the basis would check it."""
         run = self.monomial_run()
         if run is None:
+            basis = self.basis_run()
+            if basis is not None:
+                sign, key = basis
+                return Poly.const(self.job.chart, sign), key
             v = self.factor()
         else:
             c, m, is_poly = run
@@ -466,16 +526,76 @@ class Parser:
             if is_poly and t.text != "*" and t.kind != "wedge":
                 return c, m
             v = self._monomial(c, m) if is_poly else Fraction(c)
+        chart = self.job.chart
         while True:
             t = self.peek()
             if t.text == "*":
                 self.next()
+                if isinstance(v, (int, Fraction)) or type(v) is Poly and v.chart == chart:
+                    basis = self.basis_run()
+                    if basis is not None:
+                        sign, key = basis
+                        if type(v) is not Poly:
+                            v = Poly.const(chart, v)
+                        if v:
+                            _check_degree(v.total_degree())
+                        return (v if sign > 0 else -v), key
                 v = self.combine_mul(v, self.factor(), t)
             elif t.kind == "wedge":
                 self.next()
                 v = self.combine_wedge(v, self.factor(), t)
             else:
                 return v, None
+
+    def basis_run(self):
+        """Read a run B1 ^^ B2 ^^ ... of basis tokens of one kind (`Dx`,
+        `dx` or `e1`, none of them a defined name) with no index repeated,
+        not followed by `*`, `^` or `^^`, into (sign, (class, sorted index
+        tuple)); None, reading nothing, for any other input, which the
+        generic path then reads (and reports, if it is an error)."""
+        chart = self.job.chart
+        if chart is None:
+            return None
+        tokens = self.tokens
+        i = self.pos
+        first = self._basis_token(tokens[i])
+        if first is None:
+            return None
+        cls, idx = first[0], [first[1]]
+        while True:
+            t = tokens[i + 1]
+            if t.kind != "wedge":
+                if t.text in ("*", "^"):
+                    return None
+                break
+            b = self._basis_token(tokens[i + 2])
+            if b is None or b[0] is not cls or b[1] in idx:
+                return None
+            idx.append(b[1])
+            i += 2
+        self.pos = i + 1
+        if len(idx) == 1:
+            return 1, (cls, tuple(idx))
+        sign, key = merge_indices(tuple(idx), ())
+        return sign, (cls, key)
+
+    def _basis_token(self, t):
+        """(class, 0-based index) of a basis token that is no defined name
+        and no chart variable, with an `e` index in range; else None."""
+        name = t.text
+        if t.kind != "ident" or name in self.job.definitions:
+            return None
+        index = self.job.chart._index
+        if name in index:
+            return None
+        head, rest = name[0], name[1:]
+        if head == "D" and rest in index:
+            return Multivector, index[rest]
+        if head == "d" and rest in index:
+            return DiffForm, index[rest]
+        if head == "e" and rest.isdigit() and 1 <= int(rest) <= len(index):
+            return CoframeExpr, int(rest) - 1
+        return None
 
     def monomial_run(self):
         """Read a run of `*`-joined factors, each an integer or a chart

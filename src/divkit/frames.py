@@ -10,16 +10,28 @@ Markowitz cost (r-1)(c-1) (Markowitz 1957), ties broken by position, and
 clears its column with the polynomial multipliers e/p.  What no constant
 pivot reaches is the Schur block S, which has no nonzero constant entry, and
 det(rho) = +-(prod p) det(S) (the Schur-complement identity behind Bareiss
-1968).  A solve rho x = v runs the multipliers forward over v, takes S's part
-by Cramer's rule with adj(S), and back-substitutes through the constant
-pivots, so every component is a numerator over det(S).  The one elimination
-answers det (`poly_det`), solve and the antisymmetric inverse
-(`invert_antisym`): frame expansion, the involutivity certificate (every
-pairwise Lie bracket solved back into the frame, all denominators
-cancelling), the lift's pullback Pi_A = rho^-1 pi rho^-T and the dual forms
--Pi_A^-1 all go through it; the table of minors only gives adj(S).  Every
-sum of products here (a minor's expansion, a matrix product entry, a Cramer
-numerator) is one `rings.sum_products` call.
+1968).  det(S) comes from S's table of minors; adj(S) is built from the same
+table when a solve first needs it, so `poly_det` never builds it.  A solve
+rho x = v runs the multipliers forward over v, takes S's part by Cramer's
+rule with adj(S), and back-substitutes through the constant pivots, so every
+component is a numerator over det(S); a back-substitution step drops the
+products by zero components, and an exact step with none left is v_r / p.
+The one elimination answers det (`poly_det`), solve and the antisymmetric
+inverse (`invert_antisym`): frame expansion, the involutivity certificate,
+the lift's pullback Pi_A = rho^-1 pi rho^-T and the dual forms -Pi_A^-1 all
+go through it.  Every sum of products here (a minor's expansion, a matrix
+product entry, a Cramer numerator, a bracket component) is one
+`rings.sum_products` call.
+
+The involutivity certificate solves every pairwise bracket back into the
+frame, all denominators cancelling.  The brackets come from one table of the
+derivatives d_l rho_kj of the anchor entries, filled in per generator the
+first time a bracket needs it:
+
+    [e_i, e_j]^k = sum_l (rho_li d_l rho_kj - rho_lj d_l rho_ki);
+
+a bracket that is zero has all-zero structure coefficients and takes no
+solve.
 
 The algebroid differential d_A is the Chevalley-Eilenberg differential of
 the anchor and the certified structure coefficients c^k_ij:
@@ -42,7 +54,6 @@ from .multivector import (
     _Graded,
     bivector_matrix,
     differential,
-    lie_bracket,
     merge_indices,
 )
 
@@ -133,10 +144,11 @@ def poly_det(m):
     return _Elimination(m).det
 
 
-def poly_adjugate(m):
-    """adj(m) with m * adj(m) = det(m) * I."""
+def poly_adjugate(m, memo=None):
+    """adj(m) with m * adj(m) = det(m) * I; `memo` may hold the minors on
+    trailing rows that a det of m by first-row expansion left behind."""
     n = len(m)
-    memo = {}
+    memo = {} if memo is None else memo
     minor = _minor_table(m, memo)
     full = tuple(range(n))
     adj = [[None] * n for _ in range(n)]
@@ -210,10 +222,12 @@ class _Elimination:
     column c, inv = 1/p for the constant pivot p, the pivot row's other
     nonzero entries [(j, e)] as reduced so far, and the multipliers [(t, e/p)]
     that cleared column c from the rows t still active.  `rows` and `cols`
-    are the rows and columns of the Schur block S, increasing; `adj` and
-    `den` are adj(S) and det(S); `det` is det(rho)."""
+    are the rows and columns of the Schur block S, increasing; `den` is
+    det(S), from S's table of minors, and `det` is det(rho).  adj(S) is built
+    from the same table when a solve first needs it (`adj`), so a det alone
+    never pays for it."""
 
-    __slots__ = ("chart", "steps", "rows", "cols", "adj", "den", "det")
+    __slots__ = ("chart", "steps", "rows", "cols", "den", "det", "_adj", "_block", "_memo")
 
     def __init__(self, m):
         chart = self.chart = m[0][0].chart
@@ -245,13 +259,15 @@ class _Elimination:
             steps.append((r, c, inv, pivot_row, mults))
             scale *= p
         self.steps, self.rows, self.cols = steps, rows, cols
+        self._adj = None
         if rows:
-            s = [[a[r][c] for c in cols] for r in rows]
-            adj = self.adj = poly_adjugate(s)
-            # det(S) from adj(S)'s first column, so one table of minors serves both
-            self.den = sum_products(chart, [(1, s[0][j], adj[j][0]) for j in range(len(s))])
+            s = self._block = [[a[r][c] for c in cols] for r in rows]
+            # det(S) by minors; its memo starts adj(S), built on the first solve
+            memo = self._memo = {}
+            full = tuple(range(len(s)))
+            self.den = _minor_table(s, memo)(full, full)
         else:
-            self.adj, self.den = [], one
+            self._adj, self.den = [], one
         # the sign of the row and the column order (pivots first, then S)
         scale *= merge_indices(tuple(step[0] for step in steps) + tuple(rows), ())[0]
         scale *= merge_indices(tuple(step[1] for step in steps) + tuple(cols), ())[0]
@@ -275,7 +291,7 @@ class _Elimination:
                     v[t] = sum_products(chart, [(1, v[t], one), (-1, f, vr)])
         x = [None] * len(v)
         block = [v[r] for r in self.rows]
-        nums = [sum_products(chart, [(1, a, b) for a, b in zip(row, block)]) for row in self.adj]
+        nums = [sum_products(chart, [(1, a, b) for a, b in zip(row, block)]) for row in self.adj()]
         exact = not numerators
         if exact:
             quotients = []
@@ -289,9 +305,20 @@ class _Elimination:
             x[c] = q
         unit = one if exact else self.den
         for r, c, inv, row, _ in reversed(self.steps):
-            s = sum_products(chart, [(1, v[r], unit)] + [(-1, e, x[j]) for j, e in row])
+            subtract = [(-1, e, x[j]) for j, e in row if x[j]]
+            if exact and not subtract:
+                s = v[r]
+            else:
+                s = sum_products(chart, [(1, v[r], unit)] + subtract)
             x[c] = s if inv == 1 else s * inv
         return x, exact
+
+    def adj(self):
+        """adj(S), from the table of minors that gave det(S)."""
+        if self._adj is None:
+            self._adj = poly_adjugate(self._block, self._memo)
+            self._block = self._memo = None
+        return self._adj
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +401,44 @@ def expand_in_frame(v, frame):
 
 def check_involutive(frame):
     """Structure coefficients c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k,
-    or raise NotInvolutive with the offending pair and fractional witness."""
-    n = frame.chart.dimension
-    table = {}
+    or raise NotInvolutive with the offending pair and fractional witness.
+    Each bracket component is one `sum_products` call over the derivative
+    table (see the module docstring); a zero bracket takes no solve."""
+    chart = frame.chart
+    n = chart.dimension
+    zero = Poly.zero(chart)
+    support = [[(l, c) for (l,), c in g.comps.items()] for g in frame.generators]
+    derivs = [None] * n  # derivs[j]: {k: {l: d_l rho_kj}} for the non-constant rho_kj
+
+    def table(j):
+        if derivs[j] is None:
+            derivs[j] = {
+                k: {chart.index(var): c.diff(var) for var in c.variables_used()}
+                for k, c in support[j]
+                if not c.is_constant()
+            }
+        return derivs[j]
+
+    structure = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = lie_bracket(frame.generators[i], frame.generators[j])
+            di, dj = table(i), table(j)
+            comps = {}
+            for k in sorted(di.keys() | dj.keys()):
+                dik, djk = di.get(k, {}), dj.get(k, {})
+                triples = [(1, c, djk[l]) for l, c in support[i] if l in djk]
+                triples += [(-1, c, dik[l]) for l, c in support[j] if l in dik]
+                c = sum_products(chart, triples)
+                if c:
+                    comps[(k,)] = c
+            if not comps:
+                structure[(i, j)] = [zero] * n
+                continue
             try:
-                coeffs = expand_in_frame(br, frame)
+                structure[(i, j)] = expand_in_frame(Multivector._make(chart, 1, comps), frame)
             except NotInModule as e:
                 raise NotInvolutive((i, j), e.witness) from None
-            table[(i, j)] = coeffs
-    return table
+    return structure
 
 
 def frame_divisor(frame):

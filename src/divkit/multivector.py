@@ -114,14 +114,19 @@ class _Graded:
         """What the indices refer to; the operands of an operation share it."""
         return self.chart
 
-    def _like(self, degree, comps):
-        """A result of the same kind over the same space.  `comps` must
-        already be clean (increasing indices, nonzero coefficients)."""
-        out = object.__new__(type(self))
-        out.chart = self.chart
+    @classmethod
+    def _make(cls, chart, degree, comps):
+        """An element over `comps` that are already clean (increasing
+        indices, nonzero Poly coefficients on `chart`)."""
+        out = object.__new__(cls)
+        out.chart = chart
         out.degree = degree
         out.comps = comps
         return out
+
+    def _like(self, degree, comps):
+        """A result of the same kind over the same space, `comps` clean."""
+        return self._make(self.chart, degree, comps)
 
     @classmethod
     def zero(cls, space, degree=0):
@@ -239,7 +244,8 @@ class Multivector(_Graded):
     def vector_coeffs(self):
         if self.degree != 1:
             raise DegreeMismatch("not a vector field")
-        return [self.comps.get((i,), Poly.zero(self.chart)) for i in range(self.chart.dimension)]
+        zero = Poly.zero(self.chart)
+        return [self.comps.get((i,), zero) for i in range(self.chart.dimension)]
 
     def apply_to(self, f):
         """Derivation action of a vector field on a Poly."""

@@ -478,17 +478,23 @@ class Poly:
     def __str__(self):
         if not self._terms:
             return "0"
-        named = list(zip(self.chart.variables, self.chart._shifts))
+        seen = 0
+        for m in self._terms:
+            seen |= m
+        # the variables in use, each with its printed powers, built once a call
+        chart = self.chart
+        used = [(s, {1: v}, v) for v, s in zip(chart.variables, chart._shifts) if (seen >> s) & _FIELD]
         parts = []
         for m, c in sorted(self._terms.items(), reverse=True):
             factors = []
-            for v, s in named:
+            for s, powers, v in used:
                 k = (m >> s) & _FIELD
-                if k == 1:
-                    factors.append(v)
-                elif k > 1:
-                    factors.append("%s^%d" % (v, k))
-            mag = abs(c)
+                if k:
+                    f = powers.get(k)
+                    if f is None:
+                        f = powers[k] = "%s^%d" % (v, k)
+                    factors.append(f)
+            mag = -c if c < 0 else c
             if not factors:
                 body = str(mag)
             elif mag == 1:
@@ -497,11 +503,7 @@ class Poly:
                 body = str(mag) + "*" + "*".join(factors)
             parts.append(("- " if c < 0 else "+ ") + body)
         out = " ".join(parts)
-        if out.startswith("+ "):
-            out = out[2:]
-        elif out.startswith("- "):
-            out = "-" + out[2:]
-        return out
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __repr__(self):
         return "Poly(%s)" % self

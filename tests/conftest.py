@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from divkit import divisors
-from divkit.rings import Poly, ZeroPolynomial, poly_gcd, sum_products
+from divkit.rings import _FIELD, Poly, ZeroPolynomial, poly_gcd, sum_products
 from divkit.multivector import Multivector, partial_pfaffian
 from divkit.frames import poly_adjugate
 
@@ -65,6 +65,38 @@ def lifted_pfaffian(cert):
         return None
     pf = partial_pfaffian(cert.lifted, n // 2)
     return pf.comps.get(tuple(range(n)), Poly.zero(chart))
+
+
+def poly_str_reference(p):
+    """`str(p)` as the printer wrote it before it looked only at the
+    variables in use: every chart variable tested in every term, and each
+    power string formatted afresh."""
+    if not p._terms:
+        return "0"
+    named = list(zip(p.chart.variables, p.chart._shifts))
+    parts = []
+    for m, c in sorted(p._terms.items(), reverse=True):
+        factors = []
+        for v, s in named:
+            k = (m >> s) & _FIELD
+            if k == 1:
+                factors.append(v)
+            elif k > 1:
+                factors.append("%s^%d" % (v, k))
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        parts.append(("- " if c < 0 else "+ ") + body)
+    out = " ".join(parts)
+    if out.startswith("+ "):
+        out = out[2:]
+    elif out.startswith("- "):
+        out = "-" + out[2:]
+    return out
 
 
 def gcd_content_chain(polys):

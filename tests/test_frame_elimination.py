@@ -10,7 +10,9 @@ entry at all, and singular ones -- the frames must agree with them on the
 determinant, every structure coefficient, expansions and lift components,
 and on the exact message of every NotInvolutive, NotInModule, NotLiftable
 and DegenerateFrame.  The antisymmetric inverse, solved column by column
-through the same elimination, must agree with -adj(m) / det(m).
+through the same elimination, must agree with -adj(m) / det(m), and so must
+the determinant alone on dense matrices that leave a large Schur block.
+Involutivity takes one solve per nonzero bracket and none for a zero one.
 """
 
 import random
@@ -31,9 +33,11 @@ from divkit.frames import (
     invert_antisym,
     mat_mul,
     mat_transpose,
+    poly_det,
     pullback,
     pushforward,
 )
+from divkit import frames
 from divkit.multivector import DiffForm, Multivector, bivector_matrix, lie_bracket
 from divkit.poisson import _gcd_over_power, lift
 from divkit.rings import Chart, ChartMismatch, Poly, exact_divide, fraction_str, gcd_content, sum_products
@@ -375,3 +379,57 @@ def test_graded_coefficients_must_live_on_the_chart():
         Multivector(C2, 1, {(0,): x})
     # an equal chart built separately is the same chart
     assert Multivector(Chart(["x", "y", "u"]), 1, {(0,): x}).comps == {(0,): x}
+
+
+def test_involutivity_solves_only_the_nonzero_brackets(monkeypatch):
+    rng = random.Random(1729)
+    solves = []
+    solve = _Elimination.solve
+    monkeypatch.setattr(_Elimination, "solve", lambda self, *a: solves.append(1) or solve(self, *a))
+    zero_brackets = nonzero_brackets = 0
+    for chart, gens in involutive_cases(rng):
+        n = chart.dimension
+        brackets = {(i, j): lie_bracket(gens[i], gens[j]) for i in range(n) for j in range(i + 1, n)}
+        del solves[:]
+        frame = AnchorFrame(chart, gens)
+        assert len(solves) == sum(not br.is_zero() for br in brackets.values()), frame
+        for pair, br in brackets.items():
+            col = frame.structure[pair]
+            if br.is_zero():
+                assert len(col) == n and all(type(c) is Poly and c == Poly.zero(chart) for c in col)
+                zero_brackets += 1
+            else:
+                nonzero_brackets += 1
+    assert zero_brackets and nonzero_brackets
+
+
+def dense_few_constants(chart, rng, n):
+    """An n x n matrix of linear forms in two variables each, plus a
+    constant, with two nonzero constant entries in distinct rows and
+    columns: at most two pivots, and a Schur block of size n-2 or more."""
+    m = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            p = Poly.const(chart, rng.randint(-2, 2))
+            for name in rng.sample(chart.variables, 2):
+                p = p + rng.choice([-2, -1, 1, 2, 3]) * Poly.var(chart, name)
+            row.append(p)
+        m.append(row)
+    for r, c in zip(rng.sample(range(n), 2), rng.sample(range(n), 2)):
+        m[r][c] = Poly.const(chart, rand_constant(rng, True))
+    return m
+
+
+def test_determinant_alone_matches_the_adjugate_reference(monkeypatch):
+    # the block fills in; det(S) comes from its minors and adj(S) is never built
+    rng = random.Random(5656)
+    chart = Chart(["x", "y", "u", "v", "w"])
+    for n in (5, 6):
+        for _ in range(2):
+            m = dense_few_constants(chart, rng, n)
+            want = adjugate_and_det(m)[1]
+            with monkeypatch.context() as patched:
+                patched.setattr(frames, "poly_adjugate", lambda *a: pytest.fail("poly_det built adj(S)"))
+                assert poly_det(m) == want and not want.is_zero()
+                assert len(_Elimination(m).rows) >= n - 2

@@ -260,8 +260,8 @@ def test_partial_pfaffian_of_forms(rng):
 def test_top_pfaffian_squared_is_determinant(n, density):
     # Pf(pi)^2 = det of the antisymmetric coefficient matrix, against the
     # memoized minor table rather than the wedge product (`frames.poly_det`
-    # eliminates, and its fill-in makes it 10-20 times slower on these
-    # dense matrices)
+    # eliminates, and its fill-in makes it 2-3 times slower on these dense
+    # matrices)
     rng = random.Random(1000 * n + int(10 * density))
     chart = Chart(["x%d" % i for i in range(n)])
     nonzero = 0

@@ -31,7 +31,7 @@ from divkit.rings import (  # noqa: E402
     sum_products,
 )
 
-from conftest import gcd_content_chain  # noqa: E402
+from conftest import gcd_content_chain, poly_str_reference  # noqa: E402
 
 CHART = Chart(["x", "y"])
 CHART3 = Chart(["x", "y", "z"])
@@ -424,3 +424,19 @@ def test_exact_divide_recovers_the_cofactor(a, g):
     q = exact_divide(f, g)
     assert q is not None and q * g == f
     assert_same(q, to_sympy(a))
+
+
+# four variables, so a generated polynomial usually leaves some unused
+CHART4 = Chart(["x", "y", "z", "w"])
+
+
+@kernel_settings
+@given(polys(3, 6, CHART4))
+@example(Poly(CHART4, {}))
+@example(Poly(CHART4, {(0, 0, 0, 0): 5}))
+@example(Poly(CHART4, {(0, 0, 0, 0): Fraction(-7, 3)}))
+@example(Poly(CHART4, {(1, 0, 0, 0): -1, (0, 0, 0, 1): 1}))
+@example(Poly(CHART4, {(0, 2, 0, 0): Fraction(-1, 2), (0, 2, 1, 0): 1, (0, 0, 0, 0): -1}))
+@example(Poly(CHART4, {(0, 12, 0, 3): -3, (0, 1, 0, 0): Fraction(5, 4)}))
+def test_printer_matches_the_reference(p):
+    assert str(p) == poly_str_reference(p)
