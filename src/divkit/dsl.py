@@ -13,27 +13,30 @@ minus nest at most `MAX_NESTING` levels.  Tokens carry their source offset;
 a `ParseError`'s line and column are computed from it where the error is
 raised.  Numbers are ASCII digits.
 
-A polynomial literal is read without building a value per atom:
-`Parser.monomial_run` reads a run of `*`-joined factors, each a number or a
-chart variable with an optional `^` and exponent, into one coefficient and
-one packed monomial (a variable adds `exponent * chart._units[i]`), checking
-degrees where a product of Polys would check them, and `expression` adds the
-terms of a sum into one packed term dict, normalized once.  A graded literal
-is read the same way: `Parser.basis_run` reads a run `B1 ^^ B2 ...` of basis
-tokens into a sign and a sorted index tuple, and `expression` adds each
-term's coefficient (a scalar or polynomial product before the run, or 1)
-into one {index: packed term dict} for the whole sum, so the Multivector,
-DiffForm or CoframeExpr is built once.  The generic path, one value per
-atom combined by `combine_mul`, `combine_wedge` and `combine_add`, reads
-everything else: a number followed by `/` or `^`, a repeated `^`, a defined
-name, a basis run with a repeated index, mixed kinds, an `e` index out of
-range or a `*`, `^` or `^^` after it, a term of another kind or degree than
-the sum so far, parentheses and unary minus.  A lone number stays a
-`Fraction` and any other run is a Poly, so both paths give equal values of
-the same type and degree, and the same errors.  Each value a statement
-produces (a definition or a command operand) is then checked whole against
-the degree cap by `Parser.checked`, so `DK_MAX_DEGREE` trips on it however
-it is spelled.
+A literal sum is read without building a value per atom.  `Parser.term`
+reads a product as a keyed term where it can: the coefficient's packed
+term dict under a (kind, index tuple) key.  A run of `*`-joined factors,
+each a number or a chart variable with an optional `^` and exponent
+(`monomial_run`), is one coefficient and one packed monomial (a variable
+adds `exponent * chart._units[i]`) under (Poly, ()).  A run `B1 ^^ B2 ...`
+of basis tokens (`basis_run`), alone or after a scalar or polynomial
+coefficient and `*`, is that coefficient under its class and sorted index.
+Degrees are checked where a product of values would check them.
+`expression` adds every keyed term of the first term's kind and degree,
+and in a polynomial sum every scalar and Poly, into one {index: packed
+term dict}, which `_keyed_value` normalizes once and turns into the
+value.  The generic path, one value per atom combined by `combine_mul`,
+`combine_wedge` and `combine_add`, reads everything else: a number
+followed by `/` or `^`, a repeated `^`, a defined name, a basis run with a
+repeated index, mixed kinds, an `e` index out of range or a `*`, `^` or
+`^^` after it, a term of another kind or degree than the sum so far,
+parentheses and unary minus.  `_basis_token` alone says what a basis token
+is, for both paths and for the names a definition may not take.  A lone
+number stays a `Fraction` and any other run is a Poly, so both paths give
+equal values of the same type and degree, and the same errors.  Each value
+a statement produces (a definition or a command operand) is then checked
+whole against the degree cap by `Parser.checked`, so `DK_MAX_DEGREE` trips
+on it however it is spelled.
 
 Each command's syntax is one `COMMANDS` entry, which both the parser and
 the printer walk; a new command is that entry plus one branch in
@@ -158,6 +161,10 @@ _VAR_RE = re.compile(r"[a-z][a-z0-9_]*$")
 MAX_NESTING = 100
 
 
+# the key of a polynomial term: kind Poly, no index
+_POLY_KEY = (Poly, ())
+
+
 class Parser:
     def __init__(self, source, chart=None, definitions=None):
         self.source = source
@@ -259,8 +266,10 @@ class Parser:
         name = name_tok.text
         if name in KEYWORDS:
             self.fail("%r is reserved" % name, name_tok)
-        if self.job.chart is not None and name in self.job.chart:
+        if name in self.need_chart(name_tok):
             self.fail("%r is a chart variable" % name, name_tok)
+        if self._basis_token(name_tok) is not None:
+            self.fail("%r is a basis token" % name, name_tok)
         self.expect("=")
         t = self.peek()
         if t.text == "frame":
@@ -427,106 +436,76 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def expression(self):
-        """A sum of terms, added into one keyed dict while every term has
-        the same shape: a polynomial sum into one packed term dict, and a
-        graded sum (each term a coefficient times a basis run, all of one
-        kind and degree) into one {index: packed term dict}, each
-        normalized once at the end.  A term of another shape makes the sum
-        a value, built from the dict so far, and `combine_add` adds each
-        later term to it."""
-        w, key = self.term()
+        """A sum of terms.  Every keyed term (see `term`) of the first
+        term's kind and degree, and in a polynomial sum every scalar and
+        Poly, is added into one {index: packed term dict}, which
+        `_keyed_value` turns into the value once.  The first term of
+        another shape makes the sum that value, and `combine_add` adds it
+        and each later term."""
+        key, w = self.term()
         if self.peek().text not in ("+", "-"):
-            return self._value(w, key)
+            return w if key is None else self._keyed_value(key[0], len(key[1]), {key[1]: w})
         chart = self.job.chart
-        terms = {}
-        get = terms.get
-        graded = None  # (class, degree) of a graded sum, whose terms are in comps
-        comps = {}
-        v = None  # the sum, once it is neither
-        first = True
+        sums = {}
+        cls = degree = v = None  # the keyed sum's kind and degree; the sum, once a value
         op = "+"
         while True:
-            if first and type(key) is tuple:
-                graded = key[0], len(key[1])
-            if v is not None:
-                v = self.combine_add(v, self._value(w, key), op)
-            elif graded is not None:
-                if type(key) is tuple and graded == (key[0], len(key[1])):
-                    acc = comps.get(key[1])
-                    if acc is None:
-                        acc = comps[key[1]] = {}
-                    add = acc.get
-                    for m, c in w._terms.items():
-                        acc[m] = add(m, 0) + (c if op == "+" else -c)
-                else:
-                    v = self.combine_add(self._graded_sum(graded, comps), self._value(w, key), op)
-            elif type(key) is int:
-                terms[key] = get(key, 0) + (w if op == "+" else -w)
-            elif key is not None:
-                v = self.combine_add(Poly._make(chart, _normed(terms)), self._value(w, key), op)
-            elif isinstance(w, (int, Fraction)):
-                terms[0] = get(0, 0) + (w if op == "+" else -w)
-            elif type(w) is Poly and w.chart == chart:
-                for k, c in w._terms.items():
-                    terms[k] = get(k, 0) + (c if op == "+" else -c)
-            elif first:
-                v = w
+            if key is None and (isinstance(w, (int, Fraction)) or type(w) is Poly and w.chart == chart):
+                key, w = _POLY_KEY, (w._terms if type(w) is Poly else {0: w})
+            if v is None and key is not None and (cls is None or key[0] is cls and len(key[1]) == degree):
+                cls, degree = key[0], len(key[1])
+                acc = sums.setdefault(key[1], {})
+                get = acc.get
+                for m, c in w.items():
+                    acc[m] = get(m, 0) + (c if op == "+" else -c)
             else:
-                v = self.combine_add(Poly._make(chart, _normed(terms)), w, op)
+                if key is not None:
+                    w = self._keyed_value(key[0], len(key[1]), {key[1]: w})
+                if v is None and cls is not None:
+                    v = self._keyed_value(cls, degree, sums)
+                v = w if v is None else self.combine_add(v, w, op)
             if self.peek().text not in ("+", "-"):
-                if v is not None:
-                    return v
-                if graded is not None:
-                    return self._graded_sum(graded, comps)
-                return Poly._make(chart, _normed(terms))
+                return self._keyed_value(cls, degree, sums) if v is None else v
             op = self.next().text
-            w, key = self.term()
-            first = False
+            key, w = self.term()
 
-    def _value(self, w, key):
-        """The value of a term as `term` returns it."""
-        if key is None:
-            return w
-        if type(key) is int:
-            return self._monomial(w, key)
-        cls, idx = key
-        return cls._make(self.job.chart, len(idx), {idx: w} if w else {})
-
-    def _graded_sum(self, graded, comps):
-        """The value of a graded sum: class and degree, and its term dicts."""
+    def _keyed_value(self, cls, degree, sums):
+        """The value of a keyed sum of kind `cls` and `degree` from its
+        {index: packed term dict}: a Poly (index ()) or a graded value."""
         chart = self.job.chart
-        cls, degree = graded
-        clean = {}
-        for idx, acc in comps.items():
-            acc = _normed(acc)
-            if acc:
-                clean[idx] = Poly._make(chart, acc)
-        return cls._make(chart, degree, clean)
+        if cls is Poly:
+            return Poly._make(chart, _normed(sums[()]))
+        comps = {}
+        for idx, terms in sums.items():
+            terms = _normed(terms)
+            if terms:
+                comps[idx] = Poly._make(chart, terms)
+        return cls._make(chart, degree, comps)
 
     def term(self):
         """A product, as one of
-        - (value, None);
-        - (coefficient, packed monomial), when it is a monomial run, other
-          than a lone number, with nothing multiplied onto it;
-        - (Poly coefficient, (class, index tuple)), when it is a basis run
-          (`basis_run`) that ends the product, after a scalar or polynomial
-          coefficient and `*`, or alone (coefficient 1).  The run's sign is
-          in the coefficient, whose degree is checked as multiplying it onto
-          the basis would check it."""
+        - (None, value), read on the generic path;
+        - ((kind, index tuple), the coefficient's packed term dict), when
+          it is keyed: a monomial run (`monomial_run`), other than a lone
+          number, with nothing multiplied onto it, is (Poly, ()); a basis
+          run (`basis_run`) that ends the product, after a scalar or
+          polynomial coefficient and `*`, or alone (coefficient 1), is its
+          class and sorted index.  The run's sign is in the coefficient,
+          whose degree is checked as multiplying it onto the basis would
+          check it."""
+        chart = self.job.chart
         run = self.monomial_run()
         if run is None:
             basis = self.basis_run()
             if basis is not None:
-                sign, key = basis
-                return Poly.const(self.job.chart, sign), key
+                return basis[1], {0: basis[0]}
             v = self.factor()
         else:
             c, m, is_poly = run
             t = self.peek()
             if is_poly and t.text != "*" and t.kind != "wedge":
-                return c, m
-            v = self._monomial(c, m) if is_poly else Fraction(c)
-        chart = self.job.chart
+                return _POLY_KEY, {m: c}
+            v = Poly._make(chart, {m: c} if c else {}) if is_poly else Fraction(c)
         while True:
             t = self.peek()
             if t.text == "*":
@@ -535,44 +514,41 @@ class Parser:
                     basis = self.basis_run()
                     if basis is not None:
                         sign, key = basis
-                        if type(v) is not Poly:
-                            v = Poly.const(chart, v)
-                        if v:
+                        if type(v) is Poly:
                             _check_degree(v.total_degree())
-                        return (v if sign > 0 else -v), key
+                            terms = v._terms
+                        else:
+                            terms = {0: v}
+                        return key, (terms if sign > 0 else {m: -c for m, c in terms.items()})
                 v = self.combine_mul(v, self.factor(), t)
             elif t.kind == "wedge":
                 self.next()
                 v = self.combine_wedge(v, self.factor(), t)
             else:
-                return v, None
+                return None, v
 
     def basis_run(self):
-        """Read a run B1 ^^ B2 ^^ ... of basis tokens of one kind (`Dx`,
-        `dx` or `e1`, none of them a defined name) with no index repeated,
-        not followed by `*`, `^` or `^^`, into (sign, (class, sorted index
-        tuple)); None, reading nothing, for any other input, which the
-        generic path then reads (and reports, if it is an error)."""
-        chart = self.job.chart
-        if chart is None:
+        """Read a run B1 ^^ B2 ^^ ... of basis tokens (`_basis_token`) of
+        one kind, each index in range and none repeated, not followed by
+        `*`, `^` or `^^`, into (sign, (class, sorted index tuple)); None,
+        reading nothing, for any other input, which the generic path then
+        reads (and reports, if it is an error)."""
+        chart, tokens, i = self.job.chart, self.tokens, self.pos
+        if chart is None or tokens[i].kind != "ident":
             return None
-        tokens = self.tokens
-        i = self.pos
-        first = self._basis_token(tokens[i])
-        if first is None:
-            return None
-        cls, idx = first[0], [first[1]]
+        n, cls, idx = len(chart._index), None, []
         while True:
+            b = self._basis_token(tokens[i])
+            if b is None or not 0 <= b[1] < n or b[1] in idx or cls is not None and b[0] is not cls:
+                return None
+            cls = b[0]
+            idx.append(b[1])
             t = tokens[i + 1]
             if t.kind != "wedge":
-                if t.text in ("*", "^"):
-                    return None
                 break
-            b = self._basis_token(tokens[i + 2])
-            if b is None or b[0] is not cls or b[1] in idx:
-                return None
-            idx.append(b[1])
             i += 2
+        if t.text in ("*", "^"):
+            return None
         self.pos = i + 1
         if len(idx) == 1:
             return 1, (cls, tuple(idx))
@@ -580,20 +556,18 @@ class Parser:
         return sign, (cls, key)
 
     def _basis_token(self, t):
-        """(class, 0-based index) of a basis token that is no defined name
-        and no chart variable, with an `e` index in range; else None."""
-        name = t.text
-        if t.kind != "ident" or name in self.job.definitions:
-            return None
-        index = self.job.chart._index
-        if name in index:
+        """(class, 0-based index) of a basis token, `Dx`, `dx` or `e1`, that
+        is no defined name and no chart variable; an `e` index may be out
+        of range.  None for any other token."""
+        name, index = t.text, self.job.chart._index
+        if t.kind != "ident" or name in index or name in self.job.definitions:
             return None
         head, rest = name[0], name[1:]
         if head == "D" and rest in index:
             return Multivector, index[rest]
         if head == "d" and rest in index:
             return DiffForm, index[rest]
-        if head == "e" and rest.isdigit() and 1 <= int(rest) <= len(index):
+        if head == "e" and rest.isdigit():
             return CoframeExpr, int(rest) - 1
         return None
 
@@ -661,9 +635,6 @@ class Parser:
         self.pos = end
         return c, m, is_poly
 
-    def _monomial(self, c, m):
-        return Poly._make(self.job.chart, {m: c} if c else {})
-
     def factor(self):
         if self.depth > MAX_NESTING:
             self.fail("expression nests deeper than %d levels" % MAX_NESTING)
@@ -711,19 +682,13 @@ class Parser:
         chart = self.need_chart(tok)
         if name in chart:
             return Poly.var(chart, name)
-        if name.startswith("D") and name[1:] in chart:
-            return Multivector.basis_vector(chart, chart.index(name[1:]))
-        if name.startswith("d") and name[1:] in chart:
-            return DiffForm.basis_form(chart, chart.index(name[1:]))
-        m = re.match(r"e(\d+)$", name)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= chart.dimension:
-                self.fail("coframe index e%d out of range" % i, tok)
-            return CoframeExpr(
-                chart, 1, {(i - 1,): Poly.const(chart, 1)}
-            )
-        self.fail("unknown name %r" % name, tok)
+        basis = self._basis_token(tok)
+        if basis is None:
+            self.fail("unknown name %r" % name, tok)
+        cls, i = basis
+        if not 0 <= i < chart.dimension:
+            self.fail("coframe index e%d out of range" % (i + 1), tok)
+        return cls(chart, 1, {(i,): Poly.const(chart, 1)})
 
     # -- arithmetic dispatch --------------------------------------------------
 

@@ -28,7 +28,10 @@ raises `DegreeCapExceeded` above `MAX_DEGREE`, so a carry between fields
 never happens, or above the cap of the innermost enclosing `degree_cap`
 block (`cli.main` opens one per command, from `DK_MAX_DEGREE`).
 `Poly.terms` is a read-only view of the terms keyed by exponent tuples, for
-callers that want them; no module outside this one reads the packed form.
+callers that want them.  Outside this module only the DSL reader touches the
+packed form: it builds packed monomials from `Chart._units`, adds
+`Poly._terms` into its term tables and makes Polys of them with `_normed`
+and `Poly._make`.
 
 `sum_products` computes a sum of products s*a*b into one term dict, with the
 checks of a single product, and normalizes once; it serves every sum of

@@ -49,9 +49,14 @@ def test_unknown_name_has_position():
          "cannot negate this value: bad operand type for unary -: 'AnchorFrame'"),
         ("chart x, y;\nI = ideal(x);\np = x - -I;\n", 3, 9,
          "cannot negate this value: bad operand type for unary -: 'DivisorIdeal'"),
+        # a definition may neither shadow a basis token nor precede the chart,
+        # or `dk fmt` would print a job that reads otherwise
+        ("chart x, y, z; w = Dx^^Dy; Dx = Dz; check_poisson Dy^^Dz + x*w;", 1, 28,
+         "'Dx' is a basis token"),
+        ("x = 2; chart x, y; classify y*x;", 1, 1, "declare the chart first"),
     ],
     ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression",
-         "negated_frame", "negated_ideal"],
+         "negated_frame", "negated_ideal", "basis_token_definition", "definition_before_chart"],
 )
 def test_parse_error_positions(source, line, col, message):
     with pytest.raises(ParseError) as e:

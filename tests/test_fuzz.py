@@ -299,6 +299,13 @@ def parsed(parse_expression, source, cap):
 @example("(x*y*x)*dx - x^3*dy + 0*dz", 3)
 @example("x*Dy - p*Dz", 0)  # degrees no monomial run checks
 @example("Dx^^Dy + p*Dx^^Dz", 1)
+# scalars, Polys and keyed terms of several kinds in one sum
+@example("(x)*y + Dx", None)
+@example("s - x*Dy", None)
+@example("v + x*Dy - Dz", None)
+@example("Dx^^Dy + (x + 1)*Dz^^Dx", None)
+@example("e01 + e2", None)
+@example("e0 + e1", None)
 def test_monomial_reader_parses_as_the_reference(source, cap):
     got = parsed(parse_expression, source, cap)
     want = parsed(reference_parse_expression, source, cap)
