@@ -9,9 +9,10 @@ Basis tokens: Dx, Dy, ... (one per chart variable) for vector fields,
 dx, dy, ... for plain forms, e1, e2, ... for coframe generators (bound to a
 frame by the command that uses them).  Operators: + - * ^ (scalar power)
 and ^^ (wedge).  Rational literals are written 3/2.  Parentheses and unary
-minus nest at most `MAX_NESTING` levels.  Tokens carry their source offset;
-a `ParseError`'s line and column are computed from it where the error is
-raised.  Numbers are ASCII digits.
+minus nest at most `MAX_NESTING` levels.  Numbers are ASCII digits.  A
+token is its text, one `findall` match, and its kind is read off the text;
+its source offset, and a `ParseError`'s line and column, are computed only
+where an error is raised.
 
 A literal sum is read without building a value per atom.  `Parser.term`
 reads a product as a keyed term where it can: the coefficient's packed
@@ -45,7 +46,9 @@ the printer walk; a new command is that entry plus one branch in
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from fractions import Fraction
 
 from .rings import Chart, Poly, _check_degree, _normed
@@ -86,31 +89,17 @@ KEYWORDS = frozenset(
 )
 
 # One match per token: whitespace and comments are skipped before it, and
-# `eof` and `bad` (any other character) make every match succeed.
+# end of input (text "") and any other character make every match succeed.
+# The one group is the token's text.
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-    (?: (?P<num>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<str>"[^"\n]*")
-      | (?P<wedge>\^\^)
-      | (?P<sym>[-+*^(),;=/])
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )""",
+    r"""\s*(?:\#[^\n]*\s*)*
+    ( [0-9]+ | [A-Za-z_][A-Za-z_0-9]* | "[^"\n]*" | \^\^ | [-+*^(),;=/] | \Z | . )""",
     re.VERBOSE | re.DOTALL,
 )
 
-
-class Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos  # offset in the source
-
-    def __repr__(self):
-        return "%s(%r)@%d" % (self.kind, self.text, self.pos)
+# the one-character texts that are tokens; any other (`$`, a lone `"`, a
+# non-ASCII letter or digit) is a character no token takes
+_ONE_CHAR_TOKENS = frozenset("-+*^(),;=/_" + string.ascii_letters + string.digits)
 
 
 def _error_at(source, pos, message):
@@ -119,16 +108,25 @@ def _error_at(source, pos, message):
     return ParseError(source.count("\n", 0, pos) + 1, pos - line_start + 1, message)
 
 
+def _token_offset(source, i):
+    """The source offset of token `i` of `tokenize(source)`."""
+    return next(itertools.islice(_TOKEN_RE.finditer(source), i, None)).start(1)
+
+
 def tokenize(source):
-    tokens = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "bad":
-            raise _error_at(source, start, "unexpected character %r" % source[start])
-        tokens.append(Token(kind, m.group(kind), start))
-        if kind == "eof":
-            return tokens
+    """The token texts of `source`, ending with "" (end of input); the first
+    character no token takes is a ParseError.  A text's kind is read off
+    it: "^^" is a wedge, and any other is a number (`isdigit`), a name
+    (`isidentifier`), a quoted string or a symbol.  The tests are exact,
+    since every text returned matched one of the ASCII alternatives."""
+    texts = _TOKEN_RE.findall(source)
+    if len(texts) > 1 and texts[-2] == "":
+        texts.pop()  # the empty match after one that skipped trailing space
+    bad = [t for t in set(texts) if len(t) == 1 and t not in _ONE_CHAR_TOKENS]
+    if bad:
+        i = min(map(texts.index, bad))
+        raise _error_at(source, _token_offset(source, i), "unexpected character %r" % texts[i])
+    return texts
 
 
 class CoframeExpr(_Graded):
@@ -185,25 +183,26 @@ class Parser:
         self.pos += 1
         return t
 
-    def fail(self, message, tok=None):
-        raise _error_at(self.source, (tok or self.peek()).pos, message)
+    def fail(self, message, at=None):
+        """Raise a ParseError at the token of index `at` (default: the next)."""
+        at = self.pos if at is None else at
+        raise _error_at(self.source, _token_offset(self.source, at), message)
 
     def expect(self, text):
         t = self.next()
-        if t.text != text:
-            self.fail("expected %r, found %r" % (text, t.text or "end of input"), t)
-        return t
+        if t != text:
+            self.fail("expected %r, found %r" % (text, t or "end of input"), self.pos - 1)
 
     def expect_ident(self, what="a name"):
         t = self.next()
-        if t.kind != "ident":
-            self.fail("expected %s, found %r" % (what, t.text or "end of input"), t)
+        if not t.isidentifier():
+            self.fail("expected %s, found %r" % (what, t or "end of input"), self.pos - 1)
         return t
 
     # -- grammar ------------------------------------------------------------
 
     def parse(self):
-        while self.peek().kind != "eof":
+        while self.peek() != "":
             self.statement()
         if self.job.chart is None:
             self.fail("job has no chart declaration")
@@ -213,121 +212,122 @@ class Parser:
 
     def statement(self):
         t = self.peek()
-        if t.text == "chart":
+        if t == "chart":
             self.chart_decl()
-        elif t.text == "output":
+        elif t == "output":
             self.next()
             s = self.next()
-            if s.kind != "str":
-                self.fail("expected a quoted output name", s)
-            self.job.output = s.text[1:-1]
+            if not s.startswith('"'):
+                self.fail("expected a quoted output name", self.pos - 1)
+            self.job.output = s[1:-1]
             self.expect(";")
-        elif t.text in COMMANDS:
+        elif t in COMMANDS:
             if self.job.command is not None:
-                self.fail("a job holds exactly one command", t)
+                self.fail("a job holds exactly one command")
             self.job.command = self.command()
             self.expect(";")
-        elif t.kind == "ident":
+        elif t.isidentifier():
             self.assignment()
         else:
-            self.fail("expected a statement, found %r" % t.text, t)
+            self.fail("expected a statement, found %r" % t)
 
     def chart_decl(self):
-        tok = self.expect("chart")
+        start = self.pos
+        self.expect("chart")
         if self.job.chart is not None:
-            self.fail("chart is already declared", tok)
-        names = [self.expect_ident("a variable name")]
-        while self.peek().text == ",":
+            self.fail("chart is already declared", start)
+        at = [self.pos]  # the index of each variable name
+        self.expect_ident("a variable name")
+        while self.peek() == ",":
             self.next()
-            names.append(self.expect_ident("a variable name"))
+            at.append(self.pos)
+            self.expect_ident("a variable name")
         self.expect(";")
-        seen = []
-        for t in names:
-            v = t.text
+        seen = [self.tokens[i] for i in at]
+        for i, v in zip(at, seen):
             if not _VAR_RE.match(v):
-                self.fail("variable names are lowercase identifiers: %r" % v, t)
+                self.fail("variable names are lowercase identifiers: %r" % v, i)
             if v in KEYWORDS:
-                self.fail("%r is reserved" % v, t)
+                self.fail("%r is reserved" % v, i)
             if re.match(r"e\d+$", v):
-                self.fail("names e1, e2, ... are reserved for coframes", t)
-            seen.append(v)
-        for t, v in zip(names, seen):
+                self.fail("names e1, e2, ... are reserved for coframes", i)
+        for i, v in zip(at, seen):
             for other in seen:
                 if v != other and v == "d" + other:
                     self.fail(
-                        "variable %r collides with the form token d%s" % (v, other), t
+                        "variable %r collides with the form token d%s" % (v, other), i
                     )
         if len(set(seen)) != len(seen):
-            self.fail("chart variables must be distinct", tok)
+            self.fail("chart variables must be distinct", start)
         self.job.chart = Chart(seen)
 
     def assignment(self):
-        name_tok = self.expect_ident()
-        name = name_tok.text
+        at = self.pos
+        name = self.expect_ident()
         if name in KEYWORDS:
-            self.fail("%r is reserved" % name, name_tok)
-        if name in self.need_chart(name_tok):
-            self.fail("%r is a chart variable" % name, name_tok)
-        if self._basis_token(name_tok) is not None:
-            self.fail("%r is a basis token" % name, name_tok)
+            self.fail("%r is reserved" % name, at)
+        if name in self.need_chart(at):
+            self.fail("%r is a chart variable" % name, at)
+        if self._basis_token(name) is not None:
+            self.fail("%r is a basis token" % name, at)
         self.expect("=")
         t = self.peek()
-        if t.text == "frame":
+        if t == "frame":
             self.next()
             value = self.frame_spec()
-        elif t.text == "ideal":
+        elif t == "ideal":
             value = self.ideal_operand()
         else:
             value = self.checked(self.expression())
         self.expect(";")
         if name in self.job.definitions:
-            self.fail("%r is already defined" % name, name_tok)
+            self.fail("%r is already defined" % name, at)
         self.job.definitions[name] = value
 
     def frame_spec(self):
-        kind_tok = self.expect_ident("a frame kind")
-        kind = kind_tok.text
-        chart = self.need_chart(kind_tok)
+        at = self.pos
+        kind = self.expect_ident("a frame kind")
+        chart = self.need_chart(at)
         self.expect("(")
         if kind == "custom":
             gens = [self.expr_value(Multivector, "a vector field")]
-            while self.peek().text == ";":
+            while self.peek() == ";":
                 self.next()
                 gens.append(self.expr_value(Multivector, "a vector field"))
             self.expect(")")
             for g in gens:
                 if g.degree != 1:
-                    self.fail("custom frame generators must be vector fields", kind_tok)
+                    self.fail("custom frame generators must be vector fields", at)
             try:
                 return AnchorFrame(chart, gens)
             except (ValueError, KeyError, TypeError) as e:
-                self.fail("bad custom frame: %s" % e, kind_tok)
+                self.fail("bad custom frame: %s" % e, at)
         args = []
-        if self.peek().text != ")":
+        if self.peek() != ")":
             while True:
                 t = self.next()
-                if t.kind == "ident":
-                    args.append(t.text)
-                elif t.kind == "num":
-                    args.append(int(t.text))
+                if t.isidentifier():
+                    args.append(t)
+                elif t.isdigit():
+                    args.append(int(t))
                 else:
-                    self.fail("expected a variable or integer argument", t)
-                if self.peek().text != ",":
+                    self.fail("expected a variable or integer argument", self.pos - 1)
+                if self.peek() != ",":
                     break
                 self.next()
         self.expect(")")
         try:
             return catalog(kind, chart, *args)
         except (ValueError, KeyError, TypeError) as e:
-            self.fail("bad frame %s(...): %s" % (kind, e), kind_tok)
+            self.fail("bad frame %s(...): %s" % (kind, e), at)
 
-    def need_chart(self, tok):
+    def need_chart(self, at):
         if self.job.chart is None:
-            self.fail("declare the chart first", tok)
+            self.fail("declare the chart first", at)
         return self.job.chart
 
     def command(self):
-        name = self.next().text
+        name = self.next()
         args = []
         for word in COMMANDS[name].split():
             if word[0] == "{":
@@ -347,60 +347,49 @@ class Parser:
         if kind == "ideal":
             return self.ideal_operand()
         if kind == "flavor":
-            return self.expect_ident("a residue flavor").text
+            return self.expect_ident("a residue flavor")
         if kind == "spinor_flavor":
-            return self.expect_ident("'log' or 'elliptic'").text
+            return self.expect_ident("'log' or 'elliptic'")
         if kind == "side":
             t = self.next()
-            if t.text not in _SUBSET_KEYWORD:
-                self.fail("expected 'lower' or 'upper'", t)
-            return t.text
+            if t not in _SUBSET_KEYWORD:
+                self.fail("expected 'lower' or 'upper'", self.pos - 1)
+            return t
         if kind == "subset":
             want = _SUBSET_KEYWORD[args[0]]
-            t = self.next()
-            if t.text != want:
-                self.fail("expected %r" % want, t)
+            if self.next() != want:
+                self.fail("expected %r" % want, self.pos - 1)
             return self.index_list()
         # poly_or_ideal: a polynomial, or a named ideal
         return self.expr_value((Poly, DivisorIdeal), "an ideal or a polynomial")
 
     def index_list(self):
         idx = []
-        t = self.peek()
-        if t.kind != "num":
+        if not self.peek().isdigit():
             return idx  # empty subset is allowed
         while True:
             t = self.next()
-            if t.kind != "num":
-                self.fail("expected a 1-based generator index", t)
-            idx.append(int(t.text) - 1)
-            if self.peek().text != ",":
+            if not t.isdigit():
+                self.fail("expected a 1-based generator index", self.pos - 1)
+            idx.append(int(t) - 1)
+            if self.peek() != ",":
                 break
             self.next()
         return idx
 
-    def operand(self):
-        """A named value or inline expression."""
-        t = self.peek()
-        if t.kind == "ident" and t.text in self.job.definitions:
-            self.next()
-            return self.job.definitions[t.text]
-        return self.expression()
-
     def frame_operand(self):
         t = self.peek()
-        if t.kind == "ident" and t.text in self.job.definitions:
-            v = self.job.definitions[t.text]
-            if isinstance(v, AnchorFrame):
-                self.next()
-                return v
-        if t.text == "frame":
+        v = self.job.definitions.get(t)
+        if isinstance(v, AnchorFrame):
+            self.next()
+            return v
+        if t == "frame":
             self.next()
             return self.frame_spec()
-        self.fail("expected a frame name or 'frame <kind>(...)'", t)
+        self.fail("expected a frame name or 'frame <kind>(...)'")
 
     def ideal_operand(self):
-        if self.peek().text == "ideal":
+        if self.peek() == "ideal":
             self.next()
             self.expect("(")
             v = self.expr_value(Poly, "a polynomial")
@@ -415,12 +404,14 @@ class Parser:
             self.fail("bad ideal generator: %s" % e)
 
     def expr_value(self, cls, what):
-        tok = self.peek()
-        v = self.operand()
+        """A command operand or frame generator: an expression, which may
+        name or hold defined values, of class `cls`."""
+        at = self.pos
+        v = self.expression()
         if isinstance(v, (int, Fraction)) and issubclass(Poly, cls):
-            v = Poly.const(self.need_chart(tok), v)
+            v = Poly.const(self.need_chart(at), v)
         if not isinstance(v, cls):
-            self.fail("expected %s" % what, tok)
+            self.fail("expected %s" % what, at)
         return self.checked(v)
 
     def checked(self, v):
@@ -443,7 +434,7 @@ class Parser:
         another shape makes the sum that value, and `combine_add` adds it
         and each later term."""
         key, w = self.term()
-        if self.peek().text not in ("+", "-"):
+        if self.peek() not in ("+", "-"):
             return w if key is None else self._keyed_value(key[0], len(key[1]), {key[1]: w})
         chart = self.job.chart
         sums = {}
@@ -464,9 +455,9 @@ class Parser:
                 if v is None and cls is not None:
                     v = self._keyed_value(cls, degree, sums)
                 v = w if v is None else self.combine_add(v, w, op)
-            if self.peek().text not in ("+", "-"):
+            if self.peek() not in ("+", "-"):
                 return self._keyed_value(cls, degree, sums) if v is None else v
-            op = self.next().text
+            op = self.next()
             key, w = self.term()
 
     def _keyed_value(self, cls, degree, sums):
@@ -503,12 +494,12 @@ class Parser:
         else:
             c, m, is_poly = run
             t = self.peek()
-            if is_poly and t.text != "*" and t.kind != "wedge":
+            if is_poly and t not in ("*", "^^"):
                 return _POLY_KEY, {m: c}
             v = Poly._make(chart, {m: c} if c else {}) if is_poly else Fraction(c)
         while True:
-            t = self.peek()
-            if t.text == "*":
+            at, t = self.pos, self.peek()
+            if t == "*":
                 self.next()
                 if isinstance(v, (int, Fraction)) or type(v) is Poly and v.chart == chart:
                     basis = self.basis_run()
@@ -520,10 +511,10 @@ class Parser:
                         else:
                             terms = {0: v}
                         return key, (terms if sign > 0 else {m: -c for m, c in terms.items()})
-                v = self.combine_mul(v, self.factor(), t)
-            elif t.kind == "wedge":
+                v = self.combine_mul(v, self.factor(), at)
+            elif t == "^^":
                 self.next()
-                v = self.combine_wedge(v, self.factor(), t)
+                v = self.combine_wedge(v, self.factor(), at)
             else:
                 return None, v
 
@@ -534,7 +525,7 @@ class Parser:
         reading nothing, for any other input, which the generic path then
         reads (and reports, if it is an error)."""
         chart, tokens, i = self.job.chart, self.tokens, self.pos
-        if chart is None or tokens[i].kind != "ident":
+        if chart is None:
             return None
         n, cls, idx = len(chart._index), None, []
         while True:
@@ -544,10 +535,10 @@ class Parser:
             cls = b[0]
             idx.append(b[1])
             t = tokens[i + 1]
-            if t.kind != "wedge":
+            if t != "^^":
                 break
             i += 2
-        if t.text in ("*", "^"):
+        if t in ("*", "^"):
             return None
         self.pos = i + 1
         if len(idx) == 1:
@@ -555,12 +546,12 @@ class Parser:
         sign, key = merge_indices(tuple(idx), ())
         return sign, (cls, key)
 
-    def _basis_token(self, t):
+    def _basis_token(self, name):
         """(class, 0-based index) of a basis token, `Dx`, `dx` or `e1`, that
         is no defined name and no chart variable; an `e` index may be out
         of range.  None for any other token."""
-        name, index = t.text, self.job.chart._index
-        if t.kind != "ident" or name in index or name in self.job.definitions:
+        index = self.job.chart._index
+        if not name.isidentifier() or name in index or name in self.job.definitions:
             return None
         head, rest = name[0], name[1:]
         if head == "D" and rest in index:
@@ -596,22 +587,22 @@ class Parser:
         c, m, deg, is_poly = 1, 0, None, False  # deg: None before the first factor
         while True:
             t = tokens[i]
-            if t.kind == "num":
-                if tokens[i + 1].text in ("/", "^"):
+            if t.isdigit():
+                if tokens[i + 1] in ("/", "^"):
                     break
-                c *= int(t.text)
+                c *= int(t)
                 i += 1
                 if deg is None:
                     deg = 0
                 else:
                     is_poly = True
-            elif t.kind == "ident" and t.text in index and t.text not in defined:
+            elif t in index and t not in defined:
                 e = 1
-                if tokens[i + 1].text == "^":
+                if tokens[i + 1] == "^":
                     exponent = tokens[i + 2]
-                    if exponent.kind != "num" or tokens[i + 3].text == "^":
+                    if not exponent.isdigit() or tokens[i + 3] == "^":
                         break
-                    e = int(exponent.text)
+                    e = int(exponent)
                     if e:
                         _check_degree(e)
                     i += 2
@@ -622,12 +613,12 @@ class Parser:
                     deg += e
                     _check_degree(deg)
                 if c:
-                    m += units[index[t.text]] * e
+                    m += units[index[t]] * e
                 is_poly = True
             else:
                 break
             end = i
-            if tokens[i].text != "*":
+            if tokens[i] != "*":
                 break
             i += 1
         if end is None:
@@ -638,56 +629,57 @@ class Parser:
     def factor(self):
         if self.depth > MAX_NESTING:
             self.fail("expression nests deeper than %d levels" % MAX_NESTING)
-        t = self.peek()
-        if t.text == "-":
+        at = self.pos
+        if self.peek() == "-":
             self.next()
             self.depth += 1
-            v = self.negate(self.factor(), t)
+            v = self.negate(self.factor(), at)
             self.depth -= 1
             return v
         v = self.atom()
-        while self.peek().text == "^":
-            op = self.next()
+        while self.peek() == "^":
+            at = self.pos
+            self.next()
             e = self.next()
-            if e.kind != "num":
-                self.fail("expected an integer exponent", e)
-            v = self.power(v, int(e.text), op)
+            if not e.isdigit():
+                self.fail("expected an integer exponent", at + 1)
+            v = self.power(v, int(e), at)
         return v
 
     def atom(self):
+        at = self.pos
         t = self.next()
-        if t.text == "(":
+        if t == "(":
             self.depth += 1
             v = self.expression()
             self.depth -= 1
             self.expect(")")
             return v
-        if t.kind == "num":
-            num = int(t.text)
-            if self.peek().text == "/":
+        if t.isdigit():
+            num = int(t)
+            if self.peek() == "/":
                 self.next()
                 d = self.next()
-                if d.kind != "num" or int(d.text) == 0:
-                    self.fail("expected a nonzero integer denominator", d)
-                return Fraction(num, int(d.text))
+                if not d.isdigit() or int(d) == 0:
+                    self.fail("expected a nonzero integer denominator", at + 2)
+                return Fraction(num, int(d))
             return Fraction(num)
-        if t.kind == "ident":
-            return self.resolve(t)
-        self.fail("expected a value, found %r" % (t.text or "end of input"), t)
+        if t.isidentifier():
+            return self.resolve(t, at)
+        self.fail("expected a value, found %r" % (t or "end of input"), at)
 
-    def resolve(self, tok):
-        name = tok.text
+    def resolve(self, name, at):
         if name in self.job.definitions:
             return self.job.definitions[name]
-        chart = self.need_chart(tok)
+        chart = self.need_chart(at)
         if name in chart:
             return Poly.var(chart, name)
-        basis = self._basis_token(tok)
+        basis = self._basis_token(name)
         if basis is None:
-            self.fail("unknown name %r" % name, tok)
+            self.fail("unknown name %r" % name, at)
         cls, i = basis
         if not 0 <= i < chart.dimension:
-            self.fail("coframe index e%d out of range" % (i + 1), tok)
+            self.fail("coframe index e%d out of range" % (i + 1), at)
         return cls(chart, 1, {(i,): Poly.const(chart, 1)})
 
     # -- arithmetic dispatch --------------------------------------------------
@@ -704,32 +696,32 @@ class Parser:
         except (ValueError, KeyError, TypeError) as e:
             self.fail("cannot %s these values: %s" % ("add" if op == "+" else "subtract", e))
 
-    def combine_mul(self, a, b, tok):
+    def combine_mul(self, a, b, at):
         try:
             return self.to_poly(a) * b
         except (ValueError, KeyError, TypeError) as e:
-            self.fail("cannot multiply these values: %s" % e, tok)
+            self.fail("cannot multiply these values: %s" % e, at)
 
-    def combine_wedge(self, a, b, tok):
+    def combine_wedge(self, a, b, at):
         if not (isinstance(a, _Graded) and isinstance(b, _Graded)):
-            self.fail("wedge needs two graded factors", tok)
+            self.fail("wedge needs two graded factors", at)
         if type(a) is not type(b):
-            self.fail("cannot wedge %s with %s" % (type(a).__name__, type(b).__name__), tok)
+            self.fail("cannot wedge %s with %s" % (type(a).__name__, type(b).__name__), at)
         try:
             return a.wedge(b)
         except (ValueError, KeyError, TypeError) as e:
-            self.fail("cannot wedge these values: %s" % e, tok)
+            self.fail("cannot wedge these values: %s" % e, at)
 
-    def negate(self, v, tok):
+    def negate(self, v, at):
         try:
             return -v
         except (ValueError, KeyError, TypeError) as e:
-            self.fail("cannot negate this value: %s" % e, tok)
+            self.fail("cannot negate this value: %s" % e, at)
 
-    def power(self, v, e, tok):
+    def power(self, v, e, at):
         if isinstance(v, (int, Fraction, Poly)):
             return v**e
-        self.fail("^ applies to scalars; use ^^ for the wedge", tok)
+        self.fail("^ applies to scalars; use ^^ for the wedge", at)
 
 
 def parse(source):
@@ -741,7 +733,7 @@ def parse_expression(source, chart, definitions=None):
     round-tripping printed payload values)."""
     p = Parser(source, chart, definitions)
     v = p.expression()
-    if p.peek().kind != "eof":
+    if p.peek() != "":
         p.fail("trailing input after expression")
     return v
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from unittest import mock
 import pytest
 
 from divkit import divisors
+from divkit.dsl import ParseError
 from divkit.rings import _FIELD, Poly, ZeroPolynomial, poly_gcd, sum_products
 from divkit.multivector import Multivector, partial_pfaffian
 from divkit.frames import poly_adjugate
@@ -119,6 +121,56 @@ def classify_taking_every_squarefree_part(ideal, candidates=None):
     classifier that takes it only where it could be an elliptic atom."""
     with mock.patch.object(divisors, "_may_be_elliptic_power", lambda p: not p.is_constant()):
         return divisors.classify(ideal, candidates)
+
+
+# The tokenizer before tokens were texts: one match per token, whitespace and
+# comments skipped before it, and `eof` and `bad` (any other character)
+# making every match succeed.
+_TOKEN_RE_REFERENCE = re.compile(
+    r"""(?:\s+|\#[^\n]*)*
+    (?: (?P<num>[0-9]+)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<str>"[^"\n]*")
+      | (?P<wedge>\^\^)
+      | (?P<sym>[-+*^(),;=/])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class Token:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind, text, pos):
+        self.kind = kind
+        self.text = text
+        self.pos = pos  # offset in the source
+
+    def __repr__(self):
+        return "%s(%r)@%d" % (self.kind, self.text, self.pos)
+
+
+def tokenize_reference(source):
+    """The tokens of `source` as `Token`s, from one `finditer` pass that
+    stops at end of input, each with its kind (the name of the group that
+    matched) and source offset; the first bad character is a ParseError:
+    the reference for `dsl.tokenize`, which returns only the texts."""
+    tokens = []
+    for m in _TOKEN_RE_REFERENCE.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "bad":
+            line_start = source.rfind("\n", 0, start) + 1
+            raise ParseError(
+                source.count("\n", 0, start) + 1,
+                start - line_start + 1,
+                "unexpected character %r" % source[start],
+            )
+        tokens.append(Token(kind, m.group(kind), start))
+        if kind == "eof":
+            return tokens
 
 
 @pytest.fixture

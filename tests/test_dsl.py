@@ -54,9 +54,15 @@ def test_unknown_name_has_position():
         ("chart x, y, z; w = Dx^^Dy; Dx = Dz; check_poisson Dy^^Dz + x*w;", 1, 28,
          "'Dx' is a basis token"),
         ("x = 2; chart x, y; classify y*x;", 1, 1, "declare the chart first"),
+        # a command operand reads on past a defined name, as a definition does
+        ("chart x, y; F = frame log(x); classify F + x;", 1, 45,
+         "cannot add these values: unsupported operand type(s) for +: 'AnchorFrame' and 'Poly'"),
+        ("chart x, y; I = ideal(x); classify I*x;", 1, 37,
+         "cannot multiply these values: unsupported operand type(s) for *: 'DivisorIdeal' and 'Poly'"),
     ],
     ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression",
-         "negated_frame", "negated_ideal", "basis_token_definition", "definition_before_chart"],
+         "negated_frame", "negated_ideal", "basis_token_definition", "definition_before_chart",
+         "frame_operand_sum", "ideal_operand_product"],
 )
 def test_parse_error_positions(source, line, col, message):
     with pytest.raises(ParseError) as e:
@@ -208,6 +214,26 @@ def test_format_job_inlines_values():
     job = parse("chart x,y; modular x*Dx^^Dy;")
     out = format_job(job)
     assert out == "chart x, y;\nmodular x*Dx^^Dy;\n"
+
+
+@pytest.mark.parametrize(
+    "source, payload",
+    [
+        ("chart x; p = x; classify p + x;", {"ideal": "x", "class": "Log"}),
+        ("chart x, y; p = x; check_poisson p*Dx^^Dy;", {"poisson": True}),
+        ("chart x, y; I = ideal(x*y); classify I;",
+         {"ideal": "x*y", "class": "NormalCrossingLog(2)"}),
+    ],
+    ids=["sum", "product", "named_ideal"],
+)
+def test_operand_starting_with_a_defined_name_reads_as_an_expression(source, payload):
+    """A command operand that starts with a defined name reads on past it,
+    as a definition's right-hand side does; a lone name is the defined value."""
+    from divkit.cli import run_job
+
+    cert, code = run_job(parse(source))
+    assert code == 0 and cert["payload"] == payload
+    assert run_job(parse(format_job(parse(source)))) == (cert, code)
 
 
 def test_ideal_operand_accepts_a_constant():

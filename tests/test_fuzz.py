@@ -18,7 +18,12 @@ Generated expressions, polynomial and graded sums among them, also parse as
 they did before the parser read monomial literals straight into packed terms
 and graded literals into one keyed dict: `ReferenceParser` keeps that
 evaluation, one value per atom and one `combine_add` per `+`, and both must
-give equal values of the same type, or the same error."""
+give equal values of the same type, or the same error.
+
+`dsl.tokenize` returns token texts, and an offset is found only for an
+error; on generated sources, the texts, their kinds and offsets and every
+lexer error match `conftest.tokenize_reference`, the `Token` tokenizer it
+replaced."""
 
 import itertools
 import json
@@ -36,6 +41,7 @@ from divkit.dsl import (  # noqa: E402
     CoframeExpr,
     ParseError,
     Parser,
+    _token_offset,
     format_job,
     parse,
     parse_expression,
@@ -44,9 +50,24 @@ from divkit.dsl import (  # noqa: E402
 )
 from divkit.multivector import DiffForm, Multivector  # noqa: E402
 from divkit.rings import Chart, DegreeCapExceeded, Poly  # noqa: E402
+from conftest import tokenize_reference  # noqa: E402
+
+
+def token_kind(text):
+    """The kind of a token text, as `tokenize_reference` names it."""
+    if not text:
+        return "eof"
+    if text.isdigit():
+        return "num"
+    if text.isidentifier():
+        return "ident"
+    if text.startswith('"'):
+        return "str"
+    return "wedge" if text == "^^" else "sym"
+
 
 JOBS = [
-    [(t.kind, t.text) for t in tokenize(p.read_text()) if t.kind != "eof"]
+    [(token_kind(t), t) for t in tokenize(p.read_text())[:-1]]
     for p in sorted(bundled_corpus_dir().glob("*.dk"))
 ]
 POOL = sorted({t for job in JOBS for t in job})
@@ -76,6 +97,40 @@ def mutants(draw):
 
 def test_corpus_tokens_have_small_exponents():
     assert max(int(text) for kind, text in POOL if kind == "num") <= 9
+
+
+# Pieces of lexer input, joined with nothing between them, so names, numbers,
+# `^` pairs, strings and comments also fuse across pieces.
+LEXER_PIECES = (
+    ["x", "y1", "chart", "_a", "Dx", "dy", "e1", "e12", "D", "d", "e", "0", "12", "007"]
+    + ["^", "^^", "-", "+", "*", "/", "(", ")", ",", ";", "="]
+    + ["# note", "#", "\n", "\r\n", '"out"', '""', '"ab', '"']
+    + [" ", "\t", "\u00a0", "\u2028", "\u00e9", "\u0663", "$"]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=2000)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=12).map("".join))
+@example('chart x;\noutput "abc;\nclassify x;\n')
+@example("x # y $\n z $")
+@example("x \u00e9 \u0663")
+@example("x ")
+@example("")
+def test_tokenize_matches_the_reference(source):
+    """The texts, each one's kind and offset, and any ParseError (line:col
+    and message) are those of the `Token` tokenizer."""
+    try:
+        want = tokenize_reference(source)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            tokenize(source)
+        assert str(got.value) == str(e), source
+        assert (got.value.line, got.value.col) == (e.line, e.col), source
+        return
+    texts = tokenize(source)
+    assert texts == [t.text for t in want], source
+    assert [token_kind(t) for t in texts] == [t.kind for t in want], source
+    assert [_token_offset(source, i) for i in range(len(texts))] == [t.pos for t in want], source
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=2000)
@@ -152,21 +207,21 @@ class ReferenceParser(Parser):
 
     def expression(self):
         v = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek() in ("+", "-"):
+            op = self.next()
             v = self.combine_add(v, self.term(), op)
         return v
 
     def term(self):
         v = self.factor()
         while True:
-            t = self.peek()
-            if t.text == "*":
+            at, t = self.pos, self.peek()
+            if t == "*":
                 self.next()
-                v = self.combine_mul(v, self.factor(), t)
-            elif t.kind == "wedge":
+                v = self.combine_mul(v, self.factor(), at)
+            elif t == "^^":
                 self.next()
-                v = self.combine_wedge(v, self.factor(), t)
+                v = self.combine_wedge(v, self.factor(), at)
             else:
                 return v
 
@@ -174,7 +229,7 @@ class ReferenceParser(Parser):
 def reference_parse_expression(source, chart, definitions):
     p = ReferenceParser(source, chart, definitions)
     v = p.expression()
-    if p.peek().kind != "eof":
+    if p.peek() != "":
         p.fail("trailing input after expression")
     return v
 
