@@ -439,7 +439,7 @@ class Parser:
         chart = self.job.chart
         sums = {}
         cls = degree = v = None  # the keyed sum's kind and degree; the sum, once a value
-        op = "+"
+        op, at = "+", None  # the operator before the term, and its token index
         while True:
             if key is None and (isinstance(w, (int, Fraction)) or type(w) is Poly and w.chart == chart):
                 key, w = _POLY_KEY, (w._terms if type(w) is Poly else {0: w})
@@ -454,10 +454,10 @@ class Parser:
                     w = self._keyed_value(key[0], len(key[1]), {key[1]: w})
                 if v is None and cls is not None:
                     v = self._keyed_value(cls, degree, sums)
-                v = w if v is None else self.combine_add(v, w, op)
+                v = w if v is None else self.combine_add(v, w, op, at)
             if self.peek() not in ("+", "-"):
                 return self._keyed_value(cls, degree, sums) if v is None else v
-            op = self.next()
+            at, op = self.pos, self.next()
             key, w = self.term()
 
     def _keyed_value(self, cls, degree, sums):
@@ -689,12 +689,12 @@ class Parser:
             return Poly.const(self.job.chart, v)
         return v
 
-    def combine_add(self, a, b, op):
+    def combine_add(self, a, b, op, at):
         a, b = self.to_poly(a), self.to_poly(b)
         try:
             return a + b if op == "+" else a - b
         except (ValueError, KeyError, TypeError) as e:
-            self.fail("cannot %s these values: %s" % ("add" if op == "+" else "subtract", e))
+            self.fail("cannot %s these values: %s" % ("add" if op == "+" else "subtract", e), at)
 
     def combine_mul(self, a, b, at):
         try:

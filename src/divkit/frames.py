@@ -25,13 +25,19 @@ product entry, a Cramer numerator, a bracket component) is one
 
 The involutivity certificate solves every pairwise bracket back into the
 frame, all denominators cancelling.  The brackets come from one table of the
-derivatives d_l rho_kj of the anchor entries, filled in per generator the
-first time a bracket needs it:
+derivatives d_l rho_kj of the anchor entries:
 
-    [e_i, e_j]^k = sum_l (rho_li d_l rho_kj - rho_lj d_l rho_ki);
+    [e_i, e_j]^k = sum_l (rho_li d_l rho_kj - rho_lj d_l rho_ki),
 
-a bracket that is zero has all-zero structure coefficients and takes no
-solve.
+and all of them are solved as one block: row k of the block holds component
+k of every bracket, each bracket's terms tagged with its pair in a field
+above the degree field of the packed monomials.  The forward pass and adj(S)
+run once per row, not once per bracket, and one exact division by det(S)
+per row of S decides, since back-substitution through constant pivots never
+misses; a frame with no Schur block is involutive with no work at all.  The
+structure coefficients are back-substituted from the reduced block only when
+`AnchorFrame.structure` is first read (by d_A and the lower modification);
+a zero bracket has all-zero coefficients.
 
 The algebroid differential d_A is the Chevalley-Eilenberg differential of
 the anchor and the certified structure coefficients c^k_ij:
@@ -47,7 +53,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import ChartMismatch, InternalError, Poly, exact_divide, fraction_str, sum_products
+from .rings import (
+    FIELD_BITS,
+    ChartMismatch,
+    InternalError,
+    Poly,
+    exact_divide,
+    fraction_str,
+    sum_products,
+)
 from .divisors import DivisorClass, classify, divides_ideal, make_ideal, preserves
 from .multivector import (
     Multivector,
@@ -180,7 +194,7 @@ def invert_antisym(m):
 
 
 def mat_mul(a, b):
-    chart = a[0][0].chart
+    chart = b[0][0].chart
     cols = list(zip(*b))
     return [
         [sum_products(chart, [(1, x, y) for x, y in zip(row, col)]) for col in cols] for row in a
@@ -225,7 +239,16 @@ class _Elimination:
     are the rows and columns of the Schur block S, increasing; `den` is
     det(S), from S's table of minors, and `det` is det(rho).  adj(S) is built
     from the same table when a solve first needs it (`adj`), so a det alone
-    never pays for it."""
+    never pays for it.
+
+    A solve is three passes, `forward`, `divide` and `back_substitute`, over
+    a right-hand side of one Poly per row of rho.  A row may be tagged: it
+    packs that component of several vectors, each vector's terms carrying
+    its tag in a field above the degree field (`_bracket_rows`).  The
+    multipliers and adj(S) are untagged, so every product keeps its tag,
+    and an exact division by det(S) reduces a tagged row tag by tag: it
+    misses when one vector's component misses.  A single vector is a block
+    of one, untagged."""
 
     __slots__ = ("chart", "steps", "rows", "cols", "den", "det", "_adj", "_block", "_memo")
 
@@ -273,14 +296,9 @@ class _Elimination:
         scale *= merge_indices(tuple(step[1] for step in steps) + tuple(cols), ())[0]
         self.det = self.den if scale == 1 else self.den * scale
 
-    def solve(self, v, numerators=False):
-        """(x, True) with rho x = v when every x_k is a polynomial, else
-        (N, False) with x = N / det(S); `numerators` asks for N in any case.
-
-        The multipliers run forward over v, S's part of the solution is
-        adj(S) v_S exact-divided by det(S), and back-substitution through the
-        constant pivots fills in the rest; after a miss it carries the
-        numerators, x_c = (v_r det(S) - sum_j e_j N_j) / p."""
+    def forward(self, v):
+        """(v', nums): v with the multipliers run forward over it, and the
+        numerators adj(S) v'_S of S's part of the solution over det(S)."""
         chart = self.chart
         one = Poly.const(chart, 1)
         v = list(v)
@@ -289,21 +307,29 @@ class _Elimination:
             if vr:
                 for t, f in mults:
                     v[t] = sum_products(chart, [(1, v[t], one), (-1, f, vr)])
-        x = [None] * len(v)
         block = [v[r] for r in self.rows]
-        nums = [sum_products(chart, [(1, a, b) for a, b in zip(row, block)]) for row in self.adj()]
-        exact = not numerators
-        if exact:
-            quotients = []
-            for num in nums:
-                q = exact_divide(num, self.den)
-                if q is None:
-                    exact = False
-                    break
-                quotients.append(q)
-        for c, q in zip(self.cols, quotients if exact else nums):
+        return v, [sum_products(chart, [(1, a, b) for a, b in zip(row, block)]) for row in self.adj()]
+
+    def divide(self, nums):
+        """The quotients of nums by det(S), or None when one misses."""
+        quotients = []
+        for num in nums:
+            q = exact_divide(num, self.den)
+            if q is None:
+                return None
+            quotients.append(q)
+        return quotients
+
+    def back_substitute(self, v, block, exact=True):
+        """x with rho x = v, from the forward-run v' and S's part `block` of
+        x: the quotients when `exact`, else the numerators, and then every
+        x_c = (v'_r det(S) - sum_j e_j N_j) / p is a numerator too.  Through
+        constant pivots an exact step never misses."""
+        chart = self.chart
+        x = [None] * len(v)
+        for c, q in zip(self.cols, block):
             x[c] = q
-        unit = one if exact else self.den
+        unit = Poly.const(chart, 1) if exact else self.den
         for r, c, inv, row, _ in reversed(self.steps):
             subtract = [(-1, e, x[j]) for j, e in row if x[j]]
             if exact and not subtract:
@@ -311,7 +337,15 @@ class _Elimination:
             else:
                 s = sum_products(chart, [(1, v[r], unit)] + subtract)
             x[c] = s if inv == 1 else s * inv
-        return x, exact
+        return x
+
+    def solve(self, v, numerators=False):
+        """(x, True) with rho x = v when every x_k is a polynomial, else
+        (N, False) with x = N / det(S); `numerators` asks for N in any case."""
+        v, nums = self.forward(v)
+        quotients = None if numerators else self.divide(nums)
+        exact = quotients is not None
+        return self.back_substitute(v, quotients if exact else nums, exact), exact
 
     def adj(self):
         """adj(S), from the table of minors that gave det(S)."""
@@ -329,7 +363,7 @@ class _Elimination:
 class AnchorFrame:
     """A divisor-type Lie algebroid presented by n vector-field generators."""
 
-    __slots__ = ("chart", "generators", "det", "structure", "label", "_elim")
+    __slots__ = ("chart", "generators", "det", "label", "_elim", "_reduced", "_structure")
 
     def __init__(self, chart, generators, label=None):
         if not chart.dimension:
@@ -353,7 +387,18 @@ class AnchorFrame:
                 "anchor determinant vanishes identically; not of divisor-type"
             )
         self.label = label
-        self.structure = check_involutive(self)
+        self._reduced = check_involutive(self)
+        self._structure = None
+
+    @property
+    def structure(self):
+        """The structure coefficients {(i, j): [c^k_ij for k]}, i < j, with
+        [e_i, e_j] = sum_k c^k_ij e_k, back-substituted, the first time they
+        are read, from the block that `check_involutive` reduced."""
+        if self._structure is None:
+            self._structure = _back_substituted(self)
+            self._reduced = None
+        return self._structure
 
     def matrix(self):
         """Anchor matrix R with R[j][i] = coefficient of D_j in generator i."""
@@ -399,45 +444,100 @@ def expand_in_frame(v, frame):
     return x
 
 
+def _bracket_rows(frame):
+    """The n tagged rows that hold every bracket [e_i, e_j], i < j: row k
+    holds component k of each, its terms tagged i*n + j.  Each nonzero
+    component is one `sum_products` call over the derivative table (see
+    the module docstring)."""
+    chart = frame.chart
+    n = chart.dimension
+    shift = chart._degree_shift + FIELD_BITS
+    support = [[(l, c) for (l,), c in g.comps.items()] for g in frame.generators]
+    derivs = []  # derivs[j]: {l: [(k, d_l rho_kj)]} over the non-constant rho_kj
+    for sup in support:
+        table = {}
+        for k, c in sup:
+            for var in c.variables_used():
+                table.setdefault(chart.index(var), []).append((k, c.diff(var)))
+        derivs.append(table)
+    rows = [[] for _ in range(n)]  # rows[k]: (tag, component k) of each bracket
+    for i in range(n):
+        for j in range(i + 1, n):
+            comps = {}
+            for s, a, b in ((1, i, j), (-1, j, i)):
+                table = derivs[b]
+                for l, c in support[a]:
+                    for k, d in table.get(l, ()):
+                        comps.setdefault(k, []).append((s, c, d))
+            tag = (i * n + j) << shift
+            for k, triples in comps.items():
+                rows[k].append((tag, sum_products(chart, triples)._terms))
+    return [
+        Poly._make(chart, {m + t: c for t, terms in row for m, c in terms.items()}) for row in rows
+    ]
+
+
+def _untagged(chart, rows):
+    """{(i, j): [component k of the bracket over k]} for the brackets with
+    terms in tagged rows, in order of pairs."""
+    n = chart.dimension
+    shift = chart._degree_shift + FIELD_BITS
+    low = (1 << shift) - 1
+    cols = {}
+    for k, row in enumerate(rows):
+        for m, c in row._terms.items():
+            col = cols.get(m >> shift)
+            if col is None:
+                col = cols[m >> shift] = [{} for _ in rows]
+            col[k][m & low] = c
+    return {divmod(t, n): [Poly._make(chart, terms) for terms in cols[t]] for t in sorted(cols)}
+
+
 def check_involutive(frame):
-    """Structure coefficients c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k,
-    or raise NotInvolutive with the offending pair and fractional witness.
-    Each bracket component is one `sum_products` call over the derivative
-    table (see the module docstring); a zero bracket takes no solve."""
+    """Certify that every bracket [e_i, e_j] lies in the frame's module, or
+    raise NotInvolutive with the first offending pair and its fractional
+    witness.
+
+    All brackets go through the elimination as one block of tagged rows:
+    one forward pass, adj(S) once and one exact division by det(S) per row
+    of S.  Back-substitution through constant pivots never misses, so those
+    divisions decide; with S empty nothing can miss and nothing is done.
+    On a miss each bracket is expanded alone, in order, for the first pair
+    and its witness.  Returns the forward-run rows and S's quotients for
+    `AnchorFrame.structure` to back-substitute, or None when S is empty."""
+    elim = frame._elim
+    if not elim.rows:
+        return None
+    rows = _bracket_rows(frame)
+    if not any(rows):
+        return rows, None
+    v, nums = elim.forward(rows)
+    quotients = elim.divide(nums)
+    if quotients is None:
+        chart = frame.chart
+        for pair, col in _untagged(chart, rows).items():
+            comps = {(k,): c for k, c in enumerate(col) if c}
+            try:
+                expand_in_frame(Multivector._make(chart, 1, comps), frame)
+            except NotInModule as e:
+                raise NotInvolutive(pair, e.witness) from None
+        raise InternalError(  # pragma: no cover - the block misses only where a bracket does
+            "a bracket missed in the block but not alone (internal error)"
+        )
+    return v, quotients
+
+
+def _back_substituted(frame):
+    """The structure table of `AnchorFrame.structure`: all-zero columns for
+    the zero brackets, back-substitution of the reduced block for the rest
+    (an empty S block is reduced here, as nothing was reduced before)."""
     chart = frame.chart
     n = chart.dimension
     zero = Poly.zero(chart)
-    support = [[(l, c) for (l,), c in g.comps.items()] for g in frame.generators]
-    derivs = [None] * n  # derivs[j]: {k: {l: d_l rho_kj}} for the non-constant rho_kj
-
-    def table(j):
-        if derivs[j] is None:
-            derivs[j] = {
-                k: {chart.index(var): c.diff(var) for var in c.variables_used()}
-                for k, c in support[j]
-                if not c.is_constant()
-            }
-        return derivs[j]
-
-    structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            di, dj = table(i), table(j)
-            comps = {}
-            for k in sorted(di.keys() | dj.keys()):
-                dik, djk = di.get(k, {}), dj.get(k, {})
-                triples = [(1, c, djk[l]) for l, c in support[i] if l in djk]
-                triples += [(-1, c, dik[l]) for l, c in support[j] if l in dik]
-                c = sum_products(chart, triples)
-                if c:
-                    comps[(k,)] = c
-            if not comps:
-                structure[(i, j)] = [zero] * n
-                continue
-            try:
-                structure[(i, j)] = expand_in_frame(Multivector._make(chart, 1, comps), frame)
-            except NotInModule as e:
-                raise NotInvolutive((i, j), e.witness) from None
+    structure = {(i, j): [zero] * n for i in range(n) for j in range(i + 1, n)}
+    v, quotients = frame._reduced or frame._elim.forward(_bracket_rows(frame))
+    if any(v):
+        structure.update(_untagged(chart, frame._elim.back_substitute(v, quotients)))
     return structure
 
 
@@ -743,10 +843,11 @@ def pullback(frame, pi):
 def pushforward(frame, lifted):
     """Push a frame bivector (indices over the generators) to TX: the
     bivector of the matrix rho Pi_A rho^T.  Only its entries i < j are built,
-    entry (i, j) as row i of rho Pi_A against row j of rho."""
+    entry (i, j) as row i of rho Pi_A against row j of rho, so rows 0..n-2
+    of rho Pi_A are all it needs."""
     chart = frame.chart
     rho = frame.matrix()
-    left = mat_mul(rho, bivector_matrix(lifted))
+    left = mat_mul(rho[:-1], bivector_matrix(lifted))
     comps = {}
     for i, row in enumerate(left):
         for j in range(i + 1, len(rho)):

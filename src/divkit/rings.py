@@ -28,10 +28,14 @@ raises `DegreeCapExceeded` above `MAX_DEGREE`, so a carry between fields
 never happens, or above the cap of the innermost enclosing `degree_cap`
 block (`cli.main` opens one per command, from `DK_MAX_DEGREE`).
 `Poly.terms` is a read-only view of the terms keyed by exponent tuples, for
-callers that want them.  Outside this module only the DSL reader touches the
-packed form: it builds packed monomials from `Chart._units`, adds
-`Poly._terms` into its term tables and makes Polys of them with `_normed`
-and `Poly._make`.
+callers that want them.  Outside this module only the DSL reader and the
+frames' involutivity block touch the packed form.  The reader builds packed
+monomials from `Chart._units`, adds `Poly._terms` into its term tables and
+makes Polys of them with `_normed` and `Poly._make`.  The block tags a
+frame's brackets in a field above the degree field, so a tagged row's
+monomial is an int beyond every field; `sum_products` reads such a row's
+degree from its degree fields, and `exact_divide` by an untagged divisor
+reduces it tag by tag as it stands.
 
 `sum_products` computes a sum of products s*a*b into one term dict, with the
 checks of a single product, and normalizes once; it serves every sum of
@@ -520,7 +524,9 @@ def sum_products(chart, triples):
     once at the end, so a sum of many products builds no intermediate Poly
     and never copies a running sum.  Each product is checked as `Poly.__mul__`
     checks it: both operands on `chart` (else `ChartMismatch`), and its total
-    degree against `_check_degree` before it multiplies."""
+    degree against `_check_degree` before it multiplies.  An operand may be
+    a tagged row (see the module docstring): its degree is then the largest
+    of its degree fields."""
     shift = chart._degree_shift
     res = {}
     get = res.get
@@ -532,7 +538,11 @@ def sum_products(chart, triples):
         ta, tb = a._terms, b._terms
         if not ta or not tb:
             continue
-        _check_degree((max(ta) >> shift) + (max(tb) >> shift))
+        d = (max(ta) >> shift) + (max(tb) >> shift)
+        if d > _FIELD:  # a tagged row: read its degree fields, not its tags
+            field = (_FIELD << shift).__and__
+            d = (max(map(field, ta)) + max(map(field, tb))) >> shift
+        _check_degree(d)
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for m1, c1 in ta.items():

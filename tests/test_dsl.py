@@ -55,7 +55,7 @@ def test_unknown_name_has_position():
          "'Dx' is a basis token"),
         ("x = 2; chart x, y; classify y*x;", 1, 1, "declare the chart first"),
         # a command operand reads on past a defined name, as a definition does
-        ("chart x, y; F = frame log(x); classify F + x;", 1, 45,
+        ("chart x, y; F = frame log(x); classify F + x;", 1, 42,
          "cannot add these values: unsupported operand type(s) for +: 'AnchorFrame' and 'Poly'"),
         ("chart x, y; I = ideal(x); classify I*x;", 1, 37,
          "cannot multiply these values: unsupported operand type(s) for *: 'DivisorIdeal' and 'Poly'"),

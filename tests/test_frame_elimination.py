@@ -12,7 +12,10 @@ and on the exact message of every NotInvolutive, NotInModule, NotLiftable
 and DegenerateFrame.  The antisymmetric inverse, solved column by column
 through the same elimination, must agree with -adj(m) / det(m), and so must
 the determinant alone on dense matrices that leave a large Schur block.
-Involutivity takes one solve per nonzero bracket and none for a zero one.
+Involutivity takes one block reduction of all the brackets per frame,
+back-substitutes only when the structure is read, and on a failing frame
+names the first bracket and the witness that solving each bracket alone
+names.
 """
 
 import random
@@ -381,26 +384,91 @@ def test_graded_coefficients_must_live_on_the_chart():
     assert Multivector(Chart(["x", "y", "u"]), 1, {(0,): x}).comps == {(0,): x}
 
 
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name in the list it returns."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def test_involutivity_solves_only_the_nonzero_brackets(monkeypatch):
+    # one block reduction per frame and no back-substitution until the
+    # structure is read; a second read reuses the first
     rng = random.Random(1729)
-    solves = []
-    solve = _Elimination.solve
-    monkeypatch.setattr(_Elimination, "solve", lambda self, *a: solves.append(1) or solve(self, *a))
+    forward = counting(monkeypatch, _Elimination, "forward")
+    back = counting(monkeypatch, _Elimination, "back_substitute")
+    expand = counting(monkeypatch, frames, "expand_in_frame")
     zero_brackets = nonzero_brackets = 0
+    shapes = set()
     for chart, gens in involutive_cases(rng):
         n = chart.dimension
         brackets = {(i, j): lie_bracket(gens[i], gens[j]) for i in range(n) for j in range(i + 1, n)}
-        del solves[:]
+        nonzero = any(not br.is_zero() for br in brackets.values())
+        for calls in (forward, back, expand):
+            del calls[:]
         frame = AnchorFrame(chart, gens)
-        assert len(solves) == sum(not br.is_zero() for br in brackets.values()), frame
+        block = bool(frame._elim.rows)
+        shapes.add((block, nonzero))
+        assert (len(forward), len(back), len(expand)) == (block and nonzero, 0, 0), frame
+        structure = frame.structure
+        assert frame.structure is structure
+        assert (len(forward), len(back)) == (int(nonzero or not block), int(nonzero)), frame
+        assert list(structure) == list(brackets)
         for pair, br in brackets.items():
-            col = frame.structure[pair]
+            col = structure[pair]
             if br.is_zero():
                 assert len(col) == n and all(type(c) is Poly and c == Poly.zero(chart) for c in col)
                 zero_brackets += 1
             else:
                 nonzero_brackets += 1
+    assert expand == []
     assert zero_brackets and nonzero_brackets
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_failing_frames_name_the_first_bracket_of_the_per_bracket_path():
+    # random anchors with several brackets outside the module: the block
+    # decides, and the pair and witness are those of expanding each bracket
+    # alone, in order, through the same elimination
+    rng = random.Random(6174)
+    several = 0
+    for chart, gens in random_cases(rng):
+        elim = _Elimination(anchor(chart, gens))
+        if elim.det.is_zero():
+            continue
+        misses = []
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                x, exact = elim.solve(lie_bracket(gens[i], gens[j]).vector_coeffs())
+                if not exact:
+                    num = next(num for num in x if exact_divide(num, elim.den) is None)
+                    misses.append(((i, j), fraction_str(num, elim.den)))
+        if not misses:
+            AnchorFrame(chart, gens)
+            continue
+        with pytest.raises(NotInvolutive) as e:
+            AnchorFrame(chart, gens)
+        assert (e.value.pair, e.value.witness) == misses[0], (chart, gens)
+        several += len(misses) > 1
+    assert several >= 20
+    # S = [x] after the constant pivot: [e1, e2] = Dy = -y/x e1 + 1/x e2
+    x, y = Poly.var(C2, "x"), Poly.var(C2, "y")
+    dx, dy = Multivector.basis_vector(C2, 0), Multivector.basis_vector(C2, 1)
+    with pytest.raises(NotInvolutive) as e:
+        AnchorFrame(C2, [dx, y * dx + x * dy])
+    assert str(e.value) == "bracket of generators 1,2 leaves the frame module: coefficient (-y)/(x)"
+
+
+def test_a_frame_with_no_schur_block_is_involutive_with_no_work(monkeypatch):
+    x, y = Poly.var(C2, "x"), Poly.var(C2, "y")
+    dx, dy = Multivector.basis_vector(C2, 0), Multivector.basis_vector(C2, 1)
+    forward = counting(monkeypatch, _Elimination, "forward")
+    frame = AnchorFrame(C2, [dx, x * dx + y * dx + dy])
+    assert frame._elim.rows == [] and frame._reduced is None and forward == []
+    # [Dx, (x + y) Dx + Dy] = Dx = e1
+    one, zero = Poly.const(C2, 1), Poly.zero(C2)
+    assert frame.structure == {(0, 1): [one, zero]} and len(forward) == 1
 
 
 def dense_few_constants(chart, rng, n):

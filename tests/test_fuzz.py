@@ -208,8 +208,8 @@ class ReferenceParser(Parser):
     def expression(self):
         v = self.term()
         while self.peek() in ("+", "-"):
-            op = self.next()
-            v = self.combine_add(v, self.term(), op)
+            at, op = self.pos, self.next()
+            v = self.combine_add(v, self.term(), op, at)
         return v
 
     def term(self):
