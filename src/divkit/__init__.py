@@ -15,7 +15,6 @@ from .multivector import (
     Multivector,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
     pairing,
     partial_pfaffian,
@@ -54,8 +53,6 @@ from .poisson import (
     lift,
     modular_foliation_report,
     modular_vf,
-    poisson_bracket,
-    poisson_vf_check,
 )
 from .residues import (
     ResidueSpec,

@@ -107,9 +107,6 @@ class DivisorIdeal:
 
     __repr__ = __str__
 
-    def is_trivial(self):
-        return self.generator.is_constant()
-
 
 def make_ideal(gen):
     return DivisorIdeal(gen)

@@ -39,6 +39,10 @@ a statement produces (a definition or a command operand) is then checked
 whole against the degree cap by `Parser.checked`, so `DK_MAX_DEGREE` trips
 on it however it is spelled.
 
+Frames (`frame kind(args)`, `frame custom(g1; ...)`) and ideals
+(`ideal(p)`) are atoms too.  A definition is one `expression`, and so is
+each command operand of a value kind, whose class `_VALUE_KINDS` checks.
+
 Each command's syntax is one `COMMANDS` entry, which both the parser and
 the printer walk; a new command is that entry plus one branch in
 `cli._dispatch`, which receives the operands in the entry's order.
@@ -141,6 +145,16 @@ class CoframeExpr(_Graded):
         return CoframeForm(frame, self.degree, self.comps)
 
 
+# each value operand kind: (its class, what an error says was expected)
+_VALUE_KINDS = {
+    "bivector": (Multivector, "a bivector"),
+    "coform": (CoframeExpr, "a coframe form"),
+    "frame": (AnchorFrame, "a frame name or 'frame <kind>(...)'"),
+    "ideal": ((Poly, DivisorIdeal), "an ideal or a polynomial"),
+    "poly_or_ideal": ((Poly, DivisorIdeal), "an ideal or a polynomial"),
+}
+
+
 class Job:
     __slots__ = ("chart", "definitions", "command", "output")
 
@@ -236,22 +250,17 @@ class Parser:
         self.expect("chart")
         if self.job.chart is not None:
             self.fail("chart is already declared", start)
-        at = [self.pos]  # the index of each variable name
-        self.expect_ident("a variable name")
-        while self.peek() == ",":
-            self.next()
-            at.append(self.pos)
-            self.expect_ident("a variable name")
+        names = self.separated(",", lambda: (self.pos, self.expect_ident("a variable name")))
         self.expect(";")
-        seen = [self.tokens[i] for i in at]
-        for i, v in zip(at, seen):
+        seen = [v for _, v in names]
+        for i, v in names:
             if not _VAR_RE.match(v):
                 self.fail("variable names are lowercase identifiers: %r" % v, i)
             if v in KEYWORDS:
                 self.fail("%r is reserved" % v, i)
             if re.match(r"e\d+$", v):
                 self.fail("names e1, e2, ... are reserved for coframes", i)
-        for i, v in zip(at, seen):
+        for i, v in names:
             for other in seen:
                 if v != other and v == "d" + other:
                     self.fail(
@@ -271,55 +280,45 @@ class Parser:
         if self._basis_token(name) is not None:
             self.fail("%r is a basis token" % name, at)
         self.expect("=")
-        t = self.peek()
-        if t == "frame":
-            self.next()
-            value = self.frame_spec()
-        elif t == "ideal":
-            value = self.ideal_operand()
-        else:
-            value = self.checked(self.expression())
+        value = self.checked(self.expression())
         self.expect(";")
         if name in self.job.definitions:
             self.fail("%r is already defined" % name, at)
         self.job.definitions[name] = value
 
+    def separated(self, sep, read):
+        """The values of `read()`, called once and again after each `sep`."""
+        items = [read()]
+        while self.peek() == sep:
+            self.next()
+            items.append(read())
+        return items
+
     def frame_spec(self):
+        """A frame after its keyword: `kind(args)` or `custom(g; ...)`."""
         at = self.pos
         kind = self.expect_ident("a frame kind")
         chart = self.need_chart(at)
         self.expect("(")
         if kind == "custom":
-            gens = [self.expr_value(Multivector, "a vector field")]
-            while self.peek() == ";":
-                self.next()
-                gens.append(self.expr_value(Multivector, "a vector field"))
+            gens = self.separated(";", lambda: self.expr_value(Multivector, "a vector field"))
             self.expect(")")
-            for g in gens:
-                if g.degree != 1:
-                    self.fail("custom frame generators must be vector fields", at)
             try:
                 return AnchorFrame(chart, gens)
             except (ValueError, KeyError, TypeError) as e:
                 self.fail("bad custom frame: %s" % e, at)
-        args = []
-        if self.peek() != ")":
-            while True:
-                t = self.next()
-                if t.isidentifier():
-                    args.append(t)
-                elif t.isdigit():
-                    args.append(int(t))
-                else:
-                    self.fail("expected a variable or integer argument", self.pos - 1)
-                if self.peek() != ",":
-                    break
-                self.next()
+        args = [] if self.peek() == ")" else self.separated(",", self.frame_arg)
         self.expect(")")
         try:
             return catalog(kind, chart, *args)
         except (ValueError, KeyError, TypeError) as e:
             self.fail("bad frame %s(...): %s" % (kind, e), at)
+
+    def frame_arg(self):
+        t = self.next()
+        if not (t.isidentifier() or t.isdigit()):
+            self.fail("expected a variable or integer argument", self.pos - 1)
+        return int(t) if t.isdigit() else t
 
     def need_chart(self, at):
         if self.job.chart is None:
@@ -338,14 +337,9 @@ class Parser:
 
     def _read_operand(self, kind, args):
         """One operand of the given kind; `args` holds those read before it."""
-        if kind == "bivector":
-            return self.expr_value(Multivector, "a bivector")
-        if kind == "coform":
-            return self.expr_value(CoframeExpr, "a coframe form")
-        if kind == "frame":
-            return self.frame_operand()
-        if kind == "ideal":
-            return self.ideal_operand()
+        if kind in _VALUE_KINDS:  # an `{ideal}` may be a polynomial
+            v = self.expr_value(*_VALUE_KINDS[kind])
+            return self.to_ideal(v) if kind == "ideal" else v
         if kind == "flavor":
             return self.expect_ident("a residue flavor")
         if kind == "spinor_flavor":
@@ -355,57 +349,30 @@ class Parser:
             if t not in _SUBSET_KEYWORD:
                 self.fail("expected 'lower' or 'upper'", self.pos - 1)
             return t
-        if kind == "subset":
-            want = _SUBSET_KEYWORD[args[0]]
-            if self.next() != want:
-                self.fail("expected %r" % want, self.pos - 1)
-            return self.index_list()
-        # poly_or_ideal: a polynomial, or a named ideal
-        return self.expr_value((Poly, DivisorIdeal), "an ideal or a polynomial")
+        # subset: its keyword, then 1-based generator indices, maybe none
+        want = _SUBSET_KEYWORD[args[0]]
+        if self.next() != want:
+            self.fail("expected %r" % want, self.pos - 1)
+        return self.separated(",", self.generator_index) if self.peek().isdigit() else []
 
-    def index_list(self):
-        idx = []
-        if not self.peek().isdigit():
-            return idx  # empty subset is allowed
-        while True:
-            t = self.next()
-            if not t.isdigit():
-                self.fail("expected a 1-based generator index", self.pos - 1)
-            idx.append(int(t) - 1)
-            if self.peek() != ",":
-                break
-            self.next()
-        return idx
+    def generator_index(self):
+        t = self.next()
+        if not t.isdigit():
+            self.fail("expected a 1-based generator index", self.pos - 1)
+        return int(t) - 1
 
-    def frame_operand(self):
-        t = self.peek()
-        v = self.job.definitions.get(t)
-        if isinstance(v, AnchorFrame):
-            self.next()
+    def to_ideal(self, v):
+        """`v` if it is an ideal, else the ideal its polynomial generates."""
+        if isinstance(v, DivisorIdeal):
             return v
-        if t == "frame":
-            self.next()
-            return self.frame_spec()
-        self.fail("expected a frame name or 'frame <kind>(...)'")
-
-    def ideal_operand(self):
-        if self.peek() == "ideal":
-            self.next()
-            self.expect("(")
-            v = self.expr_value(Poly, "a polynomial")
-            self.expect(")")
-        else:
-            v = self.expr_value((Poly, DivisorIdeal), "an ideal or a polynomial")
-            if isinstance(v, DivisorIdeal):
-                return v
         try:
             return make_ideal(v)
         except (ValueError, KeyError, TypeError) as e:
             self.fail("bad ideal generator: %s" % e)
 
     def expr_value(self, cls, what):
-        """A command operand or frame generator: an expression, which may
-        name or hold defined values, of class `cls`."""
+        """A value of class `cls` (a command operand, frame generator or
+        ideal generator): one expression, whose value is then checked."""
         at = self.pos
         v = self.expression()
         if isinstance(v, (int, Fraction)) and issubclass(Poly, cls):
@@ -649,11 +616,19 @@ class Parser:
     def atom(self):
         at = self.pos
         t = self.next()
-        if t == "(":
+        if t in ("(", "frame", "ideal"):
             self.depth += 1
-            v = self.expression()
+            if t == "frame":
+                v = self.frame_spec()
+            elif t == "ideal":
+                self.expect("(")
+                v = self.expr_value(Poly, "a polynomial")
+                self.expect(")")
+                v = self.to_ideal(v)
+            else:
+                v = self.expression()
+                self.expect(")")
             self.depth -= 1
-            self.expect(")")
             return v
         if t.isdigit():
             num = int(t)
@@ -746,8 +721,8 @@ def parse_expression(source, chart, definitions=None):
 def value_to_source(v, names=None):
     """Source text of a value.  In a command, `names` maps the id of each
     defined value to its name: such a value prints as the name, and an
-    inline ideal as its generator, which `{ideal}` reads back.  A
-    definition (`names` None) spells an ideal `ideal(g)`."""
+    inline ideal as its generator, which `{ideal}` and `{poly_or_ideal}`
+    read back.  A definition (`names` None) spells an ideal `ideal(g)`."""
     if names is not None:
         if id(v) in names:
             return names[id(v)]
@@ -759,9 +734,6 @@ def value_to_source(v, names=None):
         return "frame custom(%s)" % "; ".join(str(g) for g in v.generators)
     if isinstance(v, DivisorIdeal):
         return "ideal(%s)" % v.generator
-    if isinstance(v, _Graded) and v.is_zero() and v.degree:
-        # a bare 0 would read back as a scalar: keep the kind and degree
-        return "0*" + "^^".join(v._basis_name(i) for i in range(v.degree))
     return str(v)
 
 

@@ -264,14 +264,11 @@ class DiffForm(_Graded):
     def _basis_name(self, i):
         return "d" + self.chart.variables[i]
 
-    @classmethod
-    def basis_form(cls, chart, i):
-        return cls(chart, 1, {(i,): Poly.const(chart, 1)})
-
 
 def _graded_str(obj, basis_name):
     if not obj.comps:
-        return "0"
+        # a bare 0 would read back as a scalar: keep the kind and degree
+        return "0*" + "^^".join(map(basis_name, range(obj.degree))) if obj.degree else "0"
     parts = []
     for idx in sorted(obj.comps):
         c = obj.comps[idx]
@@ -351,11 +348,6 @@ def schouten_bracket(a, b):
         _contract(groups, a, b, 1)
         _contract(groups, b, a, 1 if (p - 1) * (q - 1) % 2 else -1)
     return a._like(deg, _sum_groups(chart, groups))
-
-
-def lie_bracket(v, w):
-    """Lie bracket of vector fields (= Schouten bracket in degree one)."""
-    return schouten_bracket(v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -313,16 +313,6 @@ def hamiltonian_vf(pi, f):
     return -schouten_bracket(pi, Multivector.function(f))
 
 
-def poisson_bracket(pi, f, g):
-    """{f, g} = pi(df, dg)."""
-    return hamiltonian_vf(pi, f).apply_to(g)
-
-
-def poisson_vf_check(pi, v):
-    """Exact zero test of L_v pi."""
-    return lie_derivative(v, pi).is_zero()
-
-
 def _coordinate_volume(chart):
     n = chart.dimension
     return DiffForm(chart, n, {tuple(range(n)): Poly.const(chart, 1)})

@@ -59,10 +59,16 @@ def test_unknown_name_has_position():
          "cannot add these values: unsupported operand type(s) for +: 'AnchorFrame' and 'Poly'"),
         ("chart x, y; I = ideal(x); classify I*x;", 1, 37,
          "cannot multiply these values: unsupported operand type(s) for *: 'DivisorIdeal' and 'Poly'"),
+        # so does one that starts with an inline frame or ideal
+        ("chart x; classify frame log(x) + x;", 1, 32,
+         "cannot add these values: unsupported operand type(s) for +: 'AnchorFrame' and 'Poly'"),
+        ("chart x; verify_frame frame tx() by ideal(x)*x;", 1, 45,
+         "cannot multiply these values: unsupported operand type(s) for *: 'DivisorIdeal' and 'Poly'"),
     ],
     ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression",
          "negated_frame", "negated_ideal", "basis_token_definition", "definition_before_chart",
-         "frame_operand_sum", "ideal_operand_product"],
+         "frame_operand_sum", "ideal_operand_product", "inline_frame_sum",
+         "inline_ideal_product"],
 )
 def test_parse_error_positions(source, line, col, message):
     with pytest.raises(ParseError) as e:

@@ -41,7 +41,7 @@ from divkit.frames import (
     pushforward,
 )
 from divkit import frames
-from divkit.multivector import DiffForm, Multivector, bivector_matrix, lie_bracket
+from divkit.multivector import DiffForm, Multivector, bivector_matrix, schouten_bracket
 from divkit.poisson import _gcd_over_power, lift
 from divkit.rings import Chart, ChartMismatch, Poly, exact_divide, fraction_str, gcd_content, sum_products
 
@@ -87,7 +87,7 @@ def reference_frame(chart, gens):
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             try:
-                structure[(i, j)] = reference_expand(lie_bracket(gens[i], gens[j]), adj, det)
+                structure[(i, j)] = reference_expand(schouten_bracket(gens[i], gens[j]), adj, det)
             except NotInModule as e:
                 return "error", "NotInvolutive", str(NotInvolutive((i, j), e.witness))
     return "frame", det, structure
@@ -403,7 +403,7 @@ def test_involutivity_solves_only_the_nonzero_brackets(monkeypatch):
     shapes = set()
     for chart, gens in involutive_cases(rng):
         n = chart.dimension
-        brackets = {(i, j): lie_bracket(gens[i], gens[j]) for i in range(n) for j in range(i + 1, n)}
+        brackets = {(i, j): schouten_bracket(gens[i], gens[j]) for i in range(n) for j in range(i + 1, n)}
         nonzero = any(not br.is_zero() for br in brackets.values())
         for calls in (forward, back, expand):
             del calls[:]
@@ -440,7 +440,7 @@ def test_failing_frames_name_the_first_bracket_of_the_per_bracket_path():
         misses = []
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                x, exact = elim.solve(lie_bracket(gens[i], gens[j]).vector_coeffs())
+                x, exact = elim.solve(schouten_bracket(gens[i], gens[j]).vector_coeffs())
                 if not exact:
                     num = next(num for num in x if exact_divide(num, elim.den) is None)
                     misses.append(((i, j), fraction_str(num, elim.den)))

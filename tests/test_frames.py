@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from divkit.rings import Chart, Poly
-from divkit.multivector import Multivector
+from divkit.multivector import Multivector, schouten_bracket
 from divkit.divisors import make_ideal, product
 from divkit.frames import (
     AnchorFrame,
@@ -100,9 +100,7 @@ def test_involutivity_certificates():
         for i in range(n):
             for j in range(i + 1, n):
                 coeffs = frame.structure[(i, j)]
-                from divkit.multivector import lie_bracket
-
-                br = lie_bracket(frame.generators[i], frame.generators[j])
+                br = schouten_bracket(frame.generators[i], frame.generators[j])
                 recon = Multivector.zero(frame.chart, 1)
                 for k, c in enumerate(coeffs):
                     recon = recon + c * frame.generators[k]
@@ -296,14 +294,12 @@ def test_catalog_bad_params():
 
 def test_structure_antisymmetry():
     # expanding [e_j, e_i] gives exactly the negated stored coefficients
-    from divkit.multivector import lie_bracket
-
     for frame in catalog_frames():
         n = frame.chart.dimension
         for i in range(n):
             for j in range(i + 1, n):
                 rev = expand_in_frame(
-                    lie_bracket(frame.generators[j], frame.generators[i]), frame
+                    schouten_bracket(frame.generators[j], frame.generators[i]), frame
                 )
                 assert rev == [-c for c in frame.structure[(i, j)]]
 

@@ -12,7 +12,9 @@ degree cap bounds the polynomial powers a mutant can build.
 The round trips check that what the printer writes reads back as the same
 thing: a mutant that parses gives the same certificate bytes after `dk fmt`,
 and a generated value's source text parses back to an equal value of the
-same kind and degree.
+same kind and degree.  So do every catalog frame kind, a custom frame and
+ideals, and the `str` of a graded value, as a certificate payload prints
+it, zero ones included.
 
 Generated expressions, polynomial and graded sums among them, also parse as
 they did before the parser read monomial literals straight into packed terms
@@ -48,7 +50,9 @@ from divkit.dsl import (  # noqa: E402
     tokenize,
     value_to_source,
 )
-from divkit.multivector import DiffForm, Multivector  # noqa: E402
+from divkit.divisors import make_ideal  # noqa: E402
+from divkit.frames import AnchorFrame, catalog  # noqa: E402
+from divkit.multivector import DiffForm, Multivector, _Graded  # noqa: E402
 from divkit.rings import Chart, DegreeCapExceeded, Poly  # noqa: E402
 from conftest import tokenize_reference  # noqa: E402
 
@@ -180,11 +184,36 @@ def graded_values(draw):
     return cls(CHART, degree, comps)
 
 
-X = Poly.var(CHART, "x")
+X, Y, Z = (Poly.var(CHART, v) for v in "xyz")
+DX, DZ = Multivector.basis_vector(CHART, 0), Multivector.basis_vector(CHART, 2)
+# every catalog frame kind, a custom frame, and ideals
+FRAMES_AND_IDEALS = [
+    catalog(kind, CHART, *args)
+    for kind, args in [
+        ("tx", ()), ("log", ("x",)), ("zero", ("y",)), ("bk", ("z", 2)), ("scattering", ("x",)),
+        ("elliptic", ("x", "y")), ("elliptic_log", ("y", "z")), ("nc_log", ("x", "z")),
+    ]
+] + [
+    AnchorFrame(CHART, [DX + 2 * X * DZ, Multivector.basis_vector(CHART, 1), (Z - X**2) * DZ]),
+    make_ideal(X),
+    make_ideal(X * (X**2 + Y**2)),
+    make_ideal(Fraction(3, 2) - 3 * X),
+    make_ideal(Poly.const(CHART, 2)),
+]
+
+
+def examples(values):
+    """An `@example` for each of `values`."""
+    def apply(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+    return apply
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=2000)
 @given(st.one_of(polys, graded_values()))
+@examples(FRAMES_AND_IDEALS)
 @example(Poly.zero(CHART))
 @example(Poly.const(CHART, Fraction(-3, 2)))
 @example(Multivector(CHART, 2, {}))
@@ -196,8 +225,16 @@ def test_printed_values_parse_back(v):
     text = value_to_source(v)
     got = parse_expression(text, CHART)
     assert got == v, text
-    if not isinstance(v, Poly):  # a constant polynomial reads back as a scalar
-        assert type(got) is type(v) and got.degree == v.degree, text
+    if isinstance(v, Poly):
+        return  # a constant polynomial reads back as a scalar
+    assert type(got) is type(v), text
+    if isinstance(v, AnchorFrame):
+        assert got.label == v.label, text
+    if isinstance(v, _Graded):
+        assert got.degree == v.degree, text
+        # a certificate payload prints a value by `str`, which reads back too
+        got = parse_expression(str(v), CHART)
+        assert got == v and type(got) is type(v) and got.degree == v.degree, str(v)
 
 
 class ReferenceParser(Parser):
@@ -234,7 +271,6 @@ def reference_parse_expression(source, chart, definitions):
     return v
 
 
-Y = Poly.var(CHART, "y")
 # `z` is defined too: the definition shadows the chart variable
 DEFINITIONS = {
     "p": X * Y - Fraction(1, 2),

@@ -164,7 +164,7 @@ def test_log_spinor_in_dimension_two():
     logf = catalog("log", c2, "x")
     om = CoframeForm(logf, 2, {(0, 1): 1})
     rep = cosymplectic_spinor(om, ResidueSpec(logf, LOG))
-    assert str(rep.beta) == "0" and str(rep.alpha) == "-dy"
+    assert str(rep.beta) == "0*dy" and str(rep.alpha) == "-dy"
     assert [str(r) for r in rep.rho] == ["-dy"]
     assert rep.closed and all(flag for _, flag in rep.identities)
 
