@@ -29,7 +29,6 @@ from .divisors import (
     make_ideal,
     preserves,
     product,
-    radical,
 )
 from .frames import (
     AnchorFrame,

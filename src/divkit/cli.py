@@ -4,17 +4,21 @@ Exit codes: 0 for a positive verdict, 1 for a negative one (a failed check,
 a non-liftable bivector, a corpus mismatch), 2 for errors (parse errors,
 bad arguments, degree-cap overruns, internal errors).  Certificates are
 canonical JSON: fixed key order, canonical term order in every printed
-value, so runs are byte-stable.  `--strict` turns any certificate carrying a heuristic warning
-(sampled line or nondegeneracy evidence) into an error; other warnings, such
-as a divisor job's non-Poisson input, leave an exact certificate alone.
+value, so runs are byte-stable.  `certificate_json` writes the bytes of
+`json.dumps(cert, sort_keys=True, indent=2)` plus a newline, by a short
+recursive writer whose strings go through the json module's C escaper;
+`json.dumps` with an indent would take its pure-Python encoder.
+`--strict` turns any certificate carrying a heuristic warning (sampled line
+or nondegeneracy evidence) into an error; other warnings, such as a divisor
+job's non-Poisson input, leave an exact certificate alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import dsl
@@ -269,7 +273,57 @@ def _dispatch(cmd, cert, options):
 
 
 def certificate_json(cert):
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(cert, sort_keys=True, indent=2) + "\\n"`,
+    written by `_write_json` as pieces joined once."""
+    pieces = []
+    _write_json(cert, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write_json(v, nl, put):
+    """Write v through `put`, piece by piece, as `json.dumps(v,
+    sort_keys=True, indent=2)` writes it, for the types a certificate holds:
+    dicts with str keys, lists, str, int, bool and None; any other type, as
+    value or key, raises TypeError.  `nl` is the newline and indent that
+    continue v's line.  Strings go through the json module's C escaper
+    (`json.dumps` with an indent takes its pure-Python encoder, about twice
+    as slow on a certificate), and each is copied once more, by the final
+    join, however deep it sits."""
+    if isinstance(v, str):
+        put(_json_str(v))
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            put(sep + _json_str(k) + ": ")
+            _write_json(v[k], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(v, list):
+        if not v:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            put(sep)
+            _write_json(x, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(v).__name__)
 
 
 def _human(cert):

@@ -125,10 +125,6 @@ def divides_ideal(i, j):
     return exact_divide(j.generator, i.generator) is not None
 
 
-def radical(i):
-    return DivisorIdeal(squarefree_part(i.generator))
-
-
 def preserves(v, ideal):
     """Does the vector field preserve the ideal?  Returns (flag, certificate)
     with L_v(gen) = certificate * gen on success."""

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 from .rings import Chart, Poly, _check_degree, _normed
 from .multivector import DiffForm, Multivector, _Graded, merge_indices
-from .frames import AnchorFrame, CoframeForm, catalog
+from .frames import CATALOG_KINDS, AnchorFrame, CoframeForm, catalog
 from .divisors import DivisorIdeal, make_ideal
 
 
@@ -639,7 +639,7 @@ class Parser:
                     self.fail("expected a nonzero integer denominator", at + 2)
                 return Fraction(num, int(d))
             return Fraction(num)
-        if t.isidentifier():
+        if t.isidentifier() and t not in KEYWORDS:
             return self.resolve(t, at)
         self.fail("expected a value, found %r" % (t or "end of input"), at)
 
@@ -651,7 +651,10 @@ class Parser:
             return Poly.var(chart, name)
         basis = self._basis_token(name)
         if basis is None:
-            self.fail("unknown name %r" % name, at)
+            hint = ""
+            if name in CATALOG_KINDS and self.peek() == "(":
+                hint = " (a catalog frame is written frame %s(...))" % name
+            self.fail("unknown name %r%s" % (name, hint), at)
         cls, i = basis
         if not 0 <= i < chart.dimension:
             self.fail("coframe index e%d out of range" % (i + 1), at)

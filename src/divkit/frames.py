@@ -554,6 +554,12 @@ def _coord_fields(chart):
     return [Multivector.basis_vector(chart, i) for i in range(chart.dimension)]
 
 
+# the kinds `catalog` builds
+CATALOG_KINDS = frozenset(
+    ["tx", "log", "zero", "bk", "scattering", "elliptic", "elliptic_log", "nc_log"]
+)
+
+
 def catalog(kind, chart, *params):
     """Catalog anchor frames; generators are ordered by chart variable slot.
 

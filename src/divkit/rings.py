@@ -71,6 +71,14 @@ takes the gcd of a list as one `poly_gcd` of its first member with a
 weighted sum of the others, checked against each member by exact division;
 only a member it fails to divide costs a further gcd.
 
+A Poly is immutable once it is made: no code writes to its term dict
+after wrapping it, so two things are computed once.  `unit_normalized`
+returns its argument itself when that is normalized already (content 1,
+positive leading coefficient), as a divisor ideal's generator, a gcd or
+a parsed input usually is; and `str` keeps the printed form in the
+`_str` slot, filled the first time it is asked for, so a value that a
+certificate names twice is printed once.
+
 There is no rational-function type: a fraction arises only as the witness of
 a failed exact division (a lift, a frame expansion, an upper modification),
 and `fraction_str` prints it.
@@ -82,7 +90,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 from types import MappingProxyType
 
 
@@ -228,9 +236,12 @@ def _normed(terms):
 
 
 class Poly:
-    """Exact multivariate polynomial over a chart."""
+    """Exact multivariate polynomial over a chart; immutable once made.
 
-    __slots__ = ("chart", "_terms")
+    `_str` holds the printed form once `str` has computed it; a Poly that
+    was never printed has the slot unset."""
+
+    __slots__ = ("chart", "_terms", "_str")
 
     def __init__(self, chart, terms=None):
         """`terms` maps exponent tuples to exact rationals."""
@@ -464,25 +475,36 @@ class Poly:
         leading coefficient is NOT included (see `unit_normalized`)."""
         if not self._terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            num = int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(*self._content())
+
+    def _content(self):
+        """The content of a nonzero Poly as (num, den): the gcd of the
+        coefficients' numerators and the lcm of their denominators, which
+        are coprime."""
+        cs = self._terms.values()
+        return int_gcd(*[c.numerator for c in cs]), lcm(*[c.denominator for c in cs])
 
     def unit_normalized(self):
-        """Divide by content and flip sign so the leading coefficient is positive."""
-        if not self._terms:
+        """Divide by content and flip sign so the leading coefficient is
+        positive; a Poly that is so already is returned itself."""
+        terms = self._terms
+        if not terms:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        c = _norm(self.content())
-        if self._terms[max(self._terms)] < 0:
-            c = -c
-        return Poly._make(self.chart, {m: _quo(k, c) for m, k in self._terms.items()})
+        num, den = self._content()
+        if terms[max(terms)] < 0:
+            num = -num
+        if num == den == 1:
+            return self
+        c = _quo(num, den)
+        return Poly._make(self.chart, {m: _quo(k, c) for m, k in terms.items()})
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
+        try:
+            return self._str
+        except AttributeError:
+            pass
         if not self._terms:
             return "0"
         seen = 0
@@ -510,7 +532,8 @@ class Poly:
                 body = str(mag) + "*" + "*".join(factors)
             parts.append(("- " if c < 0 else "+ ") + body)
         out = " ".join(parts)
-        return out[2:] if out[0] == "+" else "-" + out[2:]
+        out = self._str = out[2:] if out[0] == "+" else "-" + out[2:]
+        return out
 
     def __repr__(self):
         return "Poly(%s)" % self

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -99,6 +100,18 @@ def poly_str_reference(p):
     elif out.startswith("- "):
         out = "-" + out[2:]
     return out
+
+
+def content_reference(p):
+    """`p.content()` as one gcd and one lcm step per coefficient, before it
+    took one variadic `math.gcd` and `math.lcm`."""
+    if not p._terms:
+        return Fraction(0)
+    num, den = 0, 1
+    for c in p._terms.values():
+        num = math.gcd(num, abs(c.numerator))
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return Fraction(num, den)
 
 
 def gcd_content_chain(polys):

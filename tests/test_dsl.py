@@ -64,11 +64,17 @@ def test_unknown_name_has_position():
          "cannot add these values: unsupported operand type(s) for +: 'AnchorFrame' and 'Poly'"),
         ("chart x; verify_frame frame tx() by ideal(x)*x;", 1, 45,
          "cannot multiply these values: unsupported operand type(s) for *: 'DivisorIdeal' and 'Poly'"),
+        # a keyword where a value belongs is no name; a catalog kind called
+        # without its keyword says how a catalog frame is written
+        ("chart x, y;\nT = frame tx();\nmodify lower keep 2 by x;\n", 3, 14,
+         "expected a value, found 'keep'"),
+        ("chart x, y;\npi = x^2*Dx^^Dy;\nlift pi to log(x);\n", 3, 12,
+         "unknown name 'log' (a catalog frame is written frame log(...))"),
     ],
     ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression",
          "negated_frame", "negated_ideal", "basis_token_definition", "definition_before_chart",
          "frame_operand_sum", "ideal_operand_product", "inline_frame_sum",
-         "inline_ideal_product"],
+         "inline_ideal_product", "keyword_operand", "catalog_kind_without_keyword"],
 )
 def test_parse_error_positions(source, line, col, message):
     with pytest.raises(ParseError) as e:

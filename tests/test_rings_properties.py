@@ -31,7 +31,7 @@ from divkit.rings import (  # noqa: E402
     sum_products,
 )
 
-from conftest import gcd_content_chain, poly_str_reference  # noqa: E402
+from conftest import content_reference, gcd_content_chain, poly_str_reference  # noqa: E402
 
 CHART = Chart(["x", "y"])
 CHART3 = Chart(["x", "y", "z"])
@@ -440,3 +440,43 @@ CHART4 = Chart(["x", "y", "z", "w"])
 @example(Poly(CHART4, {(0, 12, 0, 3): -3, (0, 1, 0, 0): Fraction(5, 4)}))
 def test_printer_matches_the_reference(p):
     assert str(p) == poly_str_reference(p)
+
+
+@kernel_settings
+@given(polys(3, 6, CHART4))
+@example(Poly(CHART4, {(0, 0, 0, 0): 6, (1, 0, 0, 0): Fraction(-9, 4), (0, 1, 0, 0): Fraction(3, 10)}))
+def test_content_matches_the_reference(p):
+    assert p.content() == content_reference(p)
+
+
+@kernel_settings
+@given(nonzero_polys(3, 6, CHART4))
+@example(Poly(CHART4, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -3}))
+@example(Poly(CHART4, {(1, 0, 0, 0): -1, (0, 0, 0, 0): 3}))
+@example(Poly(CHART4, {(1, 0, 0, 0): 2, (0, 0, 0, 0): 4}))
+def test_unit_normalized_returns_a_normalized_argument_itself(p):
+    c = content_reference(p)
+    if p.leading()[1] < 0:
+        c = -c
+    q = p.unit_normalized()
+    assert (q is p) == (c == 1)
+    assert canonical(q) * c == p and q.leading()[1] > 0 and q.content() == 1
+    assert q.unit_normalized() is q
+
+
+@kernel_settings
+@given(polys(), nonzero_polys())
+def test_printed_form_is_kept_and_matches_the_reference(f, g):
+    """The first `str` of a Poly fills its `_str` slot; a later one returns
+    it.  A value made from a printed Poly starts with the slot unset."""
+    p = f * g
+    printed = [f, g, p]  # printed before the values below are made of them
+    for q in printed:
+        assert str(q) == poly_str_reference(q)
+    made = [-f, -p, p + g, exact_divide(p, g), g.unit_normalized()]
+    if p:
+        made.append(p.unit_normalized())
+    for q in printed + made:
+        want = poly_str_reference(q)
+        for _ in range(2):
+            assert str(q) == want and repr(q) == "Poly(%s)" % want
