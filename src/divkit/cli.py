@@ -236,9 +236,10 @@ def _dispatch(cmd, cert, options):
         rep = verify_ideal_algebroid(frame, ideal)
         payload["frame"] = frame_payload(frame)
         payload["ideal"] = str(ideal.generator)
+        # each generator is printed once, in the frame payload
         payload["preserves"] = [
-            {"generator": str(g), "ok": ok, "certificate": str(c) if ok else None}
-            for g, (ok, c) in zip(frame.generators, rep.certificates)
+            {"generator": g, "ok": ok, "certificate": str(c) if ok else None}
+            for g, (ok, c) in zip(payload["frame"]["generators"], rep.certificates)
         ]
         payload["standard"] = rep.standard
         payload["relation"] = rep.relation

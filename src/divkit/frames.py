@@ -25,7 +25,8 @@ product entry, a Cramer numerator, a bracket component) is one
 
 The involutivity certificate solves every pairwise bracket back into the
 frame, all denominators cancelling.  The brackets come from one table of the
-derivatives d_l rho_kj of the anchor entries:
+nonzero derivatives d_l rho_kj of the anchor entries per generator, built by
+`multivector.derivative_table` as the Schouten contraction builds its own:
 
     [e_i, e_j]^k = sum_l (rho_li d_l rho_kj - rho_lj d_l rho_ki),
 
@@ -67,6 +68,7 @@ from .multivector import (
     Multivector,
     _Graded,
     bivector_matrix,
+    derivative_table,
     differential,
     merge_indices,
 )
@@ -453,13 +455,8 @@ def _bracket_rows(frame):
     n = chart.dimension
     shift = chart._degree_shift + FIELD_BITS
     support = [[(l, c) for (l,), c in g.comps.items()] for g in frame.generators]
-    derivs = []  # derivs[j]: {l: [(k, d_l rho_kj)]} over the non-constant rho_kj
-    for sup in support:
-        table = {}
-        for k, c in sup:
-            for var in c.variables_used():
-                table.setdefault(chart.index(var), []).append((k, c.diff(var)))
-        derivs.append(table)
+    # derivs[j]: {l: [((k,), d_l rho_kj)]} over the non-constant rho_kj
+    derivs = [derivative_table(g.comps) for g in frame.generators]
     rows = [[] for _ in range(n)]  # rows[k]: (tag, component k) of each bracket
     for i in range(n):
         for j in range(i + 1, n):
@@ -467,7 +464,7 @@ def _bracket_rows(frame):
             for s, a, b in ((1, i, j), (-1, j, i)):
                 table = derivs[b]
                 for l, c in support[a]:
-                    for k, d in table.get(l, ()):
+                    for (k,), d in table.get(l, ()):
                         comps.setdefault(k, []).append((s, c, d))
             tag = (i * n + j) << shift
             for k, triples in comps.items():

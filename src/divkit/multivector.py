@@ -11,13 +11,23 @@ Pfaffian, differential) collects the triples (sign, a, b) that land on each
 output index tuple and sums them in one `rings.sum_products` call.  Plain d
 is `differential` for the coordinate frame D_i, as d_A is for an anchor frame.
 
+A coefficient is differentiated only in the variables it uses, so no
+derivative taken here is zero: `derivative_table` collects those of all
+components, {k: [(index tuple, d_k c)]}, for the Schouten contraction and
+for the frame brackets of `frames`, and `differential` takes each
+component's the same way.  Every index merge (wedge, contraction, d and
+d_A, residues, the DSL's basis runs, the det sign of `frames`) goes through
+`merge_indices`, whose results come from one bounded memo shared by all
+callers: a run needs only a few hundred distinct merges.
+
 The Schouten-Nijenhuis bracket of a p- and a q-vector is computed by the
 coordinate contraction
 
     [P, Q] = sum_k dP/dD_k ^ d_k Q - (-1)^((p-1)(q-1)) dQ/dD_k ^ d_k P,
 
 where dP/dD_k strikes D_k = d/dx_k from the right of each basis monomial
-and d_k differentiates the coefficients.  It equals the decomposable
+and d_k differentiates the coefficients, read from the derivative table
+of the right operand.  It equals the decomposable
 expansion
 
     [X1^...^Xp, Y1^...^Yq] = sum_{i,j} (-1)^(i+j) [Xi,Yj] ^ X...^Y...
@@ -38,6 +48,7 @@ literals; it is computed without wedge powers, as the Pfaffians of pi on all
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .rings import ChartMismatch, Poly, sum_products
@@ -47,9 +58,13 @@ class DegreeMismatch(ValueError):
     pass
 
 
+@lru_cache(maxsize=4096)
 def merge_indices(a, b):
     """Sort the concatenation a + b of index tuples without repeats;
-    (sign of the permutation, sorted tuple), or None if a and b share one."""
+    (sign of the permutation, sorted tuple), or None if a and b share one.
+
+    The few distinct merges a run needs repeat thousands of times, so every
+    caller shares one bounded memo; its values are immutable."""
     if set(a) & set(b):
         return None
     merged = a + b
@@ -63,6 +78,19 @@ def merge_indices(a, b):
             sign = -sign
             j -= 1
     return sign, tuple(lst)
+
+
+def derivative_table(comps, among=None):
+    """{k: [(key, dc/dx_k)]} over the components {key: c}, in their order,
+    for the k in `among` (every k if None); each c is differentiated only in
+    the variables it uses, so no derivative in the table is zero."""
+    table = {}
+    for key, c in comps.items():
+        vars_ = c.chart.variables
+        for k in c.used_indices():
+            if among is None or k in among:
+                table.setdefault(k, []).append((key, c.diff(vars_[k])))
+    return table
 
 
 def _sum_groups(chart, groups):
@@ -298,21 +326,19 @@ def _graded_str(obj, basis_name):
 def _contract(groups, a, b, sign):
     """Collect sign * sum_k da/dD_k ^ d_k b, where da/dD_k strikes D_k from the
     right of each index tuple of a: each product of a coefficient of a and a
-    derivative of one of b goes into groups[index tuple] as a `sum_products`
+    nonzero derivative of one of b, read from b's derivative table in the
+    variables a strikes, goes into groups[index tuple] as a `sum_products`
     triple."""
-    vars_ = a.chart.variables
     p = a.degree
-    derivs = {}
+    derivs = derivative_table(b.comps, {k for ia in a.comps for k in ia})
     for ia, ca in a.comps.items():
         for pos, k in enumerate(ia):
             db = derivs.get(k)
             if db is None:
-                db = derivs[k] = [(ib, cb.diff(vars_[k])) for ib, cb in b.comps.items()]
+                continue
             t = sign if (p - 1 - pos) % 2 == 0 else -sign
             rest = ia[:pos] + ia[pos + 1 :]
             for ib, d in db:
-                if d.is_zero():
-                    continue
                 m = merge_indices(rest, ib)
                 if m is None:
                     continue
@@ -387,14 +413,16 @@ def differential(w, anchor, structure):
     pair i < j to the c^k_ij of [e_i, e_j] = sum_k c^k_ij e_k.  With
     d f = sum_i e_i(f) e^i and d e^k = -sum_{i<j} c^k_ij e^i ^ e^j,
     d(f e^I) = d f ^ e^I + f sum_p (-1)^p d e^{I_p} ^ e^{I - I_p}.  Each
-    derivative of a component is taken once; zero derivatives and zero
-    structure coefficients are skipped before their indices are merged."""
+    component is differentiated once, only in the variables it uses, so no
+    derivative is zero; zero structure coefficients are skipped before their
+    indices are merged."""
     chart = w.chart
     if w.degree >= chart.dimension:
         return w._like(chart.dimension, {})
+    vars_ = chart.variables
     groups = {}
     for idx, f in w.comps.items():
-        derivs = {}
+        derivs = {j: f.diff(vars_[j]) for j in f.used_indices()}
         for i, gen in enumerate(anchor):
             if i in idx:
                 continue  # e^i ^ e^I = 0
@@ -402,8 +430,6 @@ def differential(w, anchor, structure):
             for j, c in gen:
                 df = derivs.get(j)
                 if df is None:
-                    df = derivs[j] = f.diff(chart.variables[j])
-                if df.is_zero():
                     continue
                 if group is None:
                     s, key = merge_indices((i,), idx)

@@ -320,12 +320,17 @@ class Poly:
         s = self.chart._shifts[self.chart.index(var)]
         return min((m >> s) & _FIELD for m in self._terms)
 
-    def variables_used(self):
+    def used_indices(self):
+        """The chart indices of the variables with a positive exponent in
+        some term, increasing."""
         seen = 0
         for m in self._terms:
             seen |= m
-        chart = self.chart
-        return {v for v, s in zip(chart.variables, chart._shifts) if (seen >> s) & _FIELD}
+        return [i for i, s in enumerate(self.chart._shifts) if (seen >> s) & _FIELD]
+
+    def variables_used(self):
+        variables = self.chart.variables
+        return {variables[i] for i in self.used_indices()}
 
     def leading(self):
         """(exponent tuple, coefficient) of the graded-lex leading term."""

@@ -59,6 +59,62 @@ def adjugate_and_det(m):
     return adj, sum_products(chart, [(1, m[0][j], adj[j][0]) for j in range(len(m))])
 
 
+def rand_sparse_poly(chart, rng):
+    """None (an absent component), a nonzero constant, or a polynomial in one
+    or two of the chart's variables."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return Poly.const(chart, rng.choice([-2, -1, 1, 3]))
+    used = rng.sample(range(chart.dimension), min(kind - 1, chart.dimension))
+    p = Poly.zero(chart)
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * chart.dimension
+        for v in used:
+            e[v] = rng.randint(0, 2)
+        p = p + Poly(chart, {tuple(e): Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))})
+    return p
+
+
+def rand_sparse_bivector(chart, rng):
+    """A bivector whose components are absent, constant, or in one or two
+    variables (see `rand_sparse_poly`)."""
+    import itertools
+
+    comps = {}
+    for idx in itertools.combinations(range(chart.dimension), 2):
+        c = rand_sparse_poly(chart, rng)
+        if c is not None:
+            comps[idx] = c
+    return Multivector(chart, 2, comps)
+
+
+def jacobiator_reference(pi):
+    """{(i, j, k): [pi, pi]^{ijk}} over i < j < k, zero entries dropped, by
+    [pi, pi]^{ijk} = 2 sum_cyc sum_l pi^{il} d_l pi^{jk} with pi^{ji} =
+    -pi^{ij}, in plain Poly arithmetic: no index merges, no contraction."""
+    import itertools
+
+    chart = pi.chart
+    zero = Poly.zero(chart)
+
+    def entry(a, b):
+        if a < b:
+            return pi.comps.get((a, b), zero)
+        return -pi.comps.get((b, a), zero) if a > b else zero
+
+    res = {}
+    for i, j, k in itertools.combinations(range(chart.dimension), 3):
+        total = zero
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, var in enumerate(chart.variables):
+                total = total + entry(a, l) * entry(b, c).diff(var)
+        if not total.is_zero():
+            res[(i, j, k)] = total * 2
+    return res
+
+
 def lifted_pfaffian(cert):
     """Pf(pi_A) of a lift certificate's lifted bivector itself (None on an
     odd chart): the reference for the Pf(pi) / det(rho) that `lift` takes."""

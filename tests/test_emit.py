@@ -111,3 +111,15 @@ def test_no_poly_changes_after_it_is_made(monkeypatch):
     assert len(made) > 1000
     changed = [str(p) for p, terms in made if p._terms != terms]
     assert not changed
+
+
+def test_verify_frame_prints_each_generator_once_and_names_it_in_preserves():
+    jobs = [p for p in sorted(bundled_corpus_dir().glob("*.dk")) if "verify_frame" in p.read_text()]
+    assert jobs
+    for path in jobs:
+        cert, _ = run_job(parse(path.read_text()))
+        payload = cert["payload"]
+        generators = payload["frame"]["generators"]
+        assert [entry["generator"] for entry in payload["preserves"]] == generators, path.name
+        expected = json.loads(path.with_name(path.stem + ".expected.json").read_text())
+        assert payload == expected["payload"], path.name

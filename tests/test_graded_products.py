@@ -9,6 +9,7 @@ with products that cancel to zero, and over every catalog frame.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,46 @@ def _accumulate(res, key, v):
         res.pop(key, None)
     else:
         res[key] = v
+
+
+def permutation_sign(seq):
+    """The sign of the permutation that sorts seq (distinct entries), from
+    its cycles: each cycle of length L contributes (-1)^(L-1)."""
+    target = sorted(range(len(seq)), key=seq.__getitem__)
+    seen, sign = set(), 1
+    for start in range(len(seq)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = target[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_merge_indices_against_permutation_parity():
+    rng = random.Random(5)
+    cases = [((), ()), ((2, 0), ()), ((), (1, 3)), ((3, 1, 2), (0,)), ((0, 1), (1,))]
+    for _ in range(300):
+        pool = rng.sample(range(9), rng.randint(0, 9))
+        cut = rng.randint(0, len(pool))
+        a, b = tuple(pool[:cut]), tuple(sorted(pool[cut:]))
+        cases.append((a, b))
+        if a and rng.random() < 0.3:
+            # overlapping tuples
+            cases.append((a, tuple(sorted(set(b) | {rng.choice(a)}))))
+    overlapping = 0
+    for a, b in cases:
+        got = merge_indices(a, b)
+        if set(a) & set(b):
+            overlapping += 1
+            assert got is None, (a, b)
+        else:
+            assert got == (permutation_sign(a + b), tuple(sorted(a + b))), (a, b)
+        # served from the memo, the same as a fresh computation
+        assert merge_indices(a, b) == merge_indices.__wrapped__(a, b) == got
+    assert overlapping > 20
 
 
 def ref_wedge(a, b):

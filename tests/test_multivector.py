@@ -20,7 +20,14 @@ from divkit.multivector import (
 from divkit.frames import BadParams, CoframeForm, catalog
 from divkit.dsl import CoframeExpr
 
-from conftest import adjugate_and_det, rand_multivector, rand_poly, rand_vector
+from conftest import (
+    adjugate_and_det,
+    jacobiator_reference,
+    rand_multivector,
+    rand_poly,
+    rand_sparse_bivector,
+    rand_vector,
+)
 
 C2 = Chart(["x", "y"])
 X, Y = Poly.var(C2, "x"), Poly.var(C2, "y")
@@ -87,6 +94,29 @@ def test_schouten_examples():
     f = rand_poly(C2, random.Random(3), max_degree=3)
     pi2 = f * DX.wedge(DY)
     assert schouten_bracket(pi2, pi2).is_zero()
+
+
+def test_jacobiator_reference_convention():
+    chart = Chart(["x", "y", "z"])
+    x, z = Poly.var(chart, "x"), Poly.var(chart, "z")
+    pi = Multivector(chart, 2, {(0, 1): x, (1, 2): 1, (0, 2): z})
+    want = "(-2*z - 2)*Dx^^Dy^^Dz"
+    assert str(Multivector(chart, 3, jacobiator_reference(pi))) == want
+    assert str(schouten_bracket(pi, pi)) == want
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_schouten_self_bracket_against_reference_jacobiator_on_sparse_bivectors(n):
+    # components in one or two variables, constants or absent: most
+    # derivatives in the contraction are zero and are never taken
+    chart = Chart(["x%d" % i for i in range(n)])
+    rng = random.Random(100 + n)
+    for _ in range(12):
+        pi = rand_sparse_bivector(chart, rng)
+        want = jacobiator_reference(pi)
+        assert schouten_bracket(pi, pi).comps == want, pi
+        copy = Multivector(chart, 2, dict(pi.comps))
+        assert schouten_bracket(pi, copy).comps == want, pi
 
 
 def test_schouten_vector_fields_against_oracle(rng):

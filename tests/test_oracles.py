@@ -17,7 +17,7 @@ from divkit.frames import (
     poly_det,
 )
 
-from conftest import adjugate_and_det, rand_poly
+from conftest import adjugate_and_det, rand_poly, rand_sparse_poly
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -63,16 +63,30 @@ def sympy_pushdown(form, syms):
     return out
 
 
+def sparse_comps(chart, rng, deg):
+    """Form components that are absent, constant, or in one or two of the
+    chart's variables: most of their partial derivatives are zero."""
+    comps = {}
+    for idx in itertools.combinations(range(chart.dimension), deg):
+        c = rand_sparse_poly(chart, rng)
+        if c is not None:
+            comps[idx] = c
+    return comps
+
+
 def test_exterior_derivative_against_sympy(rng):
     chart = Chart(["x", "y", "z"])
     syms = sympy.symbols("x y z")
-    rng2 = random.Random(17)
+    rng2, sparse_rng = random.Random(17), random.Random(18)
     for deg in (0, 1, 2):
-        for _ in range(8):
-            comps = {
-                idx: rand_poly(chart, rng2, max_degree=3)
-                for idx in itertools.combinations(range(3), deg)
-            }
+        for trial in range(16):
+            if trial < 8:
+                comps = {
+                    idx: rand_poly(chart, rng2, max_degree=3)
+                    for idx in itertools.combinations(range(3), deg)
+                }
+            else:
+                comps = sparse_comps(chart, sparse_rng, deg)
             got = exterior_derivative(DiffForm(chart, deg, comps))
             expected = sympy_exterior_derivative(
                 {i: to_sympy(c, syms) for i, c in comps.items()}, chart, syms
@@ -87,18 +101,21 @@ def test_algebroid_d_against_sympy_pushdown(rng):
     # d_A of a coframe form agrees with the smooth d of its pushed-down form
     chart = Chart(["x", "y", "u"])
     syms = sympy.symbols("x y u")
-    rng2 = random.Random(23)
+    rng2, sparse_rng = random.Random(23), random.Random(24)
     for frame in (
         catalog("log", chart, "x"),
         catalog("elliptic", chart, "x", "y"),
         catalog("elliptic_log", chart, "x", "y"),
     ):
         for deg in (0, 1, 2):
-            for _ in range(4):
-                comps = {
-                    idx: rand_poly(chart, rng2, max_degree=2)
-                    for idx in itertools.combinations(range(3), deg)
-                }
+            for trial in range(8):
+                if trial < 4:
+                    comps = {
+                        idx: rand_poly(chart, rng2, max_degree=2)
+                        for idx in itertools.combinations(range(3), deg)
+                    }
+                else:
+                    comps = sparse_comps(chart, sparse_rng, deg)
                 w = CoframeForm(frame, deg, comps)
                 lhs = sympy_pushdown(algebroid_d(w), syms)
                 rhs = sympy_exterior_derivative(sympy_pushdown(w, syms), chart, syms)
