@@ -26,15 +26,21 @@ Degrees are checked where a product of values would check them.
 `expression` adds every keyed term of the first term's kind and degree,
 and in a polynomial sum every scalar and Poly, into one {index: packed
 term dict}, which `_keyed_value` normalizes once and turns into the
-value.  The generic path, one value per atom combined by `combine_mul`,
-`combine_wedge` and `combine_add`, reads everything else: a number
-followed by `/` or `^`, a repeated `^`, a defined name, a basis run with a
-repeated index, mixed kinds, an `e` index out of range or a `*`, `^` or
-`^^` after it, a term of another kind or degree than the sum so far,
-parentheses and unary minus.  `_basis_token` alone says what a basis token
-is, for both paths and for the names a definition may not take.  A lone
-number stays a `Fraction` and any other run is a Poly, so both paths give
-equal values of the same type and degree, and the same errors.  Each value
+value; `add_runs` adds each further `+ run` or `- run` of a polynomial
+sum straight into it.  A factor that is a parenthesized sum of runs,
+`( [-] run + run ... )` not followed by `^`, is read by `paren_sum` with
+the same `add_runs` into one Poly, which `term` puts under a basis run
+after `*`.  The generic path, one value per atom combined by
+`combine_mul`, `combine_wedge` and `combine_add`, reads everything else:
+a number followed by `/` or `^`, a repeated `^`, a defined name, a basis
+run with a repeated index, mixed kinds, an `e` index out of range or a
+`*`, `^` or `^^` after it, a term of another kind or degree than the sum
+so far, unary minus outside parentheses, and parentheses around anything
+else, followed by `^` or at the nesting limit.  `_basis_token` alone says
+what a basis token is, for both paths and for the names a definition may
+not take.  A lone number, parenthesized or not, stays a `Fraction` and
+any other run or sum is a Poly, so both paths give equal values of the
+same type and degree, and the same errors.  Each value
 a statement produces (a definition or a command operand) is then checked
 whole against the degree cap by `Parser.checked`, so `DK_MAX_DEGREE` trips
 on it however it is spelled.
@@ -55,7 +61,7 @@ import re
 import string
 from fractions import Fraction
 
-from .rings import Chart, Poly, _check_degree, _normed
+from .rings import Chart, Poly, UnknownVariable, _check_degree, _normed
 from .multivector import DiffForm, Multivector, _Graded, merge_indices
 from .frames import CATALOG_KINDS, AnchorFrame, CoframeForm, catalog
 from .divisors import DivisorIdeal, make_ideal
@@ -305,13 +311,13 @@ class Parser:
             self.expect(")")
             try:
                 return AnchorFrame(chart, gens)
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, UnknownVariable) as e:
                 self.fail("bad custom frame: %s" % e, at)
         args = [] if self.peek() == ")" else self.separated(",", self.frame_arg)
         self.expect(")")
         try:
             return catalog(kind, chart, *args)
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, UnknownVariable) as e:
             self.fail("bad frame %s(...): %s" % (kind, e), at)
 
     def frame_arg(self):
@@ -367,7 +373,7 @@ class Parser:
             return v
         try:
             return make_ideal(v)
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, UnknownVariable) as e:
             self.fail("bad ideal generator: %s" % e)
 
     def expr_value(self, cls, what):
@@ -397,9 +403,10 @@ class Parser:
         """A sum of terms.  Every keyed term (see `term`) of the first
         term's kind and degree, and in a polynomial sum every scalar and
         Poly, is added into one {index: packed term dict}, which
-        `_keyed_value` turns into the value once.  The first term of
-        another shape makes the sum that value, and `combine_add` adds it
-        and each later term."""
+        `_keyed_value` turns into the value once; in a polynomial sum,
+        `add_runs` adds the monomial runs that follow without a `term`
+        call.  The first term of another shape makes the sum that value,
+        and `combine_add` adds it and each later term."""
         key, w = self.term()
         if self.peek() not in ("+", "-"):
             return w if key is None else self._keyed_value(key[0], len(key[1]), {key[1]: w})
@@ -416,6 +423,8 @@ class Parser:
                 get = acc.get
                 for m, c in w.items():
                     acc[m] = get(m, 0) + (c if op == "+" else -c)
+                if cls is Poly:
+                    self.add_runs(acc)
             else:
                 if key is not None:
                     w = self._keyed_value(key[0], len(key[1]), {key[1]: w})
@@ -450,20 +459,26 @@ class Parser:
           polynomial coefficient and `*`, or alone (coefficient 1), is its
           class and sorted index.  The run's sign is in the coefficient,
           whose degree is checked as multiplying it onto the basis would
-          check it."""
+          check it.
+        A first factor in parentheses, which no run starts, is read by
+        `paren_sum` where it can."""
         chart = self.job.chart
-        run = self.monomial_run()
-        if run is None:
-            basis = self.basis_run()
-            if basis is not None:
-                return basis[1], {0: basis[0]}
-            v = self.factor()
+        if self.peek() == "(":
+            v = self.paren_sum()
+            if v is None:
+                v = self.factor()
         else:
-            c, m, is_poly = run
-            t = self.peek()
-            if is_poly and t not in ("*", "^^"):
-                return _POLY_KEY, {m: c}
-            v = Poly._make(chart, {m: c} if c else {}) if is_poly else Fraction(c)
+            run = self.monomial_run()
+            if run is None:
+                basis = self.basis_run()
+                if basis is not None:
+                    return basis[1], {0: basis[0]}
+                v = self.factor()
+            else:
+                c, m, is_poly = run
+                if is_poly and self.peek() not in ("*", "^^"):
+                    return _POLY_KEY, {m: c}
+                v = Poly._make(chart, {m: c} if c else {}) if is_poly else Fraction(c)
         while True:
             at, t = self.pos, self.peek()
             if t == "*":
@@ -484,6 +499,61 @@ class Parser:
                 v = self.combine_wedge(v, self.factor(), at)
             else:
                 return None, v
+
+    def add_runs(self, acc):
+        """Add each `+ run` or `- run` that follows, where the monomial run
+        (`monomial_run`) is a whole term (no `*` or `^^` after it), into
+        the packed term dict `acc`.  Stops at the first token that is no
+        `+` or `-`, or before the operator of any other term, which `term`
+        then reads."""
+        tokens = self.tokens
+        get = acc.get
+        while True:
+            at = self.pos
+            op = tokens[at]
+            if op != "+" and op != "-":
+                return
+            self.pos = at + 1
+            run = self.monomial_run()
+            if run is None or tokens[self.pos] in ("*", "^^"):
+                self.pos = at
+                return
+            c, m, _ = run
+            acc[m] = get(m, 0) + (c if op == "+" else -c)
+
+    def paren_sum(self):
+        """Read a parenthesized sum of monomial runs, `( [-] run + run ...)`
+        with no `^` after it, into one Poly, by `add_runs` after the first
+        run; a lone number, `(3)` or `(-3)`, stays a `Fraction`, as `atom`
+        reads it.  None, reading nothing, for any other input, which the
+        generic path then reads: a defined name, a basis token, a number
+        followed by `/` or `^`, a nested `(`, a run followed by anything but
+        `+`, `-` or `)`, a `^` after the `)`, or a parenthesis at the
+        nesting limit (which the generic path reports).  The runs are read
+        one level deeper, as `atom` reads them."""
+        start = self.pos
+        tokens = self.tokens
+        negate = tokens[start + 1] == "-"
+        if self.depth + 1 + negate > MAX_NESTING:
+            return None
+        self.pos = start + 1 + negate
+        self.depth += 1
+        run = self.monomial_run()
+        if run is not None:
+            c, m, is_poly = run
+            acc = {m: -c if negate else c}
+            first = self.pos
+            self.add_runs(acc)
+            i = self.pos
+            if tokens[i] == ")" and tokens[i + 1] != "^":
+                self.pos = i + 1
+                self.depth -= 1
+                if is_poly or i > first:
+                    return Poly._make(self.job.chart, _normed(acc))
+                return Fraction(acc[m])
+        self.pos = start
+        self.depth -= 1
+        return None
 
     def basis_run(self):
         """Read a run B1 ^^ B2 ^^ ... of basis tokens (`_basis_token`) of

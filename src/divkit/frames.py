@@ -20,8 +20,8 @@ The one elimination answers det (`poly_det`), solve and the antisymmetric
 inverse (`invert_antisym`): frame expansion, the involutivity certificate,
 the lift's pullback Pi_A = rho^-1 pi rho^-T and the dual forms -Pi_A^-1 all
 go through it.  Every sum of products here (a minor's expansion, a matrix
-product entry, a Cramer numerator, a bracket component) is one
-`rings.sum_products` call.
+product entry, a Cramer numerator) is one `rings.sum_products` call; the
+bracket components are added straight into the tagged rows below.
 
 The involutivity certificate solves every pairwise bracket back into the
 frame, all denominators cancelling.  The brackets come from one table of the
@@ -59,6 +59,8 @@ from .rings import (
     ChartMismatch,
     InternalError,
     Poly,
+    _check_degree,
+    _normed,
     exact_divide,
     fraction_str,
     sum_products,
@@ -448,30 +450,49 @@ def expand_in_frame(v, frame):
 
 def _bracket_rows(frame):
     """The n tagged rows that hold every bracket [e_i, e_j], i < j: row k
-    holds component k of each, its terms tagged i*n + j.  Each nonzero
-    component is one `sum_products` call over the derivative table (see
-    the module docstring)."""
+    holds component k of each, its terms tagged i*n + j.  Each product
+    s * rho_li * d_l rho_kj over the derivative table (see the module
+    docstring) is added straight into row k's term dict, the tag added to
+    its packed monomial, with its degree checked as `sum_products` checks
+    a product; each row is normalized once."""
     chart = frame.chart
     n = chart.dimension
-    shift = chart._degree_shift + FIELD_BITS
-    support = [[(l, c) for (l,), c in g.comps.items()] for g in frame.generators]
-    # derivs[j]: {l: [((k,), d_l rho_kj)]} over the non-constant rho_kj
-    derivs = [derivative_table(g.comps) for g in frame.generators]
-    rows = [[] for _ in range(n)]  # rows[k]: (tag, component k) of each bracket
+    dshift = chart._degree_shift
+    shift = dshift + FIELD_BITS
+    # support[j]: (l, terms, degree) of each rho_lj; derivs[j]: {l: [(k, terms,
+    # degree) of d_l rho_kj]} over the non-constant rho_kj
+    support = [
+        [(l, c._terms, max(c._terms) >> dshift) for (l,), c in g.comps.items() if c._terms]
+        for g in frame.generators
+    ]
+    derivs = [
+        {
+            l: [(k, d._terms, max(d._terms) >> dshift) for (k,), d in entries]
+            for l, entries in derivative_table(g.comps).items()
+        }
+        for g in frame.generators
+    ]
+    rows = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            comps = {}
+            tag = (i * n + j) << shift
             for s, a, b in ((1, i, j), (-1, j, i)):
                 table = derivs[b]
-                for l, c in support[a]:
-                    for (k,), d in table.get(l, ()):
-                        comps.setdefault(k, []).append((s, c, d))
-            tag = (i * n + j) << shift
-            for k, triples in comps.items():
-                rows[k].append((tag, sum_products(chart, triples)._terms))
-    return [
-        Poly._make(chart, {m + t: c for t, terms in row for m, c in terms.items()}) for row in rows
-    ]
+                if not table:
+                    continue
+                for l, ta, da in support[a]:
+                    for k, tb, db in table.get(l, ()):
+                        _check_degree(da + db)
+                        row = rows[k]
+                        get = row.get
+                        for m1, c1 in ta.items():
+                            m1 += tag
+                            if s < 0:
+                                c1 = -c1
+                            for m2, c2 in tb.items():
+                                m = m1 + m2
+                                row[m] = get(m, 0) + c1 * c2
+    return [Poly._make(chart, _normed(row) if row else row) for row in rows]
 
 
 def _untagged(chart, rows):

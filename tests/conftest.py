@@ -13,8 +13,8 @@ import pytest
 
 from divkit import divisors
 from divkit.dsl import ParseError
-from divkit.rings import _FIELD, Poly, ZeroPolynomial, poly_gcd, sum_products
-from divkit.multivector import Multivector, partial_pfaffian
+from divkit.rings import FIELD_BITS, _FIELD, Poly, ZeroPolynomial, poly_gcd, sum_products
+from divkit.multivector import Multivector, derivative_table, partial_pfaffian
 from divkit.frames import poly_adjugate
 
 
@@ -57,6 +57,32 @@ def adjugate_and_det(m):
     adj = poly_adjugate(m)
     chart = m[0][0].chart
     return adj, sum_products(chart, [(1, m[0][j], adj[j][0]) for j in range(len(m))])
+
+
+def bracket_rows_reference(frame):
+    """`frames._bracket_rows` as one `sum_products` call per nonzero
+    bracket component, its terms tagged in a second pass: the reference for
+    the rows that add every product straight into a tagged term dict."""
+    chart = frame.chart
+    n = chart.dimension
+    shift = chart._degree_shift + FIELD_BITS
+    support = [[(l, c) for (l,), c in g.comps.items()] for g in frame.generators]
+    derivs = [derivative_table(g.comps) for g in frame.generators]
+    rows = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            comps = {}
+            for s, a, b in ((1, i, j), (-1, j, i)):
+                table = derivs[b]
+                for l, c in support[a]:
+                    for (k,), d in table.get(l, ()):
+                        comps.setdefault(k, []).append((s, c, d))
+            tag = (i * n + j) << shift
+            for k, triples in comps.items():
+                rows[k].append((tag, sum_products(chart, triples)._terms))
+    return [
+        Poly._make(chart, {m + t: c for t, terms in row for m, c in terms.items()}) for row in rows
+    ]
 
 
 def rand_sparse_poly(chart, rng):

@@ -6,7 +6,7 @@ from divkit.rings import Chart, Poly
 from divkit.multivector import DiffForm, Multivector
 from divkit.divisors import DivisorIdeal
 from divkit.frames import AnchorFrame
-from divkit.dsl import CoframeExpr, ParseError, format_job, parse, parse_expression
+from divkit.dsl import MAX_NESTING, CoframeExpr, ParseError, format_job, parse, parse_expression
 
 
 def test_parse_minimal_job():
@@ -31,6 +31,10 @@ def test_unknown_name_has_position():
         parse("chart x,y; pi = q*Dx^^Dy; check_poisson pi;")
     assert e.value.line == 1 and e.value.col == 17
     assert "unknown name 'q'" in str(e.value)
+
+
+# a bivector definition, its coefficient written on the second line
+PAREN = "chart x, y;\npi = %s;\ncheck_poisson pi;\n"
 
 
 @pytest.mark.parametrize(
@@ -70,11 +74,22 @@ def test_unknown_name_has_position():
          "expected a value, found 'keep'"),
         ("chart x, y;\npi = x^2*Dx^^Dy;\nlift pi to log(x);\n", 3, 12,
          "unknown name 'log' (a catalog frame is written frame log(...))"),
+        # a parenthesized coefficient that no sum of monomial runs reads
+        # fails where the generic path fails
+        (PAREN % "(x + )*Dx^^Dy", 2, 11, "expected a value, found ')'"),
+        (PAREN % "(x + y*)*Dx^^Dy", 2, 13, "expected a value, found ')'"),
+        (PAREN % "(x + y) Dx^^Dy", 2, 14, "expected ';', found 'Dx'"),
+        (PAREN % "(x + y)*Dx^^Dy^2", 2, 20, "^ applies to scalars; use ^^ for the wedge"),
+        (PAREN % "(x + y", 2, 12, "expected ')', found ';'"),
+        (PAREN % "(x + q)*Dx^^Dy", 2, 11, "unknown name 'q'"),
+        (PAREN % "(x^y + 1)*Dx^^Dy", 2, 9, "expected an integer exponent"),
     ],
     ids=["comment", "unterminated", "crlf", "eof", "blank", "second_command", "expression",
          "negated_frame", "negated_ideal", "basis_token_definition", "definition_before_chart",
          "frame_operand_sum", "ideal_operand_product", "inline_frame_sum",
-         "inline_ideal_product", "keyword_operand", "catalog_kind_without_keyword"],
+         "inline_ideal_product", "keyword_operand", "catalog_kind_without_keyword",
+         "paren_missing_run", "paren_trailing_star", "paren_no_star", "paren_basis_power",
+         "paren_unclosed", "paren_unknown_name", "paren_bad_exponent"],
 )
 def test_parse_error_positions(source, line, col, message):
     with pytest.raises(ParseError) as e:
@@ -86,22 +101,61 @@ def test_parse_error_positions(source, line, col, message):
     assert str(e.value) == "%d:%d: %s" % (line, col, message)
 
 
-@pytest.mark.parametrize("wrap", ["(%s)", "-%s"], ids=["parentheses", "minus"])
-def test_nesting_is_bounded(wrap):
-    from divkit.dsl import MAX_NESTING
-
+@pytest.mark.parametrize(
+    "wrap, inner, deepest",
+    [
+        ("(%s)", "x", MAX_NESTING),
+        ("-%s", "x", MAX_NESTING),
+        # a parenthesized sum of monomial runs, and one whose unary minus is
+        # one more level
+        ("(%s)", "x + 2*x^2", MAX_NESTING),
+        ("(%s)", "-x + 1", MAX_NESTING - 1),
+    ],
+    ids=["parentheses", "minus", "sum", "negated_sum"],
+)
+def test_nesting_is_bounded(wrap, inner, deepest):
     def nested(depth):
-        text = "x"
+        text = inner
         for _ in range(depth):
             text = wrap % text
         return "chart x; p = %s; classify p;" % text
 
-    assert parse(nested(MAX_NESTING)).definitions["p"] == Poly.var(Chart(["x"]), "x")
-    for depth in (MAX_NESTING + 1, 3000):
+    want = parse_expression(inner, Chart(["x"]))
+    assert parse(nested(deepest)).definitions["p"] == want
+    for depth in (deepest + 1, 3000):
         with pytest.raises(ParseError, match="nests deeper than %d" % MAX_NESTING) as e:
             parse(nested(depth))
         # the error points at the first factor past the limit
         assert e.value.col == len("chart x; p = ") + MAX_NESTING + 2
+
+
+def test_parenthesized_lone_number_stays_a_scalar():
+    # `(3)` is the scalar 3, not a Poly, so a command that names it prints
+    # the value, as it names a defined scalar
+    from divkit.cli import run_job
+
+    for text, printed in (("(3)", "3"), ("(-3)", "-3"), ("(3 + 0)", "p"), ("(x)", "p")):
+        job = parse("chart x, y; p = %s; classify p;" % text)
+        assert type(job.definitions["p"]) is (Fraction if printed != "p" else Poly), text
+        assert run_job(job)[0]["command"] == "classify " + printed, text
+
+
+def test_internal_type_errors_are_not_parse_errors(monkeypatch):
+    # a frame constructor or `make_ideal` raises ValueError or
+    # UnknownVariable on bad input; any other error is a fault in divkit
+    # and escapes `parse` as it is
+    from divkit import dsl, frames
+
+    def boom(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(frames, "_bracket_rows", boom)
+    for frame in ("frame custom(x*Dx; Dy)", "frame log(x)"):
+        with pytest.raises(TypeError, match="boom"):
+            parse("chart x, y; F = %s; verify_frame F by ideal(x);" % frame)
+    monkeypatch.setattr(dsl, "make_ideal", boom)
+    with pytest.raises(TypeError, match="boom"):
+        parse("chart x, y; I = ideal(x); classify I;")
 
 
 def test_parse_errors():

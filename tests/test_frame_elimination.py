@@ -15,10 +15,13 @@ the determinant alone on dense matrices that leave a large Schur block.
 Involutivity takes one block reduction of all the brackets per frame,
 back-substitutes only when the structure is read, and on a failing frame
 names the first bracket and the witness that solving each bracket alone
-names.
+names.  The tagged bracket rows, every product added straight into one term
+dict per row, match one `sum_products` call per bracket component
+(`conftest.bracket_rows_reference`), also where components cancel.
 """
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -43,9 +46,19 @@ from divkit.frames import (
 from divkit import frames
 from divkit.multivector import DiffForm, Multivector, bivector_matrix, schouten_bracket
 from divkit.poisson import _gcd_over_power, lift
-from divkit.rings import Chart, ChartMismatch, Poly, exact_divide, fraction_str, gcd_content, sum_products
+from divkit.rings import (
+    Chart,
+    ChartMismatch,
+    DegreeCapExceeded,
+    Poly,
+    degree_cap,
+    exact_divide,
+    fraction_str,
+    gcd_content,
+    sum_products,
+)
 
-from conftest import adjugate_and_det, rand_multivector, rand_poly, rand_vector
+from conftest import adjugate_and_det, bracket_rows_reference, rand_multivector, rand_poly, rand_vector
 
 C2 = Chart(["x", "y"])
 C3 = Chart(["x", "y", "u"])
@@ -501,3 +514,47 @@ def test_determinant_alone_matches_the_adjugate_reference(monkeypatch):
                 patched.setattr(frames, "poly_adjugate", lambda *a: pytest.fail("poly_det built adj(S)"))
                 assert poly_det(m) == want and not want.is_zero()
                 assert len(_Elimination(m).rows) >= n - 2
+
+
+def bracket_rows_outcome(rows_of, chart, gens, cap):
+    """The term dicts of `rows_of` on a frame's generators under a degree
+    cap, or DegreeCapExceeded: every product is checked, though a bracket's
+    products are checked in another order than one component after another,
+    so the degree an error names may differ."""
+    frame = types.SimpleNamespace(chart=chart, generators=gens)
+    try:
+        with degree_cap(cap):
+            return [row._terms for row in rows_of(frame)]
+    except DegreeCapExceeded:
+        return DegreeCapExceeded
+
+
+def test_bracket_rows_match_one_sum_per_component():
+    # random anchors with `Fraction` constants, recombined catalog frames,
+    # and generators whose bracket components cancel: each product of
+    # [e, 2e] and [e, e + c] has a partner of opposite sign
+    rng = random.Random(4242)
+    cases = [(chart, gens) for chart, gens in random_cases(rng) + involutive_cases(rng)]
+    x, y, u = (Poly.var(C3, v) for v in ("x", "y", "u"))
+    dx, dy, du = (Multivector.basis_vector(C3, i) for i in range(3))
+    e = (x * y + Fraction(1, 2)) * dx + (u - x**2) * dy
+    cases.append((C3, [e, 2 * e, du]))
+    cases.append((C3, [e, e + Fraction(3, 2) * du, du]))
+    capped = 0
+    for chart, gens in cases:
+        for cap in (None, 1, 2):
+            want = bracket_rows_outcome(bracket_rows_reference, chart, gens, cap)
+            got = bracket_rows_outcome(frames._bracket_rows, chart, gens, cap)
+            assert got == want, (chart, gens, cap)
+            capped += want is DegreeCapExceeded
+    # [e, 2e] = 0, and the Dx component of [e, e + 3/2 Du] = -3/2 Dy cancels
+    zero = rows_of_pairs(C3, cases[-2][1])
+    assert (0, 1) not in zero and (0, 2) in zero
+    col = rows_of_pairs(C3, cases[-1][1])[(0, 1)]
+    assert col[0].is_zero() and col[1] == Fraction(-3, 2) and col[2].is_zero()
+    assert capped
+
+
+def rows_of_pairs(chart, gens):
+    rows = frames._bracket_rows(types.SimpleNamespace(chart=chart, generators=gens))
+    return frames._untagged(chart, rows)

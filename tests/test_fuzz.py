@@ -17,8 +17,9 @@ ideals, and the `str` of a graded value, as a certificate payload prints
 it, zero ones included.
 
 Generated expressions, polynomial and graded sums among them, also parse as
-they did before the parser read monomial literals straight into packed terms
-and graded literals into one keyed dict: `ReferenceParser` keeps that
+they did before the parser read monomial literals straight into packed terms,
+and graded literals and parenthesized sums of monomials into one keyed dict:
+`ReferenceParser` keeps that
 evaluation, one value per atom and one `combine_add` per `+`, and both must
 give equal values of the same type, or the same error.
 
@@ -203,10 +204,10 @@ FRAMES_AND_IDEALS = [
 
 
 def examples(values):
-    """An `@example` for each of `values`."""
+    """An `@example` for each of `values`; a tuple gives one per argument."""
     def apply(test):
         for v in values:
-            test = example(v)(test)
+            test = example(*v)(test) if type(v) is tuple else example(v)(test)
         return test
     return apply
 
@@ -359,8 +360,23 @@ def parsed(parse_expression, source, cap):
     return type(v), v
 
 
+# parenthesized sums, read into one term dict, and each input that leaves it
+# for the generic path
+PARENTHESIZED = [
+    "(3)", "(3)*Dx", "(3)^2*x", "-(x + y)*Dz", "(x + y)^2", "(x^2^3 + 1)", "((x + y))*Dz",
+    "(x - x)*Dx^^Dy + Dx^^Dy", "(0*x)*Dx", "(x + 1/2)*Dx", "(s + x)*Dy", "(p + x)*Dy",
+    "(x + y)*Dx^^Dx", "(x + y)*Dx*y", "(x + Dy)",
+]
+
+
+def cap_examples(sources, caps=(None, 0, 3)):
+    """An `@example` for each of `sources` under each degree cap."""
+    return examples(itertools.product(sources, caps))
+
+
 @settings(derandomize=True, database=None, max_examples=900, deadline=2000)
 @given(st.one_of(expression_sources(), graded_sums()), st.sampled_from([None, None, None, 0, 3, 6]))
+@cap_examples(PARENTHESIZED)
 @example("x*x^2 + 2*3 - 3/4*y^0 + 0*z", None)
 @example("3", None)
 @example("2*3", None)
