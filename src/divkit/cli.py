@@ -107,10 +107,9 @@ def restricted_payload(form):
 
 
 class RunOptions:
-    __slots__ = ("grid_values", "strict")
+    __slots__ = ("strict",)
 
-    def __init__(self, grid_values=None, strict=False):
-        self.grid_values = grid_values
+    def __init__(self, strict=False):
         self.strict = strict
 
 
@@ -158,7 +157,7 @@ def _dispatch(cmd, cert, options):
 
     if kind == "divisor":
         try:
-            rep = divisor_type(*args, grid_values=options.grid_values)
+            rep = divisor_type(*args)
         except NotDivisorType as e:
             payload["reason"] = str(e)
             cert["verdict"] = "fail"
@@ -182,7 +181,7 @@ def _dispatch(cmd, cert, options):
         pi, frame = args
         payload["frame"] = frame_payload(frame)
         try:
-            c = lift(pi, frame, grid_values=options.grid_values)
+            c = lift(pi, frame)
         except NotLiftable as e:
             payload["witness"] = str(e.witness)
             payload["entry"] = [e.entry[0] + 1, e.entry[1] + 1]
@@ -469,10 +468,6 @@ def main(argv=None):
         prog="dk", description="symbolic Poisson/divisor/algebroid certifier"
     )
     parser.add_argument(
-        "--seed-grid",
-        help="comma-separated integers overriding the sample grid",
-    )
-    parser.add_argument(
         "--strict", action="store_true", help="reject heuristic certificates"
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -500,14 +495,7 @@ def main(argv=None):
             print("error: DK_MAX_DEGREE must be a non-negative integer", file=sys.stderr)
             return 2
 
-    grid = None
-    if args.seed_grid:
-        try:
-            grid = tuple(int(v) for v in args.seed_grid.split(","))
-        except ValueError:
-            print("error: --seed-grid takes comma-separated integers", file=sys.stderr)
-            return 2
-    options = RunOptions(grid_values=grid, strict=args.strict)
+    options = RunOptions(strict=args.strict)
 
     with degree_cap(cap):
         if args.cmd == "run":

@@ -830,7 +830,7 @@ def command_to_source_named(job, cmd):
     for word in COMMANDS[cmd[0]].split():
         if word == "{subset}":
             idx = ", ".join(str(i + 1) for i in next(operands))
-            word = "%s %s" % (_SUBSET_KEYWORD[cmd[1]], idx)
+            word = ("%s %s" % (_SUBSET_KEYWORD[cmd[1]], idx)).rstrip()  # empty: "keep by"
         elif word[0] == "{":
             word = value_to_source(next(operands), names)
         words.append(word)

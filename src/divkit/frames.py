@@ -895,16 +895,6 @@ class FrameIdealReport:
         self.standard = standard
         self.relation = relation
 
-    def __str__(self):
-        lines = ["frame/ideal report for %s:" % self.ideal]
-        for i, (ok, cert) in enumerate(self.certificates):
-            lines.append(
-                "  e%d preserves: %s%s"
-                % (i + 1, "yes" if ok else "NO", " (certificate %s)" % cert if ok else "")
-            )
-        lines.append("  standard: %s (%s)" % ("yes" if self.standard else "no", self.relation))
-        return "\n".join(lines)
-
 
 def verify_ideal_algebroid(frame, ideal):
     """Check that every generator preserves the ideal and whether the frame

@@ -38,8 +38,10 @@ from .multivector import (
     schouten_bracket,
 )
 
-# 0 first: the first point sampled is the origin
-DEFAULT_GRID_VALUES = (0, -2, -1, 1, 2, 3)
+# The line part's sample grid; 0 first: the first point sampled is the origin
+DIVISOR_GRID = (0, -2, -1, 1, 2, 3)
+# The values the lift's Pfaffian scan takes in each of its variables
+LIFT_GRID = (-2, -1, 0, 1, 2)
 
 # Every warning of a sampled (heuristic) certificate ends with this marker;
 # `--strict` rejects exactly those.
@@ -117,12 +119,12 @@ class DivisorTypeReport:
         self.warnings = warnings
 
 
-def sample_grid(chart, values=None):
-    """Deterministic rational sample grid: coordinates from `values`.
+def sample_grid(chart):
+    """Deterministic rational sample grid: coordinates from DIVISOR_GRID.
 
     The enumeration stops after 3^n points, diagonal-shifted so every
     coordinate still sweeps all values."""
-    values = tuple(values) if values is not None else DEFAULT_GRID_VALUES
+    values = DIVISOR_GRID
     n = chart.dimension
     pts = []
     limit = 3**n
@@ -145,27 +147,7 @@ def _primitive_part(comps, g):
     return prim
 
 
-def _gcd_over_power(polys, f):
-    """gcd_content(polys) for nonzero polys, with f^k split off first for the
-    largest k such that f^k divides all of them: the normalized f^k times
-    the gcd of the quotients, so the gcd runs on the smaller cofactors."""
-    k = 0
-    while not f.is_constant():
-        quotients = []
-        for p in polys:
-            q = exact_divide(p, f)
-            if q is None:
-                break
-            quotients.append(q)
-        if len(quotients) < len(polys):
-            break
-        polys, k = quotients, k + 1
-    if not k:
-        return gcd_content(polys)
-    return (f**k * gcd_content(polys)).unit_normalized()
-
-
-def divisor_type(pi, grid_values=None):
+def divisor_type(pi):
     """Largest m with pi^m != 0, the extracted divisor ideal, and the line
     part W with pi^m/m! = g*W.  The line condition (W vanishes nowhere) is
     exact when every component of W is constant ("constant") or one of them
@@ -178,19 +160,10 @@ def divisor_type(pi, grid_values=None):
     if not ok:
         warnings.append("bivector is not Poisson: divisor data only")
     chart = pi.chart
-    m = 0
-    pf = None
-    for k in range(chart.dimension // 2, -1, -1):
-        cand = partial_pfaffian(pi, k)
-        if not cand.is_zero():
-            m = k
-            pf = cand
+    for m in range(chart.dimension // 2, -1, -1):
+        pf = partial_pfaffian(pi, m)
+        if not pf.is_zero():  # pi^0/0! = 1, so the loop stops by m = 0
             break
-    if m == 0:
-        ideal = make_ideal(Poly.const(chart, 1))
-        cls = classify(ideal)
-        return DivisorTypeReport(0, ideal, Multivector.function(Poly.const(chart, 1)),
-                                 "constant", cls, warnings)
     g = gcd_content(list(pf.comps.values()))
     w = Multivector(chart, 2 * m, _primitive_part(pf.comps, g))
     ideal = make_ideal(g)
@@ -201,7 +174,7 @@ def divisor_type(pi, grid_values=None):
         cert = "unit component"  # a nonzero constant component vanishes nowhere
     else:
         cert = "sampled"
-        for p in sample_grid(chart, grid_values):
+        for p in sample_grid(chart):
             if all(c.evaluate(p) == 0 for c in w.comps.values()):
                 raise NotDivisorType(
                     "line section vanishes at sample point %s" % (tuple(map(str, p)),)
@@ -230,11 +203,10 @@ class LiftCertificate:
 def _anchor_pfaffian(pi, det):
     """Pf(pi_A) = Pf(pi) / det(rho) for a nonzero bivector pi on an even
     chart, with Pf(pi) = g^(n/2) Pf(pi/g) for the gcd g of pi's components:
-    one Pfaffian, of the primitive part.  The power of det(rho) that divides
-    every component is split off before the gcd runs."""
+    one Pfaffian, of the primitive part."""
     chart = pi.chart
     n = chart.dimension
-    g = _gcd_over_power(list(pi.comps.values()), det)
+    g = gcd_content(list(pi.comps.values()))
     pf = partial_pfaffian(Multivector(chart, 2, _primitive_part(pi.comps, g)), n // 2)
     pf = pf.comps.get(tuple(range(n)), Poly.zero(chart))
     scale = g ** (n // 2)
@@ -247,17 +219,16 @@ def _anchor_pfaffian(pi, det):
     return pf
 
 
-def _scan_grid(pf, grid_values):
+def _scan_grid(pf):
     """(nondegenerate, evidence, warnings) of a non-constant Pfaffian from a
-    scan of the grid product over the Pfaffian's own variables, which sees
+    scan of the LIFT_GRID product over the Pfaffian's own variables, which sees
     every value the full chart grid would: a zero at any real point, or two
     points of opposite sign (intermediate value theorem on the connected
     chart), is an exact proof of degeneracy; a grid without either gives a
     sampled certificate."""
-    values = grid_values if grid_values is not None else (-2, -1, 0, 1, 2)
     names = sorted(pf.variables_used())
     signs = set()
-    for p in itertools.product(values, repeat=len(names)):
+    for p in itertools.product(LIFT_GRID, repeat=len(names)):
         v = pf.evaluate(dict(zip(names, p)))
         signs.add(v > 0)
         if v == 0 or len(signs) > 1:
@@ -266,7 +237,7 @@ def _scan_grid(pf, grid_values):
     return True, "Pfaffian nonvanishing on the sample grid", [warning]
 
 
-def lift(pi, frame, grid_values=None):
+def lift(pi, frame):
     """Solve pi = rho pi_A rho^T exactly: `frames.pullback` takes pi_A =
     rho^-1 Pi rho^-T by two rounds of frame solves, and raises NotLiftable
     with the first entry that is not a polynomial.  The pushforward rho pi_A
@@ -299,7 +270,7 @@ def lift(pi, frame, grid_values=None):
     elif pf.substitute_zero(frame.det.variables_used()).is_zero():
         cert.evidence = "Pfaffian %s vanishes somewhere" % pf
     else:
-        cert.nondegenerate, cert.evidence, cert.warnings = _scan_grid(pf, grid_values)
+        cert.nondegenerate, cert.evidence, cert.warnings = _scan_grid(pf)
     return cert
 
 

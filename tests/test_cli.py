@@ -229,23 +229,23 @@ def test_strict_rejects_heuristic(tmp_path):
 
 
 def test_seed_grid_override(tmp_path):
-    # the default grid starts at the origin, where this line section vanishes
+    # the grid is fixed and starts at the origin, where this line section
+    # vanishes
     job = write(
         tmp_path,
         "g.dk",
         "chart x,y,z; pi = x*Dx^^Dy + z*Dz^^Dy; divisor pi;",
     )
-    assert run_cli(["run", str(job)]).returncode == 1
-    # this one vanishes only where x = z = 7, off the default grid
+    r = run_cli(["run", str(job), "--json"])
+    assert r.returncode == 1
+    assert "vanishes at sample point" in json.loads(r.stdout)["payload"]["reason"]
+    # this one vanishes only where x = z = 7, off the grid
     job = write(
         tmp_path,
         "g7.dk",
         "chart x,y,z; pi = (x - 7)*Dx^^Dy + (z - 7)*Dz^^Dy; divisor pi;",
     )
     assert run_cli(["run", str(job)]).returncode == 0
-    r = run_cli(["--seed-grid", "7", "run", str(job), "--json"])
-    assert r.returncode == 1
-    assert "vanishes at sample point" in json.loads(r.stdout)["payload"]["reason"]
 
 
 def test_degree_cap(tmp_path):
@@ -371,7 +371,7 @@ def test_fmt_roundtrip(tmp_path):
         ),
         (
             "chart x, y; F = frame tx(); I = ideal(x); modify lower F keep  by I;",
-            "modify lower F keep  by I",
+            "modify lower F keep by I",
         ),
         ("chart x, y; modify upper frame tx() kernel 1, 2 by y;", "modify upper frame tx() kernel 1, 2 by y"),
         ("chart x, y; classify 3;", "classify 3"),
@@ -540,19 +540,47 @@ def test_lift_scan_covers_only_the_pfaffians_variables(monkeypatch):
     assert 0 < len(calls) <= 5
 
 
-def test_lift_degeneracy_on_the_frame_divisor_needs_no_grid_zero():
+def test_lift_degeneracy_on_the_frame_divisor_needs_no_grid_zero(monkeypatch):
     # Pf(pi_A) = x vanishes where det(rho) = x does, a line that the grid
-    # 1, 2 (`--seed-grid 1,2`) misses; the verdict is exact all the same
-    grid = RunOptions(grid_values=(1, 2))
-    cert, code = run_job(parse("chart x, y; pi = x^2*Dx^^Dy; lift pi to frame log(x);"), grid)
+    # 1, 2 misses; the verdict is exact all the same
+    from divkit import poisson
+
+    monkeypatch.setattr(poisson, "LIFT_GRID", (1, 2))
+    cert, code = run_job(parse("chart x, y; pi = x^2*Dx^^Dy; lift pi to frame log(x);"))
     assert code == 0 and cert["payload"]["nondegenerate"] is False
     assert cert["payload"]["evidence"] == "Pfaffian x vanishes somewhere"
     assert cert["warnings"] == []
     # det(rho) = 1 has no zero: a Pfaffian without one is still only sampled
     job = parse("chart x, y; pi = (x^2+y^2+1)*Dx^^Dy; lift pi to frame tx();")
-    cert, code = run_job(job, grid)
+    cert, code = run_job(job)
     assert code == 0 and cert["payload"]["nondegenerate"] is True
     assert cert["warnings"] == ["nondegeneracy certificate is sampled, not exact"]
+
+
+def test_divisor_of_the_zero_bivector_is_trivial():
+    # pi^0/0! = 1 is the top nonzero power: m = 0 and the unit ideal
+    cert, code = run_job(parse("chart x, y, z, w; divisor 0*Dx^^Dy;"))
+    assert code == 0 and cert["warnings"] == []
+    assert cert["payload"] == {
+        "m": 0,
+        "ideal": "1",
+        "class": "Trivial",
+        "line_part": "1",
+        "line_certificate": "constant",
+    }
+
+
+def test_lower_modify_rejects_a_bracket_outside_the_ideal():
+    # e1, e2 preserve <w>, but [e1, e2] = Dz = e3 is not divisible by w
+    cert, code = run_job(parse(
+        "chart x, y, z, w;"
+        " modify lower frame custom(Dx; Dy + x*Dz; Dz; Dw) keep 1, 2 by ideal(w);"
+    ))
+    assert code == 1 and cert["verdict"] == "fail"
+    assert cert["payload"]["reason"] == (
+        "NotASubalgebroid: bracket [e1, e2] has component 1 e3 not divisible by w"
+    )
+    assert "result" not in cert["payload"]
 
 
 def test_internal_error_is_reported_as_such(tmp_path, monkeypatch, capsys):

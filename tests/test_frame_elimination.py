@@ -45,7 +45,7 @@ from divkit.frames import (
 )
 from divkit import frames
 from divkit.multivector import DiffForm, Multivector, bivector_matrix, schouten_bracket
-from divkit.poisson import _gcd_over_power, lift
+from divkit.poisson import lift
 from divkit.rings import (
     Chart,
     ChartMismatch,
@@ -54,7 +54,6 @@ from divkit.rings import (
     degree_cap,
     exact_divide,
     fraction_str,
-    gcd_content,
     sum_products,
 )
 
@@ -374,17 +373,6 @@ def test_determinant_keeps_sign_and_pivot_scale():
     frame = AnchorFrame(C2, [y * dy, x * dx])
     assert frame.det == -(x * y)
     assert [frame._elim.rows, frame._elim.steps] == [[0, 1], []]
-
-
-def test_gcd_over_a_power_of_the_determinant_is_the_gcd():
-    rng = random.Random(577)
-    for frame in catalog_frames():
-        chart, det = frame.chart, frame.det
-        for k in range(4):
-            comps = [rand_poly(chart, rng, max_degree=2, terms=2, zero_ok=False) for _ in range(3)]
-            common = rand_poly(chart, rng, max_degree=1, terms=2, zero_ok=False)
-            polys = [det**k * common * c for c in comps]
-            assert _gcd_over_power(polys, det) == gcd_content(polys), (frame, k)
 
 
 def test_graded_coefficients_must_live_on_the_chart():

@@ -116,8 +116,8 @@ def test_divisor_type_rejects_vanishing_line():
     d = [Multivector.basis_vector(c3, i) for i in range(3)]
     pi = (x * d[0] + z * d[2]).wedge(d[1])  # line section vanishes at x=z=0
     with pytest.raises(NotDivisorType):
-        divisor_type(pi, grid_values=(0, 1, 2))
-    # the default grid's first point is the origin; it keeps 3^n points
+        divisor_type(pi)
+    # the grid's first point is the origin; it keeps 3^n points
     y = Poly.var(c3, "y")
     pi = d[0].wedge(y * d[1] + z * d[2])  # Poisson; vanishes on the x-axis
     with pytest.raises(NotDivisorType, match=r"\('0', '0', '0'\)"):
