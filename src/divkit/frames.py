@@ -17,11 +17,15 @@ rule with adj(S), and back-substitutes through the constant pivots, so every
 component is a numerator over det(S); a back-substitution step drops the
 products by zero components, and an exact step with none left is v_r / p.
 The one elimination answers det (`poly_det`), solve and the antisymmetric
-inverse (`invert_antisym`): frame expansion, the involutivity certificate,
-the lift's pullback Pi_A = rho^-1 pi rho^-T and the dual forms -Pi_A^-1 all
-go through it.  Every sum of products here (a minor's expansion, a matrix
-product entry, a Cramer numerator) is one `rings.sum_products` call; the
-bracket components are added straight into the tagged rows below.
+inverse (`invert_antisym`): frame expansion, the involutivity certificate
+and the dual forms -Pi_A^-1 go through its solves.  The lift's pullback
+Pi_A = rho^-1 pi rho^-T runs the same steps as one congruence: each is
+applied to both sides of the skew matrix at once, so it stays skew and only
+its upper triangle is computed (Bunch 1982).  A pullback that misses runs
+the congruence again without divisions for its witness.  Every sum of
+products here (a minor's expansion, a matrix product entry, a Cramer
+numerator) is one `rings.sum_products` call; the bracket components are
+added straight into the tagged rows below.
 
 The involutivity certificate solves every pairwise bracket back into the
 frame, all denominators cancelling.  The brackets come from one table of the
@@ -205,10 +209,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _constant_pivot(a, rows, cols):
     """(r, c) of the nonzero constant entry of a on the active rows and
     columns with the least Markowitz cost (r-1)(c-1), r and c the nonzero
@@ -343,13 +343,128 @@ class _Elimination:
             x[c] = s if inv == 1 else s * inv
         return x
 
-    def solve(self, v, numerators=False):
+    def solve(self, v):
         """(x, True) with rho x = v when every x_k is a polynomial, else
-        (N, False) with x = N / det(S); `numerators` asks for N in any case."""
+        (N, False) with x = N / det(S)."""
         v, nums = self.forward(v)
-        quotients = None if numerators else self.divide(nums)
+        quotients = self.divide(nums)
         exact = quotients is not None
         return self.back_substitute(v, quotients if exact else nums, exact), exact
+
+    def congruence(self, comps, exact=True):
+        """rho^-1 M rho^-T for the antisymmetric M with entries comps
+        {(i, j): Poly}, i < j, as its nonzero entries {(i, j): Poly}, i < j,
+        over the generators; None when `exact` and an entry is not a
+        polynomial.  Without `exact`, N M N^T for N = det(S) rho^-1, which
+        never misses.
+
+        Only the upper triangle u is kept, M[a][b] = u[a][b] for a < b and
+        -u[b][a] for a > b, its slots the rows of rho until the end.  Each
+        step of a solve, applied to both sides of M at once, keeps M skew and
+        rewrites one slot's row: forward, row t -= f row r per multiplier;
+        S's rows become adj(S) M_S / det(S), one-sided, and then S x S gets
+        adj(S)^T / det(S) on the right; back-substitution, in reversed step
+        order, row r := (row r - sum e_j row s_j) / p for the slots s_j of
+        the pivot row's columns.  Slot r then holds generator c, and slot
+        rows[k] generator cols[k].  rho = F^-1 diag(I, S) B^-1 with F and B
+        unimodular, so the result is a polynomial iff diag(I, S)^-1 (F M
+        F^T) diag(I, S)^-T is; its S rows times S^T are the one-sided
+        S^-1 (F M F^T)_S, so a miss there proves there is no polynomial
+        result, as a miss of the last products does.  Without `exact`,
+        adj(S) stands in for S^-1 and every other slot is scaled by det(S)."""
+        chart = self.chart
+        steps, rows = self.steps, self.rows
+        n = len(steps) + len(rows)
+        zero, one = Poly.zero(chart), Poly.const(chart, 1)
+        u = [[zero] * n for _ in range(n)]
+        for (i, j), c in comps.items():
+            u[i][j] = c
+
+        def update(r, b, terms, scale=1):
+            """M[r][b] := scale * (M[r][b] - sum s e M[s][b]) for the (e, s)
+            in terms; slot b is neither r nor any s."""
+            lo, hi, sign = (r, b, 1) if r < b else (b, r, -1)
+            old = u[lo][hi]
+            sub = []
+            for e, s in terms:
+                x = u[s][b] if s < b else u[b][s]
+                if x:
+                    sub.append((-sign if s < b else sign, e, x))
+            if sub:
+                old = sum_products(chart, [(1, old, one)] + sub if old else sub)
+            u[lo][hi] = old if scale == 1 or not old else old * scale
+
+        for r, _, _, _, mults in steps:
+            for t, f in mults:
+                for b in range(n):
+                    if b != t and b != r:
+                        update(t, b, ((f, r),))
+        if rows:
+            den = self.den
+            adj = [[(rows[l], a) for l, a in enumerate(row) if a] for row in self.adj()]
+            # one-sided: y[k][b] = (adj(S) M)[k][b] / det(S), every slot b
+            y = []
+            for arow in adj:
+                yrow = []
+                for b in range(n):
+                    terms = []
+                    for s, a in arow:
+                        if s != b:
+                            x = u[s][b] if s < b else u[b][s]
+                            if x:
+                                terms.append((1 if s < b else -1, a, x))
+                    num = sum_products(chart, terms)
+                    if exact and num:
+                        num = exact_divide(num, den)
+                        if num is None:
+                            return None
+                    yrow.append(num)
+                y.append(yrow)
+            # S x S: (y_S adj(S)^T)[k][m] / det(S), k < m
+            block = {}
+            for k, yrow in enumerate(y):
+                for m in range(k + 1, len(rows)):
+                    num = sum_products(chart, [(1, a, yrow[s]) for s, a in adj[m] if yrow[s]])
+                    if exact and num:
+                        num = exact_divide(num, den)
+                        if num is None:
+                            return None
+                    block[rows[k], rows[m]] = num
+            outside = [r for r, *_ in steps]
+            if not exact:
+                den2 = den * den
+                for a in outside:
+                    for b in outside:
+                        if a < b and u[a][b]:
+                            u[a][b] = u[a][b] * den2
+            for k, yrow in enumerate(y):
+                q = rows[k]
+                for b in outside:
+                    x = yrow[b] if exact or not yrow[b] else yrow[b] * den
+                    if q < b:
+                        u[q][b] = x
+                    else:
+                        u[b][q] = -x if x else x
+            for (a, b), x in block.items():
+                u[a][b] = x
+        slot = dict(zip(self.cols, rows))
+        slot.update((c, r) for r, c, *_ in steps)
+        for r, _, inv, row, _ in reversed(steps):
+            if not row and inv == 1:
+                continue
+            terms = [(e, slot[j]) for j, e in row]
+            for b in range(n):
+                if b != r:
+                    update(r, b, [(e, s) for e, s in terms if s != b], inv)
+        gen = {s: c for c, s in slot.items()}
+        out = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                x = u[a][b]
+                if x:
+                    i, j = gen[a], gen[b]
+                    out[(i, j) if i < j else (j, i)] = x if i < j else -x
+        return dict(sorted(out.items()))
 
     def adj(self):
         """adj(S), from the table of minors that gave det(S)."""
@@ -822,45 +937,23 @@ def algebroid_d(form):
     return differential(form, anchor, form.frame.structure)
 
 
-def _two_rounds(elim, m, numerators):
-    """Rows 0..n-2 of rho^-1 m rho^-T, by solves of m's columns and then of
-    the rows of rho^-1 m, or None when a solve misses; with `numerators`,
-    rows of N m N^T for N = det(S) rho^-1, which never miss."""
-    first = []
-    for col in mat_transpose(m):
-        sol, exact = elim.solve(col, numerators)
-        if not (exact or numerators):
-            return None
-        first.append(sol)
-    rows = []
-    for i in range(len(m) - 1):
-        row, exact = elim.solve([sol[i] for sol in first], numerators)
-        if not (exact or numerators):
-            return None
-        rows.append(row)
-    return rows
-
-
 def pullback(frame, pi):
     """The frame bivector pi_A with rho pi_A rho^T = pi, or NotLiftable.
 
-    Two rounds of solves: X = rho^-1 Pi column by column, which is Pi_A
-    rho^T and so polynomial whenever the lift exists, then row i of Pi_A =
-    rho^-1 (row i of X).  On a miss both rounds run again on numerators, and
-    the first entry (i, j), i < j, of N Pi N^T / det(S)^2 that is not a
-    polynomial is the witness."""
-    m = bivector_matrix(pi)
-    n = len(m)
-    rows = _two_rounds(frame._elim, m, False)
-    if rows is not None:
-        comps = {(i, j): row[j] for i, row in enumerate(rows) for j in range(i + 1, n)}
-        return Multivector(frame.chart, 2, comps)
-    den = frame._elim.den
+    One congruence through the frame's elimination maps Pi to pi_A = rho^-1
+    Pi rho^-T on the upper triangle (`_Elimination.congruence`).  On a miss
+    the same pass without divisions gives N Pi N^T = det(S)^2 pi_A, N =
+    det(S) rho^-1, and the first entry (i, j), i < j, that det(S)^2 does not
+    divide is the witness."""
+    elim = frame._elim
+    comps = elim.congruence(pi.comps)
+    if comps is not None:
+        return Multivector._make(frame.chart, 2, comps)
+    den = elim.den
     den2 = den * den
-    for i, row in enumerate(_two_rounds(frame._elim, m, True)):
-        for j in range(i + 1, n):
-            if exact_divide(row[j], den2) is None:
-                raise NotLiftable((i, j), fraction_str(row[j], den, 2))
+    for (i, j), num in elim.congruence(pi.comps, exact=False).items():
+        if exact_divide(num, den2) is None:
+            raise NotLiftable((i, j), fraction_str(num, den, 2))
     raise InternalError("pullback missed on polynomial entries (internal error)")  # pragma: no cover
 
 

@@ -239,9 +239,11 @@ def _scan_grid(pf):
 
 def lift(pi, frame):
     """Solve pi = rho pi_A rho^T exactly: `frames.pullback` takes pi_A =
-    rho^-1 Pi rho^-T by two rounds of frame solves, and raises NotLiftable
-    with the first entry that is not a polynomial.  The pushforward rho pi_A
-    rho^T is checked to give pi back.
+    rho^-1 Pi rho^-T by one skew congruence through the frame's elimination,
+    on the upper triangle, and on a miss runs it again without divisions to
+    raise NotLiftable with the first entry that is not a polynomial.  The
+    pushforward rho pi_A rho^T, by matrix products of the anchor apart from
+    the elimination, is checked to give pi back on every lift.
 
     On an even chart the lift is nondegenerate iff Pf(pi_A) = Pf(pi) /
     det(rho) has no real zero.  A constant nonzero Pf(pi_A) decides it.  A
@@ -255,7 +257,7 @@ def lift(pi, frame):
         raise DegreeMismatch("expected a bivector")
     n = pi.chart.dimension
     lifted = pullback(frame, pi)
-    if pushforward(frame, lifted) != pi:  # pragma: no cover - solving is exact
+    if pushforward(frame, lifted) != pi:
         raise InternalError("lift pushforward does not reproduce the bivector")
     cert = LiftCertificate(frame, lifted, None, False, "degenerate", [])
     if n % 2 or pi.is_zero():

@@ -59,6 +59,10 @@ def adjugate_and_det(m):
     return adj, sum_products(chart, [(1, m[0][j], adj[j][0]) for j in range(len(m))])
 
 
+def mat_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def bracket_rows_reference(frame):
     """`frames._bracket_rows` as one `sum_products` call per nonzero
     bracket component, its terms tagged in a second pass: the reference for

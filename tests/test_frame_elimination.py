@@ -9,7 +9,10 @@ anchors -- with constant entries, with `Fraction` pivots, with no constant
 entry at all, and singular ones -- the frames must agree with them on the
 determinant, every structure coefficient, expansions and lift components,
 and on the exact message of every NotInvolutive, NotInModule, NotLiftable
-and DegenerateFrame.  The antisymmetric inverse, solved column by column
+and DegenerateFrame.  The lifts, one skew congruence through the
+elimination, meet Schur blocks of size 0 to 3, diagonal and dense, the zero
+bivector and frames on a line; a pullback off by one coefficient trips the
+lift's pushforward check.  The antisymmetric inverse, solved column by column
 through the same elimination, must agree with -adj(m) / det(m), and so must
 the determinant alone on dense matrices that leave a large Schur block.
 Involutivity takes one block reduction of all the brackets per frame,
@@ -38,18 +41,18 @@ from divkit.frames import (
     expand_in_frame,
     invert_antisym,
     mat_mul,
-    mat_transpose,
     poly_det,
     pullback,
     pushforward,
 )
-from divkit import frames
+from divkit import frames, poisson
 from divkit.multivector import DiffForm, Multivector, bivector_matrix, schouten_bracket
 from divkit.poisson import lift
 from divkit.rings import (
     Chart,
     ChartMismatch,
     DegreeCapExceeded,
+    InternalError,
     Poly,
     degree_cap,
     exact_divide,
@@ -57,8 +60,16 @@ from divkit.rings import (
     sum_products,
 )
 
-from conftest import adjugate_and_det, bracket_rows_reference, rand_multivector, rand_poly, rand_vector
+from conftest import (
+    adjugate_and_det,
+    bracket_rows_reference,
+    mat_transpose,
+    rand_multivector,
+    rand_poly,
+    rand_vector,
+)
 
+C1 = Chart(["x"])
 C2 = Chart(["x", "y"])
 C3 = Chart(["x", "y", "u"])
 C4 = Chart(["x", "y", "u", "v"])
@@ -288,18 +299,41 @@ def test_expansions_match_the_adjugate_path():
     assert seen["value"] and seen["error"]
 
 
+def schur_cases(rng):
+    """(chart, gens) whose Schur blocks the other cases miss: nc_log on three
+    coordinates, a diagonal block of size 3, and its recombinations, a dense
+    one, on an odd and on an even chart; and frames on a line."""
+    cases = []
+    for chart in (C3, C4):
+        frame = catalog("nc_log", chart, "x", "y", "u")
+        cases.append((chart, frame.generators))
+        cases.append((chart, recombined_gens(frame, rng, fractions=False)))
+        cases.append((chart, recombined_gens(frame, rng, fractions=True)))
+    cases.append((C1, catalog("tx", C1).generators))
+    cases.append((C1, catalog("log", C1, "x").generators))
+    return cases
+
+
 def test_lifts_match_the_adjugate_path():
     rng = random.Random(1618)
     seen = {"value": 0, "error": 0}
-    for chart, gens in involutive_cases(rng) + random_cases(rng):
+    sizes, dense = set(), False
+    for chart, gens in involutive_cases(rng) + random_cases(rng) + schur_cases(rng):
         frame, _ = frame_outcome(chart, gens)
-        if frame is None or chart.dimension < 2:
+        if frame is None:
+            continue
+        elim = frame._elim
+        if chart.dimension < 2:
+            # a line carries no bivector: the congruence of the empty matrix
+            assert elim.congruence({}) == {} and elim.congruence({}, exact=False) == {}
+            sizes.add(("line", len(elim.rows)))
             continue
         pa = rand_multivector(chart, rng, 2, max_degree=1)
         pi = pushforward(frame, pa)
         assert pullback(frame, pi) == pa
         det = frame.det
-        for pi in (pi, rand_multivector(chart, rng, 2, max_degree=1), det * rand_multivector(chart, rng, 2, 1)):
+        others = (rand_multivector(chart, rng, 2, max_degree=1), det * rand_multivector(chart, rng, 2, 1))
+        for pi in (pi,) + others + (Multivector.zero(chart, 2),):
             got = outcome(lambda p: pullback(frame, p).comps, pi)
             assert got == outcome(reference_lift, pi, frame), (frame, pi)
             seen[got[0]] += 1
@@ -307,7 +341,31 @@ def test_lifts_match_the_adjugate_path():
                 with pytest.raises(NotLiftable) as e:
                     lift(pi, frame)
                 assert str(e.value) == got[2]
+        size = len(elim.rows)
+        sizes.add(min(size, 3))
+        # adj(S) = det(S) S^-1 is diagonal exactly when S is
+        adj = elim.adj()
+        dense |= size >= 3 and any(adj[k][l] for k in range(size) for l in range(size) if k != l)
     assert seen["value"] and seen["error"]
+    assert sizes == {0, 1, 2, 3, ("line", 0), ("line", 1)} and dense
+
+
+def test_lift_checks_its_pushforward(monkeypatch):
+    # a pullback off by one coefficient is caught by rho pi_A rho^T == pi
+    frame = catalog("elliptic_log", C4, "y", "v")
+    pa = rand_multivector(C4, random.Random(99), 2, max_degree=1, density=1)
+    pi = pushforward(frame, pa)
+    assert lift(pi, frame).lifted == pa
+    real = poisson.pullback
+
+    def off_by_one(frame, pi):
+        comps = dict(real(frame, pi).comps)
+        comps[0, 1] = comps.get((0, 1), Poly.zero(C4)) + 1
+        return Multivector(frame.chart, 2, comps)
+
+    monkeypatch.setattr(poisson, "pullback", off_by_one)
+    with pytest.raises(InternalError, match="^lift pushforward does not reproduce the bivector$"):
+        lift(pi, frame)
 
 
 def unimodular(chart, rng, n):
