@@ -16,7 +16,6 @@ from .multivector import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    pairing,
     partial_pfaffian,
     schouten_bracket,
 )
@@ -45,7 +44,6 @@ from .frames import (
 )
 from .poisson import (
     check_poisson,
-    darboux_catalog,
     degeneracy_ideals,
     divisor_type,
     hamiltonian_vf,
@@ -57,7 +55,6 @@ from .residues import (
     ResidueSpec,
     cochain_check,
     cosymplectic_spinor,
-    dual_form,
     elliptic_log_factorization,
     residue,
 )

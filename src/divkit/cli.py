@@ -29,6 +29,7 @@ from .frames import (
     CoframeForm,
     NotASubalgebroid,
     NotDivisibleGenerator,
+    NotInvolutive,
     frame_divisor,
     lower_modify,
     upper_modify,
@@ -223,7 +224,7 @@ def _dispatch(cmd, cert, options):
                 if side == "lower"
                 else upper_modify(frame, idx, ideal)
             )
-        except (NotASubalgebroid, NotDivisibleGenerator) as e:
+        except (NotASubalgebroid, NotDivisibleGenerator, NotInvolutive) as e:
             payload["reason"] = "%s: %s" % (type(e).__name__, e)
             cert["verdict"] = "fail"
             return

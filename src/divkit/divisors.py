@@ -5,8 +5,7 @@ positive leading coefficient); nowhere-dense vanishing is exactly
 "generator is nonzero" for polynomials on R^n.  Classification into the
 catalog (log, normal-crossing, b^k, elliptic, elliptic-log) is a sound but
 deliberately incomplete pattern matcher: anything it cannot factor into
-recognized atoms comes back Unclassified, and callers may supply candidate
-atoms to guide the division.
+recognized atoms comes back Unclassified.
 """
 
 from __future__ import annotations
@@ -153,11 +152,7 @@ def _is_linear_atom(p):
 
 
 def _linear_gradient(p):
-    grads = []
-    for v in p.chart.variables:
-        d = p.diff(v)
-        grads.append(d.constant_value() if d.is_constant() else None)
-    return grads
+    return [p.diff(v).constant_value() for v in p.chart.variables]
 
 
 def _is_elliptic_atom(p):
@@ -201,7 +196,7 @@ def _divide_out(residual, p):
         mult += 1
 
 
-def classify(ideal, candidates=None):
+def classify(ideal):
     """Atom decomposition and catalog tag.  Sound but incomplete: returns
     Unclassified rather than guessing."""
     gen = ideal.generator
@@ -218,29 +213,20 @@ def classify(ideal, candidates=None):
             x = Poly.var(chart, v)
             residual = exact_divide(residual, x**mult)
             atoms.append((Atom(Atom.LOG, x), mult))
-    for cand in candidates or []:
-        if _is_linear_atom(cand):
-            residual, mult = _divide_out(residual, cand)
-            if mult:
-                atoms.append((Atom(Atom.LOG, cand.unit_normalized()), mult))
 
     # whole residual itself linear
     if _is_linear_atom(residual):
         atoms.append((Atom(Atom.LOG, residual.unit_normalized()), 1))
         residual = Poly.const(chart, residual.content())
 
-    # elliptic atoms: user candidates, then the squarefree part of whatever
-    # remains (catching powers of a single positive-definite quadratic)
-    ell_cands = [p for p in candidates or [] if _is_elliptic_atom(p)]
+    # an elliptic atom: the squarefree part of whatever remains (catching
+    # powers of a single positive-definite quadratic)
     if _may_be_elliptic_power(residual):
         sq = squarefree_part(residual)
-        if _is_elliptic_atom(sq) and all(sq != p for p in ell_cands):
-            ell_cands.append(sq)
-    for p in ell_cands:
-        residual, mult = _divide_out(residual, p)
-        if mult:
-            pair = _is_elliptic_atom(p)
-            atoms.append((Atom(Atom.ELLIPTIC, p.unit_normalized(), pair), mult))
+        pair = _is_elliptic_atom(sq)
+        if pair:
+            residual, mult = _divide_out(residual, sq)
+            atoms.append((Atom(Atom.ELLIPTIC, sq.unit_normalized(), pair), mult))
 
     if not residual.is_constant():
         return DivisorClass(DivisorClass.UNCLASSIFIED)
@@ -248,8 +234,6 @@ def classify(ideal, candidates=None):
 
 
 def _tag_from_atoms(atoms):
-    if not atoms:
-        return DivisorClass(DivisorClass.TRIVIAL)
     lin = [(a, m) for a, m in atoms if a.kind == Atom.LOG]
     ell = [(a, m) for a, m in atoms if a.kind == Atom.ELLIPTIC]
     if len(lin) == 1 and not ell:
@@ -280,8 +264,6 @@ def _pairwise_independent(grads):
     for i in range(len(grads)):
         for j in range(i + 1, len(grads)):
             gi, gj = grads[i], grads[j]
-            if any(g is None for g in gi + gj):
-                return False
             # rank of the 2 x n matrix must be 2
             rank2 = False
             for a in range(len(gi)):

@@ -16,9 +16,8 @@ rho x = v runs the multipliers forward over v, takes S's part by Cramer's
 rule with adj(S), and back-substitutes through the constant pivots, so every
 component is a numerator over det(S); a back-substitution step drops the
 products by zero components, and an exact step with none left is v_r / p.
-The one elimination answers det (`poly_det`), solve and the antisymmetric
-inverse (`invert_antisym`): frame expansion, the involutivity certificate
-and the dual forms -Pi_A^-1 go through its solves.  The lift's pullback
+The one elimination answers det (`poly_det`) and solve: frame expansion and
+the involutivity certificate go through its solves.  The lift's pullback
 Pi_A = rho^-1 pi rho^-T runs the same steps as one congruence: each is
 applied to both sides of the skew matrix at once, so it stays skew and only
 its upper triangle is computed (Bunch 1982).  A pullback that misses runs
@@ -185,22 +184,6 @@ def poly_adjugate(m, memo=None):
     return adj
 
 
-def invert_antisym(m):
-    """{(i, j): w_ij}, i < j, the nonzero upper-triangle entries of w = -m^-1
-    for an antisymmetric Poly matrix m with constant nonzero determinant (all
-    the catalog dual forms have one): column j of m^-1 solves m x = e_j."""
-    elim = _Elimination(m)
-    if not elim.det.is_constant() or elim.det.is_zero():
-        raise BadParams("matrix inversion needs a constant nonzero determinant")
-    chart, n = elim.chart, len(m)
-    zero, one = Poly.zero(chart), Poly.const(chart, 1)
-    comps = {}
-    for j in range(1, n):
-        col, _ = elim.solve([one if i == j else zero for i in range(n)])
-        comps.update(((i, j), -col[i]) for i in range(j) if col[i])
-    return comps
-
-
 def mat_mul(a, b):
     chart = b[0][0].chart
     cols = list(zip(*b))
@@ -233,8 +216,8 @@ def _constant_pivot(a, rows, cols):
 
 
 class _Elimination:
-    """A square Poly matrix rho (an anchor, or the matrix of `poly_det` or
-    `invert_antisym`) reduced over constant pivots (see the module docstring).
+    """A square Poly matrix rho (an anchor, or the matrix of `poly_det`)
+    reduced over constant pivots (see the module docstring).
 
     `steps` lists, in pivot order, (r, c, inv, row, mults): pivot row r and
     column c, inv = 1/p for the constant pivot p, the pivot row's other
@@ -342,14 +325,6 @@ class _Elimination:
                 s = sum_products(chart, [(1, v[r], unit)] + subtract)
             x[c] = s if inv == 1 else s * inv
         return x
-
-    def solve(self, v):
-        """(x, True) with rho x = v when every x_k is a polynomial, else
-        (N, False) with x = N / det(S)."""
-        v, nums = self.forward(v)
-        quotients = self.divide(nums)
-        exact = quotients is not None
-        return self.back_substitute(v, quotients if exact else nums, exact), exact
 
     def congruence(self, comps, exact=True):
         """rho^-1 M rho^-T for the antisymmetric M with entries comps
@@ -555,12 +530,14 @@ def expand_in_frame(v, frame):
         raise ChartMismatch("vector field on a different chart")
     if v.degree != 1:
         raise BadParams("can only expand vector fields")
-    x, exact = frame._elim.solve(v.vector_coeffs())
-    if not exact:
-        den = frame._elim.den
-        num = next(num for num in x if exact_divide(num, den) is None)
-        raise NotInModule(fraction_str(num, den))
-    return x
+    elim = frame._elim
+    forward, nums = elim.forward(v.vector_coeffs())
+    quotients = elim.divide(nums)
+    if quotients is None:
+        x = elim.back_substitute(forward, nums, exact=False)
+        num = next(num for num in x if exact_divide(num, elim.den) is None)
+        raise NotInModule(fraction_str(num, elim.den))
+    return elim.back_substitute(forward, quotients)
 
 
 def _bracket_rows(frame):
@@ -870,7 +847,9 @@ def lower_modify(frame, keep, ideal):
 
 def upper_modify(frame, kernel, ideal):
     """Divide the generators outside `kernel` by the ideal generator
-    (inverse to lower_modify with matching data)."""
+    (inverse to lower_modify with matching data).  NotDivisibleGenerator
+    when a generator does not divide, NotInvolutive when the quotients do
+    not span an involutive frame."""
     _require_smooth_ideal(ideal)
     kernel = set(kernel)
     n = frame.chart.dimension
@@ -889,10 +868,7 @@ def upper_modify(frame, kernel, ideal):
                 raise NotDivisibleGenerator(i, fraction_str(c, gen))
             comps[idx] = q
         gens.append(Multivector(frame.chart, 1, comps))
-    try:
-        return AnchorFrame(frame.chart, gens, label=None)
-    except NotInvolutive as e:
-        raise InternalError("involutivity lost after upper modification: %s" % e)
+    return AnchorFrame(frame.chart, gens, label=None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ components over dx_{i1} ^ ... ^ dx_{ik}.  Both, like the coframe forms
 `frames.CoframeForm` and `dsl.CoframeExpr`, are thin subclasses of
 `_Graded`, which implements the graded algebra once.
 
-Every keyed sum of products here (wedge, contraction, pairing, Schouten,
-Pfaffian, differential) collects the triples (sign, a, b) that land on each
+Every keyed sum of products here (wedge, contraction, Schouten, Pfaffian,
+differential) collects the triples (sign, a, b) that land on each
 output index tuple and sums them in one `rings.sum_products` call.  Plain d
 is `differential` for the coordinate frame D_i, as d_A is for an anchor frame.
 
@@ -377,7 +377,7 @@ def schouten_bracket(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Contraction, pairing, Lie derivative, exterior derivative
+# Contraction, Lie derivative, exterior derivative
 # ---------------------------------------------------------------------------
 
 
@@ -396,15 +396,6 @@ def interior_product(v, w):
                 key = idx[:pos] + idx[pos + 1 :]
                 groups.setdefault(key, []).append((-1 if pos % 2 else 1, c, vc[i]))
     return w._like(w.degree - 1, _sum_groups(w.chart, groups))
-
-
-def pairing(form, mv):
-    """Full pairing of a k-form with a k-multivector, a Poly."""
-    form._check(mv)
-    if form.degree != mv.degree:
-        raise DegreeMismatch("pairing needs equal degrees")
-    pairs = [(1, c, mv.comps[idx]) for idx, c in form.comps.items() if idx in mv.comps]
-    return sum_products(form.chart, pairs)
 
 
 def differential(w, anchor, structure):

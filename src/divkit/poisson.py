@@ -14,17 +14,14 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .rings import Chart, ChartMismatch, InternalError, Poly, exact_divide, gcd_content
-from .divisors import DivisorClass, classify, make_ideal, preserves
+from .rings import ChartMismatch, InternalError, Poly, exact_divide, gcd_content
+from .divisors import classify, make_ideal, preserves
 from .frames import (
     BadParams,
     NotInModule,
     NotLiftable,
-    catalog,
     expand_in_frame,
-    invert_antisym,
     pullback,
     pushforward,
 )
@@ -385,87 +382,3 @@ def modular_foliation_report(pi, frame):
         if not ok:
             rep.failures.append("modular field does not preserve %s" % ideal)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Darboux model catalog
-# ---------------------------------------------------------------------------
-
-
-def _omega_pairs(chart, slots):
-    """Standard symplectic bivector sum over consecutive slot pairs."""
-    out = Multivector.zero(chart, 2)
-    for a, b in zip(slots[::2], slots[1::2]):
-        out = out + Multivector(chart, 2, {(a, b): Poly.const(chart, 1)})
-    return out
-
-
-def darboux_catalog(kind, dim, k=None, lam=None):
-    """Local Darboux models, in Cartesian coordinates, as
-    (pi, frame, divisor_class): the bivector, the anchor frame it lifts to,
-    and its divisor class.
-
-    kinds: log | bk (power k) | scattering | elliptic (parameter lam != 0)
-           | elliptic_zero.  The Poisson identity is checked at construction.
-    """
-    if dim < 2 or dim % 2:
-        raise BadParams("Darboux models live on even-dimensional charts")
-    if kind in ("log", "bk", "scattering"):
-        chart = Chart(["z"] + ["x%d" % i for i in range(1, dim)])
-        z = Poly.var(chart, "z")
-        if kind == "log":
-            k = 1
-        if kind in ("log", "bk"):
-            if not isinstance(k, int) or k < 1:
-                raise BadParams("bk model needs an integer power k >= 1")
-            pi = (z**k) * Multivector(chart, 2, {(0, 1): Poly.const(chart, 1)})
-            pi = pi + _omega_pairs(chart, list(range(2, dim)))
-            frame = catalog("log", chart, "z") if k == 1 else catalog("bk", chart, "z", k)
-            cls = (
-                DivisorClass(DivisorClass.LOG)
-                if k == 1
-                else DivisorClass(DivisorClass.BPOWER, k)
-            )
-        else:
-            frame = catalog("scattering", chart, "z")
-            # closed nondegenerate scattering form with contact one-form
-            # dx1 + x2 dx3 + x4 dx5 + ...; invert exactly and push forward.
-            n = dim
-            w = [[Poly.zero(chart) for _ in range(n)] for _ in range(n)]
-
-            def setw(i, j, val):
-                w[i][j] = val
-                w[j][i] = -val
-
-            setw(0, 1, Poly.const(chart, 1))
-            for a in range(2, n, 2):
-                setw(0, a + 1, Poly.var(chart, "x%d" % a))
-                setw(a, a + 1, Poly.const(chart, Fraction(-1, 2)))
-            pi = pushforward(frame, Multivector(chart, 2, invert_antisym(w)))
-            cls = DivisorClass(DivisorClass.BPOWER, dim + 1)
-    elif kind in ("elliptic", "elliptic_zero"):
-        chart = Chart(["x", "y"] + ["x%d" % i for i in range(1, dim - 1)])
-        x, y = Poly.var(chart, "x"), Poly.var(chart, "y")
-        frame = catalog("elliptic", chart, "x", "y")
-        if kind == "elliptic":
-            lam = Fraction(1) if lam is None else Fraction(lam)
-            if lam == 0:
-                raise BadParams("elliptic model needs a nonzero residue parameter")
-            pi = (lam * (x * x + y * y)) * Multivector(
-                chart, 2, {(0, 1): Poly.const(chart, 1)}
-            )
-            pi = pi + _omega_pairs(chart, list(range(2, dim)))
-        else:
-            if dim < 4:
-                raise BadParams("the zero-residue elliptic model needs dimension >= 4")
-            euler = x * Multivector.basis_vector(chart, 0) + y * Multivector.basis_vector(chart, 1)
-            rot = x * Multivector.basis_vector(chart, 1) - y * Multivector.basis_vector(chart, 0)
-            pi = euler.wedge(Multivector.basis_vector(chart, 2))
-            pi = pi + rot.wedge(Multivector.basis_vector(chart, 3))
-            pi = pi + _omega_pairs(chart, list(range(4, dim)))
-        cls = DivisorClass(DivisorClass.ELLIPTIC)
-    else:
-        raise BadParams("unknown Darboux model %r" % (kind,))
-    if not check_poisson(pi)[0]:  # pragma: no cover - models are Poisson by construction
-        raise InternalError("catalog model failed the Poisson check")
-    return pi, frame, cls

@@ -17,10 +17,9 @@ CoframeForm over the induced log frame, whose differential is d - f^
 from __future__ import annotations
 
 from .rings import InternalError
-from .frames import BadParams, CoframeForm, algebroid_d, catalog, invert_antisym
+from .frames import BadParams, CoframeForm, algebroid_d, catalog
 from .multivector import (
     DiffForm,
-    bivector_matrix,
     exterior_derivative,
     merge_indices,
     partial_pfaffian,
@@ -191,12 +190,6 @@ def elliptic_log_factorization(w, frame):
 # ---------------------------------------------------------------------------
 # Cosymplectic spinors
 # ---------------------------------------------------------------------------
-
-
-def dual_form(cert):
-    """Dual coframe 2-form -pi_A^-1 of a nondegenerate lift with constant
-    Pfaffian, by the exact inverse of the lifted bivector's matrix."""
-    return CoframeForm(cert.frame, 2, invert_antisym(bivector_matrix(cert.lifted)))
 
 
 class SpinorReport:

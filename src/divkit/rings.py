@@ -40,7 +40,7 @@ reduces it tag by tag as it stands.
 `sum_products` computes a sum of products s*a*b into one term dict, with the
 checks of a single product, and normalizes once; it serves every sum of
 products in the engine (minors, Pfaffians, matrix products, the graded
-products wedge, contraction and pairing, the Schouten bracket, and both
+products wedge and contraction, the Schouten bracket, and both
 differentials, d and d_A), which would otherwise build one Poly per product
 and copy the running sum at every addition, the waste that Yan's geobuckets
 ("The geobucket data structure for polynomials", 1998) also remove.

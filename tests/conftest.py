@@ -12,10 +12,11 @@ from unittest import mock
 import pytest
 
 from divkit import divisors
+from divkit.divisors import DivisorClass
 from divkit.dsl import ParseError
-from divkit.rings import FIELD_BITS, _FIELD, Poly, ZeroPolynomial, poly_gcd, sum_products
-from divkit.multivector import Multivector, derivative_table, partial_pfaffian
-from divkit.frames import poly_adjugate
+from divkit.rings import FIELD_BITS, _FIELD, Chart, Poly, ZeroPolynomial, poly_gcd, sum_products
+from divkit.multivector import Multivector, bivector_matrix, derivative_table, partial_pfaffian
+from divkit.frames import CoframeForm, catalog, poly_adjugate, pushforward
 
 
 def rand_poly(chart, rng, max_degree=2, terms=3, zero_ok=True):
@@ -61,6 +62,89 @@ def adjugate_and_det(m):
 
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def antisymmetric_inverse(m):
+    """{(i, j): w_ij}, i < j, the nonzero upper-triangle entries of
+    w = -m^-1 = -adj(m) / det(m) for an antisymmetric Poly matrix m with a
+    constant nonzero determinant."""
+    adj, det = adjugate_and_det(m)
+    scale = -1 / det.constant_value()
+    n = len(m)
+    return {(i, j): adj[i][j] * scale for i in range(n) for j in range(i + 1, n) if adj[i][j]}
+
+
+def dual_form(cert):
+    """The dual coframe 2-form -pi_A^-1 of a nondegenerate lift with constant
+    Pfaffian."""
+    return CoframeForm(cert.frame, 2, antisymmetric_inverse(bivector_matrix(cert.lifted)))
+
+
+def ref_pairing(form, mv):
+    """The full pairing of a k-form with a k-multivector, a Poly, as one
+    running sum of products."""
+    total = Poly.zero(form.chart)
+    for idx, c in form.comps.items():
+        m = mv.comps.get(idx)
+        if m is not None:
+            total = total + c * m
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+
+def _omega_pairs(chart, slots):
+    """The standard symplectic bivector over consecutive slot pairs."""
+    one = Poly.const(chart, 1)
+    return Multivector(chart, 2, {(a, b): one for a, b in zip(slots[::2], slots[1::2])})
+
+
+def darboux_catalog(kind, dim, k=None, lam=1):
+    """Local Darboux models on an even-dimensional chart, in Cartesian
+    coordinates, as (pi, frame, divisor class): the bivector, the anchor
+    frame it lifts to, and its divisor class.  kinds: log | bk (power k) |
+    scattering | elliptic (parameter lam != 0) | elliptic_zero (dim >= 4).
+    A model decides nothing: the tests certify it by `check_poisson`,
+    `divisor_type` and `lift`."""
+    if kind in ("log", "bk", "scattering"):
+        chart = Chart(["z"] + ["x%d" % i for i in range(1, dim)])
+        one = Poly.const(chart, 1)
+        if kind == "scattering":
+            frame = catalog("scattering", chart, "z")
+            # closed nondegenerate scattering form with contact one-form
+            # dx1 + x2 dx3 + x4 dx5 + ...; invert exactly and push forward
+            w = [[Poly.zero(chart)] * dim for _ in range(dim)]
+
+            def setw(i, j, val):
+                w[i][j] = val
+                w[j][i] = -val
+
+            setw(0, 1, one)
+            for a in range(2, dim, 2):
+                setw(0, a + 1, Poly.var(chart, "x%d" % a))
+                setw(a, a + 1, Poly.const(chart, Fraction(-1, 2)))
+            pi = pushforward(frame, Multivector(chart, 2, antisymmetric_inverse(w)))
+            return pi, frame, DivisorClass(DivisorClass.BPOWER, dim + 1)
+        if kind == "log":
+            k = 1
+        pi = Poly.var(chart, "z") ** k * Multivector(chart, 2, {(0, 1): one})
+        pi = pi + _omega_pairs(chart, range(2, dim))
+        if k == 1:
+            return pi, catalog("log", chart, "z"), DivisorClass(DivisorClass.LOG)
+        return pi, catalog("bk", chart, "z", k), DivisorClass(DivisorClass.BPOWER, k)
+    chart = Chart(["x", "y"] + ["x%d" % i for i in range(1, dim - 1)])
+    x, y = Poly.var(chart, "x"), Poly.var(chart, "y")
+    d = [Multivector.basis_vector(chart, i) for i in range(dim)]
+    if kind == "elliptic":
+        pi = (Fraction(lam) * (x * x + y * y)) * d[0].wedge(d[1])
+        pi = pi + _omega_pairs(chart, range(2, dim))
+    else:
+        euler, rot = x * d[0] + y * d[1], x * d[1] - y * d[0]
+        pi = euler.wedge(d[2]) + rot.wedge(d[3]) + _omega_pairs(chart, range(4, dim))
+    return pi, catalog("elliptic", chart, "x", "y"), DivisorClass(DivisorClass.ELLIPTIC)
 
 
 def bracket_rows_reference(frame):
@@ -214,12 +298,12 @@ def gcd_content_chain(polys):
     return g.unit_normalized() if not g.is_constant() else Poly.const(g.chart, 1)
 
 
-def classify_taking_every_squarefree_part(ideal, candidates=None):
+def classify_taking_every_squarefree_part(ideal):
     """`divisors.classify` with the squarefree part taken of every
     non-constant residual, whatever its shape: the reference for the
     classifier that takes it only where it could be an elliptic atom."""
     with mock.patch.object(divisors, "_may_be_elliptic_power", lambda p: not p.is_constant()):
-        return divisors.classify(ideal, candidates)
+        return divisors.classify(ideal)
 
 
 # The tokenizer before tokens were texts: one match per token, whitespace and

@@ -10,7 +10,14 @@ import random
 import pytest
 
 import conftest
-from conftest import lifted_pfaffian, rand_multivector, rand_poly, rand_vector
+from conftest import (
+    darboux_catalog,
+    dual_form,
+    lifted_pfaffian,
+    rand_multivector,
+    rand_poly,
+    rand_vector,
+)
 
 from divkit.rings import Chart, Poly
 from divkit.multivector import Multivector, partial_pfaffian, schouten_bracket
@@ -20,7 +27,6 @@ from divkit.frames import lower_modify, upper_modify, pushforward
 from divkit.poisson import (
     NotLiftable,
     check_poisson,
-    darboux_catalog,
     divisor_type,
     lift,
     modular_foliation_report,
@@ -34,7 +40,6 @@ from divkit.residues import (
     ResidueSpec,
     cochain_check,
     cosymplectic_spinor,
-    dual_form,
 )
 
 

@@ -583,6 +583,18 @@ def test_lower_modify_rejects_a_bracket_outside_the_ideal():
     assert "result" not in cert["payload"]
 
 
+def test_upper_modify_rejects_quotients_that_are_not_involutive():
+    # zero(x) is x*Dx, x*Dy; the first divided by x leaves Dx, x*Dy, and
+    # [Dx, x*Dy] = Dy = (1/x) e2: bad input, so a failed verdict, as for a
+    # generator that does not divide
+    cert, code = run_job(parse("chart x, y; modify upper frame zero(x) kernel 2 by ideal(x);"))
+    assert code == 1 and cert["verdict"] == "fail" and "error" not in cert
+    assert cert["payload"]["reason"] == (
+        "NotInvolutive: bracket of generators 1,2 leaves the frame module: coefficient (1)/(x)"
+    )
+    assert "result" not in cert["payload"]
+
+
 def test_internal_error_is_reported_as_such(tmp_path, monkeypatch, capsys):
     # break the lift's exact multiplicativity self-check: det(rho) must divide
     # Pf(pi); pi's components are coprime, so the division is not skipped

@@ -67,13 +67,15 @@ def test_classify_catalog():
 
 def test_classify_anisotropic_elliptic_and_candidates():
     assert classify(make_ideal(X * X + 2 * Y * Y)) == DivisorClass(DivisorClass.ELLIPTIC)
-    # x^2 - y^2 is hyperbolic, not elliptic; without candidates: unclassified
+    # x^2 - y^2 is hyperbolic, not elliptic: unclassified
     assert classify(make_ideal(X * X - Y * Y)) == DivisorClass(DivisorClass.UNCLASSIFIED)
-    # a shifted linear factor is found only when supplied as a candidate
+    # a shifted linear factor is found only as the whole residual
     gen = (X + Y) * (X * X + Y * Y)
     assert classify(make_ideal(gen)) == DivisorClass(DivisorClass.UNCLASSIFIED)
-    got = classify(make_ideal(gen), candidates=[X + Y])
-    assert got == DivisorClass(DivisorClass.ELLIPTIC_LOG)
+    # x + 1 is the residual after x; parallel gradients: no normal crossing
+    got = classify(make_ideal(X * (X + 1)))
+    assert got == DivisorClass(DivisorClass.PRODUCT, [DivisorClass.LOG, DivisorClass.LOG])
+    assert str(got) == "Product(Log, Log)"
 
 
 def test_classify_products(rng):
@@ -117,33 +119,31 @@ Q = X * X + X * Y + Y * Y  # positive definite
 
 
 @pytest.mark.parametrize(
-    "gen, candidates, takes_part",
+    "gen, takes_part",
     [
         # c*q^k for an elliptic q: the one shape whose radical can be an atom
-        (3 * Q**2, None, True),
-        (Q**3, None, True),
-        (Q * (X * X + 2 * Y * Y), None, True),  # the shape, but not c*q^k
+        (3 * Q**2, True),
+        (Q**3, True),
+        (Q * (X * X + 2 * Y * Y), True),  # the shape, but not c*q^k
         # odd degree, and not homogeneous
-        (Q * (X + Y), None, False),
-        (Q * (Q + 1), None, False),
-        (Q**2 + X * Y * Y, None, False),
+        (Q * (X + Y), False),
+        (Q * (Q + 1), False),
+        (Q**2 + X * Y * Y, False),
         # homogeneous of even degree in three variables
-        ((X3 * X3 + Y3 * Y3) * (X3 * X3 + Z3 * Z3), None, False),
-        ((X3 * X3 + Y3 * Y3) ** 2 * (Y3 * Y3 + Z3 * Z3), None, False),
-        # candidates: the residual after them is c*q^k, or not
-        (Q**2 * (X + Y + 1), [X + Y + 1], True),
-        (Q**2 * (X + Y + 1), None, False),
-        (Q**2 * (X + Y + 1), [Q, X + Y + 1], True),
-        (Q * (X + 2 * Y + 1), [Q], False),
-        ((X3 + Y3 + Z3) * (X3 * X3 + Z3 * Z3) ** 2, [X3 + Y3 + Z3], True),
+        ((X3 * X3 + Y3 * Y3) * (X3 * X3 + Z3 * Z3), False),
+        ((X3 * X3 + Y3 * Y3) ** 2 * (Y3 * Y3 + Z3 * Z3), False),
+        (Q**2 * (X + Y + 1), False),
     ],
+    # the ids the cases had when each also named its candidate atoms (None)
+    ids=["gen0-None-True", "gen1-None-True", "gen2-None-True", "gen3-None-False", "gen4-None-False",
+         "gen5-None-False", "gen6-None-False", "gen7-None-False", "gen9-None-False"],
 )
-def test_classify_takes_a_squarefree_part_only_where_it_can_be_elliptic(gen, candidates, takes_part):
+def test_classify_takes_a_squarefree_part_only_where_it_can_be_elliptic(gen, takes_part):
     ideal = make_ideal(gen)
     with mock.patch.object(divisors, "squarefree_part", wraps=divisors.squarefree_part) as spy:
-        got = classify(ideal, candidates)
+        got = classify(ideal)
     assert spy.called == takes_part
-    assert got == classify_taking_every_squarefree_part(ideal, candidates)
+    assert got == classify_taking_every_squarefree_part(ideal)
 
 
 def test_classify_matches_the_reference_on_random_products(rng):
@@ -157,10 +157,8 @@ def test_classify_matches_the_reference_on_random_products(rng):
             gen = gen * rng.choice(atoms + others) ** rng.randint(1, 3)
         if rng.random() < 0.3:
             gen = gen * rand_poly(C3, rng, zero_ok=False)
-        candidates = rng.sample(atoms + others, rng.randint(0, 2)) or None
         ideal = make_ideal(gen)
-        want = classify_taking_every_squarefree_part(ideal, candidates)
-        assert classify(ideal, candidates) == want, (gen, candidates)
+        assert classify(ideal) == classify_taking_every_squarefree_part(ideal), gen
 
 
 def test_preserves_examples():

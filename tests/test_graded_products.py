@@ -21,7 +21,6 @@ from divkit.multivector import (
     exterior_derivative,
     interior_product,
     merge_indices,
-    pairing,
 )
 from divkit.rings import Chart, ChartMismatch, Poly
 
@@ -132,15 +131,6 @@ def ref_interior_product(v, w):
                 coeff = -coeff
             _accumulate(res, idx[:pos] + idx[pos + 1 :], coeff)
     return res
-
-
-def ref_pairing(form, mv):
-    total = Poly.zero(form.chart)
-    for idx, c in form.comps.items():
-        m = mv.comps.get(idx)
-        if m is not None:
-            total = total + c * m
-    return total
 
 
 def ref_apply_to(v, f):
@@ -254,11 +244,6 @@ def test_interior_product_matches_the_reference_loop(rng):
 def test_pairing_and_apply_to_match_the_reference_loops(rng):
     for _ in range(60):
         chart = rng.choice((C2, C3, C4))
-        n = chart.dimension
-        k = rng.randint(0, n)
-        form = DiffForm(chart, k, rand_comps(chart, rng, k))
-        mv = Multivector(chart, k, rand_comps(chart, rng, k))
-        assert pairing(form, mv) == ref_pairing(form, mv)
         v = Multivector(chart, 1, rand_comps(chart, rng, 1))
         f = rand_coeff(chart, rng)
         assert v.apply_to(f) == ref_apply_to(v, f)
@@ -267,9 +252,6 @@ def test_pairing_and_apply_to_match_the_reference_loops(rng):
     f = x * x * y + Fraction(1, 2) * y**3 - x
     ham = Multivector.vector(C2, [f.diff("y"), -f.diff("x")])
     assert ham.apply_to(f).is_zero() and ref_apply_to(ham, f).is_zero()
-    form = DiffForm(C2, 1, {(0,): x * y, (1,): Fraction(2, 3) * y})
-    mv = Multivector(C2, 1, {(0,): Fraction(2, 3) * y, (1,): -x * y})
-    assert pairing(form, mv).is_zero() and ref_pairing(form, mv).is_zero()
 
 
 def test_exterior_derivative_matches_the_reference_loop(rng):
@@ -315,8 +297,6 @@ def test_chart_mismatch_still_raises(rng):
         DiffForm(C2, 1, {(0,): x2}).wedge(DiffForm(C3, 1, {(1,): x3}))
     with pytest.raises(ChartMismatch):
         interior_product(Multivector(C2, 1, {(0,): x2}), DiffForm(C3, 1, {(0,): x3}))
-    with pytest.raises(ChartMismatch):
-        pairing(DiffForm(C2, 1, {(0,): x2}), Multivector(C3, 1, {(0,): x3}))
     with pytest.raises(ChartMismatch):
         Multivector(C2, 1, {(0,): x2}).apply_to(x3 * x3)
     # a coefficient on another chart meets the anchor's coefficients; plain d

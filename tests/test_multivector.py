@@ -13,7 +13,6 @@ from divkit.multivector import (
     exterior_derivative,
     interior_product,
     lie_derivative,
-    pairing,
     partial_pfaffian,
     schouten_bracket,
 )
@@ -27,6 +26,7 @@ from conftest import (
     rand_poly,
     rand_sparse_bivector,
     rand_vector,
+    ref_pairing,
 )
 
 C2 = Chart(["x", "y"])
@@ -354,11 +354,10 @@ def test_interior_and_pairing():
     dxf, dyf = DiffForm(C2, 1, {(0,): 1}), DiffForm(C2, 1, {(1,): 1})
     omega = dxf.wedge(dyf)
     assert interior_product(DX, omega) == dyf
-    assert pairing(omega, X * DX.wedge(DY)) == X
+    # the full pairing is the iterated contraction, omega(X Dx, Dy) = X
+    assert interior_product(DY, interior_product(X * DX, omega)) == DiffForm(C2, 0, {(): X})
     got = interior_product(X * DX + Y * DY, omega)
     assert got == X * dyf + (-Y) * dxf
-    with pytest.raises(DegreeMismatch):
-        pairing(dxf, DX.wedge(DY))
 
 
 def test_cartan_formula_consistency(rng):
@@ -371,6 +370,6 @@ def test_cartan_formula_consistency(rng):
         w = DiffForm(
             c3, 1, {(i,): rand_poly(c3, rng, max_degree=1) for i in range(3)}
         )
-        lhs = v.apply_to(pairing(w, u))
-        rhs = pairing(lie_derivative(v, w), u) + pairing(w, schouten_bracket(v, u))
+        lhs = v.apply_to(ref_pairing(w, u))
+        rhs = ref_pairing(lie_derivative(v, w), u) + ref_pairing(w, schouten_bracket(v, u))
         assert lhs == rhs

@@ -10,7 +10,6 @@ from divkit.frames import AnchorFrame, catalog, frame_divisor
 from divkit.poisson import (
     NotLiftable,
     check_poisson,
-    darboux_catalog,
     degeneracy_ideals,
     divisor_type,
     hamiltonian_vf,
@@ -19,7 +18,7 @@ from divkit.poisson import (
     modular_vf,
 )
 
-from conftest import lifted_pfaffian, rand_poly
+from conftest import darboux_catalog, lifted_pfaffian, rand_poly
 
 C2 = Chart(["x", "y"])
 X, Y = Poly.var(C2, "x"), Poly.var(C2, "y")

@@ -6,7 +6,7 @@ from divkit.rings import Chart, Poly
 from divkit.cli import run_job
 from divkit.dsl import parse
 from divkit.frames import CoframeForm, algebroid_d, catalog
-from divkit.poisson import darboux_catalog, lift
+from divkit.poisson import lift
 from divkit.residues import (
     ELLIPTIC_Q,
     ELLIPTIC_R,
@@ -20,13 +20,12 @@ from divkit.residues import (
     ResidueSpec,
     cochain_check,
     cosymplectic_spinor,
-    dual_form,
     elliptic_log_factorization,
     residue,
     restricted_d,
 )
 
-from conftest import rand_poly
+from conftest import darboux_catalog, dual_form, rand_poly
 
 
 def rand_coframe(frame, rng, degree, max_degree=2):
